@@ -22,7 +22,6 @@ from .durations import (
     FixtureProvider,
     FlightDuration,
     GreatCircleProvider,
-    ProviderConfig,
     RemoteDurationClient,
     RoutePair,
     RouteUnavailable,
@@ -100,7 +99,6 @@ __all__ = [
     "IssueKind",
     "Itinerary",
     "NonConvergenceError",
-    "ProviderConfig",
     "ProviderError",
     "RemoteDurationClient",
     "ReplayClient",

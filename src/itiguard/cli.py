@@ -6,8 +6,8 @@ and correct the result), and bench (validate a corpus and print aggregate
 statistics).
 
 Exit codes are part of the contract: 0 everything valid, 1 at least one
-itinerary invalid, 2 input or provider problem, 3 correction failed to
-converge, 4 generation retries exhausted.
+itinerary invalid, 2 input or provider problem, 3 the check after the single
+correction pass found an issue left (a bug), 4 generation retries exhausted.
 
 Settings resolve as flags > config file > environment > built-in defaults.
 The config file is one JSON object whose keys mirror AppConfig.
@@ -19,7 +19,6 @@ import argparse
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import date
 from pathlib import Path
@@ -90,7 +89,6 @@ class AppConfig:
     trace: bool = False
     format: str = "table"
     cache_file: str | None = None
-    workers: int = 4
     fixture_file: str | None = None
     base_url: str | None = None
 
@@ -107,10 +105,12 @@ def resolve_config(args: argparse.Namespace) -> AppConfig:
         data = json.loads(Path(config_path).read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
-        known = {f.name for f in fields(AppConfig)}
-        unknown = set(data) - known
+        defaults = {f.name: f.default for f in fields(AppConfig)}
+        unknown = set(data) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        for key, value in data.items():
+            _check_config_type(key, value, defaults[key])
         config = replace(config, **data)
     overrides = {}
     for f in fields(AppConfig):
@@ -118,6 +118,19 @@ def resolve_config(args: argparse.Namespace) -> AppConfig:
         if value is not None:
             overrides[f.name] = value
     return replace(config, **overrides) if overrides else config
+
+
+def _check_config_type(key: str, value: object, default: object) -> None:
+    """A config value must have its default's type; numbers may be ints, and
+    keys that default to None take a string."""
+    if isinstance(default, bool):
+        ok, expected = isinstance(value, bool), "true or false"
+    elif isinstance(default, float):
+        ok, expected = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    else:
+        ok, expected = isinstance(value, str) or (value is None and default is None), "a string"
+    if not ok:
+        raise ValueError(f"config key {key} must be {expected}, got {json.dumps(value)}")
 
 
 def build_policy(config: AppConfig) -> ValidationPolicy:
@@ -301,20 +314,15 @@ def cmd_bench(args: argparse.Namespace, config: AppConfig) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     root = Path(args.manifest).parent
-
-    def check_one(entry):
-        text = (root / entry.file).read_text(encoding="utf-8")
-        itinerary = parse_itinerary(text, entry.num_cities)
-        return CorpusRecord(entry.model_tag, entry.num_cities, validate(itinerary, provider, policy))
-
     records = []
-    with ThreadPoolExecutor(max_workers=max(1, config.workers)) as executor:
-        futures = [(entry, executor.submit(check_one, entry)) for entry in entries]
-        for entry, future in futures:
-            try:
-                records.append(future.result())
-            except Exception as err:
-                print(f"warning: skipping {entry.file}: {err}", file=sys.stderr)
+    for entry in entries:
+        try:
+            text = (root / entry.file).read_text(encoding="utf-8")
+            itinerary = parse_itinerary(text, entry.num_cities)
+            report = validate(itinerary, provider, policy)
+            records.append(CorpusRecord(entry.model_tag, entry.num_cities, report))
+        except Exception as err:
+            print(f"warning: skipping {entry.file}: {err}", file=sys.stderr)
     try:
         stats = aggregate(records, include_stays=args.include_stays)
     except EmptyGroupError:
@@ -388,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     help="validate a corpus and print aggregate statistics")
     p_bench.add_argument("manifest", help="corpus manifest JSON")
     p_bench.add_argument("--format", choices=["table", "csv", "json"], default=None)
-    p_bench.add_argument("--workers", type=int, default=None, help="concurrent validations (default: 4)")
     p_bench.add_argument("--include-stays", action="store_true",
                          help="count stay violations in the invalid-segment rate")
     p_bench.add_argument("--breakdown", action="store_true",

@@ -6,8 +6,10 @@ outgoing leg is checked against its transit bounds using that updated
 departure. A leg that is too short, overlapping, or too long gets its
 arrival pinned to departure + t_min, which satisfies both bounds. Because
 each stop's arrival is final before its stay is examined, a single pass
-leaves no violations; the pass loop re-validates afterwards and repeats only
-as a safety net.
+leaves no violations. The route bounds are resolved once, before the pass;
+the result is then checked once against those same bounds, and any issue
+left over is reported as NonConvergenceError, a logic bug rather than bad
+input.
 
 The first stop's arrival anchors the schedule and is never moved; city order
 is never changed. Legs without resolvable route data are skipped and
@@ -24,15 +26,13 @@ from .model import Itinerary, Timestamp
 from .validation import (
     IssueKind,
     ValidationPolicy,
+    check_against_bounds,
     resolve_segment_bounds,
-    validate,
 )
-
-MAX_PASSES = 10
 
 
 class NonConvergenceError(RuntimeError):
-    """Issues survived the pass ceiling; indicates a logic bug, not bad input."""
+    """Issues survived the forward pass; indicates a logic bug, not bad input."""
 
 
 class TraceMismatchError(Exception):
@@ -71,7 +71,7 @@ class Adjustment:
 
 @dataclass(frozen=True)
 class CorrectionTrace:
-    """Replayable audit log of a correction run."""
+    """Replayable audit log of a correction run; passes is always 1."""
 
     adjustments: tuple[Adjustment, ...]
     passes: int
@@ -132,29 +132,25 @@ def correct(
 ) -> tuple[Itinerary, CorrectionTrace]:
     """Repair every detected violation by shifting timestamps forward.
 
-    Returns the corrected itinerary plus the trace. Raises ProviderError in
-    strict mode if a route cannot be resolved, and NonConvergenceError if
-    issues somehow survive MAX_PASSES passes.
+    Resolves the route bounds once, makes one forward pass, and checks the
+    result against the same bounds. Returns the corrected itinerary plus the
+    trace. Raises ProviderError in strict mode if a route cannot be
+    resolved, and NonConvergenceError if the check finds an issue the pass
+    should have fixed.
     """
-    bounds, skipped, _ = resolve_segment_bounds(itin, provider, policy)
+    resolved = resolve_segment_bounds(itin, provider, policy)
+    bounds, skipped, _ = resolved
     arrivals = [stop.arrival for stop in itin.stops]
     departures = [stop.departure for stop in itin.stops]
     adjustments: list[Adjustment] = []
-    passes = 0
-    while True:
-        _adjustment_pass(arrivals, departures, bounds, policy, adjustments)
-        passes += 1
-        candidate = _rebuild(itin, arrivals, departures)
-        report = validate(candidate, provider, policy)
-        correctable = [i for i in report.issues if i.kind is not IssueKind.ROUTE_DATA_UNAVAILABLE]
-        if not correctable:
-            break
-        if passes >= MAX_PASSES:
-            raise NonConvergenceError(
-                f"{len(correctable)} issue(s) remain after {passes} passes: {correctable}"
-            )
+    _adjustment_pass(arrivals, departures, bounds, policy, adjustments)
+    candidate = _rebuild(itin, arrivals, departures)
+    report = check_against_bounds(candidate, resolved, policy)
+    correctable = [i for i in report.issues if i.kind is not IssueKind.ROUTE_DATA_UNAVAILABLE]
+    if correctable:
+        raise NonConvergenceError(f"{len(correctable)} issue(s) remain after the pass: {correctable}")
     trace = CorrectionTrace(
-        adjustments=tuple(adjustments), passes=passes, skipped_segments=tuple(skipped)
+        adjustments=tuple(adjustments), passes=1, skipped_segments=tuple(skipped)
     )
     return candidate, trace
 

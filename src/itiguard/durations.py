@@ -25,12 +25,11 @@ from typing import Callable, Mapping, Protocol
 
 import requests
 
-from .model import AirportCode, Timestamp
+from .model import AirportCode
 
 log = logging.getLogger(__name__)
 
 MAX_FLIGHT_MINUTES = 48 * 60  # sanity bound, no commercial flight exceeds 48h
-DEFAULT_BUFFER_MINUTES = 4 * 60
 DEFAULT_MAX_RETRIES = 3
 DEFAULT_RETRY_DELAY_SECONDS = 1.0
 API_KEY_ENV = "AERODATABOX_API_KEY"
@@ -108,25 +107,10 @@ class TransitBounds:
         return cls(t_min=t_min, t_max=int(t_min * multiplier))
 
 
-@dataclass
-class ProviderConfig:
-    buffer_minutes: int = DEFAULT_BUFFER_MINUTES
-    max_retries: int = DEFAULT_MAX_RETRIES
-    cache_path: Path | None = None
-    strict: bool = False
-
-    def __post_init__(self):
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
-        if self.buffer_minutes < 0:
-            raise ValueError("buffer must be >= 0")
-
-
 @dataclass(frozen=True)
 class CacheEntry:
     route: RoutePair
     duration: FlightDuration
-    fetched_at: Timestamp | None = None  # in-memory only; not persisted
 
 
 class DurationProvider(Protocol):
@@ -302,8 +286,8 @@ class DurationCache:
     def get(self, route: RoutePair) -> CacheEntry | None:
         return self._entries.get(route)
 
-    def put(self, route: RoutePair, duration: FlightDuration, fetched_at: Timestamp | None = None):
-        self._entries[route] = CacheEntry(route, duration, fetched_at)
+    def put(self, route: RoutePair, duration: FlightDuration):
+        self._entries[route] = CacheEntry(route, duration)
 
     def entries(self) -> list[CacheEntry]:
         return list(self._entries.values())
@@ -356,7 +340,6 @@ class CachedProvider:
         *,
         cache: DurationCache | None = None,
         path: str | Path | None = None,
-        clock: Callable[[], Timestamp] = Timestamp.now,
     ):
         self._inner = inner
         self._path = Path(path) if path else None
@@ -366,7 +349,6 @@ class CachedProvider:
             self._cache = load_cache(self._path)
         else:
             self._cache = DurationCache()
-        self._clock = clock
         self._lock = threading.Lock()
 
     @property
@@ -379,21 +361,8 @@ class CachedProvider:
             return entry.duration
         duration = self._inner.route_duration(route)
         with self._lock:
-            self._cache.put(route, duration, fetched_at=self._clock())
+            self._cache.put(route, duration)
             if self._path is not None:
                 save_cache(self._cache, self._path)
         return duration
 
-
-def get_flight_duration(provider: DurationProvider, route: RoutePair) -> FlightDuration:
-    """Look up the minimum flight duration for a route."""
-    return provider.route_duration(route)
-
-
-def transit_bounds(
-    provider: DurationProvider, route: RoutePair, config: ProviderConfig
-) -> TransitBounds:
-    """Derive the allowed travel-time window for a route: t_min is the flight
-    duration plus the buffer, t_max is 2 x t_min. Propagates RouteUnavailable."""
-    duration = provider.route_duration(route)
-    return TransitBounds.from_flight(duration.minutes, config.buffer_minutes)

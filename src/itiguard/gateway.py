@@ -96,7 +96,8 @@ class HttpGenerationClient:
     """Minimal JSON-over-HTTP client: POST {"prompt": ...}, read {"text": ...}.
 
     The API key comes from the constructor or GENERATION_API_KEY. transport
-    is injectable for tests and must behave like requests.post.
+    is injectable for tests and must behave like requests.post. Transport
+    and HTTP-status failures raise ValueError, as an unexpected payload does.
     """
 
     def __init__(
@@ -116,11 +117,14 @@ class HttpGenerationClient:
         headers = {"Content-Type": "application/json"}
         if self._api_key:
             headers["Authorization"] = f"Bearer {self._api_key}"
-        response = self._post(
-            self._endpoint, json={"prompt": prompt}, headers=headers, timeout=self._timeout
-        )
-        response.raise_for_status()
-        body = response.json()
+        try:
+            response = self._post(
+                self._endpoint, json={"prompt": prompt}, headers=headers, timeout=self._timeout
+            )
+            response.raise_for_status()
+            body = response.json()
+        except requests.RequestException as err:
+            raise ValueError(f"generation endpoint request failed: {err}") from err
         if not isinstance(body, dict) or not isinstance(body.get("text"), str):
             raise ValueError(f"generation endpoint returned unexpected payload: {json.dumps(body)[:200]}")
         return body["text"]

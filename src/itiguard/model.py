@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 WIRE_TIME_FORMAT = "%Y-%m-%d %H:%M"
 
@@ -96,12 +96,14 @@ class Timestamp:
         dt = dt.replace(tzinfo=timezone.utc)
         return cls(int((dt - _EPOCH).total_seconds()) // 60)
 
-    @classmethod
-    def now(cls) -> "Timestamp":
-        return cls(int((datetime.now(timezone.utc) - _EPOCH).total_seconds()) // 60)
-
     def text(self) -> str:
-        dt = _EPOCH + _minutes_delta(self.minutes_since_epoch)
+        """Wire form; raises ValueError outside the years 0001-9999 it can spell."""
+        try:
+            dt = _EPOCH + timedelta(minutes=self.minutes_since_epoch)
+        except OverflowError:
+            raise ValueError(
+                f"timestamp {self.minutes_since_epoch} minutes from 1970 is outside years 0001-9999"
+            ) from None
         return dt.strftime(WIRE_TIME_FORMAT)
 
     def __str__(self) -> str:
@@ -116,12 +118,6 @@ class Timestamp:
         if not isinstance(other, Timestamp):
             return NotImplemented
         return self.minutes_since_epoch - other.minutes_since_epoch
-
-
-def _minutes_delta(minutes: int):
-    from datetime import timedelta
-
-    return timedelta(minutes=minutes)
 
 
 @dataclass(frozen=True, order=True)

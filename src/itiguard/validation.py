@@ -165,7 +165,20 @@ def validate(
     n stops produce n stay checks and n-1 segment checks; the verdict is
     valid iff no issue was found.
     """
-    bounds, unverifiable, structural = resolve_segment_bounds(itin, provider, policy)
+    return check_against_bounds(itin, resolve_segment_bounds(itin, provider, policy), policy)
+
+
+def check_against_bounds(
+    itin: Itinerary,
+    resolved: tuple[list[TransitBounds | None], list[int], list[Issue]],
+    policy: ValidationPolicy,
+) -> ValidationReport:
+    """The rules of validate() against bounds already resolved for itin's legs.
+
+    resolved is what resolve_segment_bounds returned for an itinerary with
+    the same airports in the same order; no provider is consulted.
+    """
+    bounds, unverifiable, structural = resolved
     structural_by_segment = {issue.subject: issue for issue in structural}
     segs = segments(itin)
     issues: list[Issue] = []
@@ -181,10 +194,3 @@ def validate(
             elif i in structural_by_segment:
                 issues.append(structural_by_segment[i])
     return ValidationReport(issues=tuple(issues), unverifiable_segments=tuple(unverifiable))
-
-
-def count_issue_stats(report: ValidationReport) -> tuple[int, int]:
-    """(total issue count, invalid segment count); stays count as issues but
-    not as invalid segments."""
-    invalid_segments = sum(1 for issue in report.issues if issue.kind in SEGMENT_ISSUE_KINDS)
-    return len(report.issues), invalid_segments

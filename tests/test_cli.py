@@ -6,7 +6,9 @@ import sys
 from pathlib import Path
 
 import pytest
+import requests
 
+from itiguard import correction, gateway
 from itiguard.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -165,6 +167,23 @@ class TestCorrect:
     def test_missing_input_exits_2(self, capsys):
         assert main(["correct", "no_such.json", *DEMO_FLAGS]) == 2
 
+    def test_stay_pushed_past_year_9999_exits_2(self, tmp_path, capsys):
+        path = write_itinerary(
+            tmp_path / "late.json", [("Alpha", "AAA", "9999-12-30 10:00", "9999-12-30 12:00")]
+        )
+        code = main(["correct", str(path), *DEMO_FLAGS])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: timestamp" in err and "Traceback" not in err
+
+    def test_issue_left_by_the_pass_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(correction, "_adjustment_pass", lambda *args: None)
+        code = main(["correct", str(FIXTURES / "sample_invalid.json"), *DEMO_FLAGS])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: correction did not converge" in captured.err
+
 
 class TestGenerate:
     def test_replay_demo_recording(self, capsys):
@@ -251,6 +270,16 @@ class TestGenerate:
         )
         assert code == 0
         assert "0 issues found" in capsys.readouterr().err
+
+    def test_unreachable_endpoint_exits_2(self, monkeypatch, capsys):
+        def refuse(url, **kwargs):
+            raise requests.ConnectionError(f"connection to {url} refused")
+
+        monkeypatch.setattr(gateway.requests, "post", refuse)
+        code = main(["generate", "--endpoint", "http://127.0.0.1:9/x", *DEMO_FLAGS])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: generation endpoint request failed" in err and "Traceback" not in err
 
     def test_bad_city_spec_exits_2(self, capsys):
         code = main(["generate", "--cities", "Sydney", "--replay-dir", "x", *DEMO_FLAGS])
@@ -342,7 +371,7 @@ class TestBench:
                 ]
             )
         )
-        code = main(["bench", str(manifest), *DEMO_FLAGS, "--workers", "2"])
+        code = main(["bench", str(manifest), *DEMO_FLAGS])
         assert code == 0
         captured = capsys.readouterr()
         assert "warning: skipping bad.json" in captured.err
@@ -399,6 +428,17 @@ class TestConfigResolution:
         code = main(["validate", "whatever.json", "--config", str(config)])
         assert code == 2
         assert "unknown config keys: min_stay" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "setting", ['{"buffer_hours": "4"}', '{"strict": "yes"}', '{"cache_file": 5}']
+    )
+    def test_wrong_value_type_exits_2(self, tmp_path, setting, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(setting)
+        code = main(["validate", str(FIXTURES / "sample_invalid.json"), "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: bad configuration: config key" in err and "Traceback" not in err
 
     def test_non_object_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"

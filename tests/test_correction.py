@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from itiguard import correction
 from itiguard.correction import (
     Adjustment,
     CorrectionTrace,
@@ -115,6 +116,31 @@ class TestRandomCorpus:
             fixed, _ = correct(itin, provider)
             assert [s.airport for s in fixed.stops] == [s.airport for s in itin.stops]
             assert fixed.stops[0].arrival == itin.stops[0].arrival
+
+
+class CountingProvider:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def route_duration(self, route):
+        self.calls += 1
+        return self.inner.route_duration(route)
+
+
+class TestOnePass:
+    def test_one_lookup_per_leg(self):
+        rng = random.Random(104)
+        for _ in range(50):
+            itin, provider, _ = random_itinerary(rng)
+            counting = CountingProvider(provider)
+            correct(itin, counting)
+            assert counting.calls == len(itin) - 1
+
+    def test_issue_left_by_the_pass_raises(self, sample_invalid, demo_provider, monkeypatch):
+        monkeypatch.setattr(correction, "_adjustment_pass", lambda *args: None)
+        with pytest.raises(NonConvergenceError, match="3 issue"):
+            correct(sample_invalid, demo_provider)
 
 
 class TestUnresolvableRoutes:

@@ -16,7 +16,6 @@ from itiguard.durations import (
     GreatCircleProvider,
     MalformedPayloadError,
     NullDurationError,
-    ProviderConfig,
     RemoteDurationClient,
     RoutePair,
     RouteUnavailable,
@@ -27,7 +26,6 @@ from itiguard.durations import (
     load_cache,
     parse_duration_payload,
     save_cache,
-    transit_bounds,
 )
 from itiguard.model import AirportCode
 
@@ -312,9 +310,3 @@ class TestCache:
             cache = load_cache(path)
         assert len(cache) == 2
         assert any("skip" in record.message.lower() for record in caplog.records)
-
-
-def test_transit_bounds_helper():
-    provider = FixtureProvider({("SYD", "FRA"): 1020})
-    bounds = transit_bounds(provider, route("SYD", "FRA"), ProviderConfig())
-    assert (bounds.t_min, bounds.t_max) == (1260, 2520)

@@ -308,8 +308,9 @@ class TestHttpGenerationClient:
     def test_http_error_propagates(self):
         transport = RecordingTransport(FakeResponse({}, status=500))
         client = HttpGenerationClient(self.ENDPOINT, transport=transport)
-        with pytest.raises(requests.HTTPError):
+        with pytest.raises(ValueError, match="status 500") as exc:
             client.complete("p")
+        assert isinstance(exc.value.__cause__, requests.HTTPError)
 
     @pytest.mark.parametrize("payload", [{"message": "x"}, {"text": 5}, ["text"], "text"])
     def test_unexpected_payload(self, payload):

@@ -16,7 +16,7 @@ from itiguard.metrics import (
     load_manifest,
     render_stats,
 )
-from itiguard.validation import Issue, IssueKind, ValidationReport
+from itiguard.validation import Issue, IssueKind, ValidationReport, validate
 
 SEGMENT_KINDS = (IssueKind.OVERLAP, IssueKind.TRANSIT_TOO_SHORT, IssueKind.TRANSIT_TOO_LONG)
 
@@ -106,6 +106,11 @@ class TestAggregate:
         (row,) = aggregate(records("m", 4, reports), include_stays=True)
         assert row.segment_issue_count == 2
         assert row.invalid_segments_pct == pytest.approx(100.0 * 2 / 7)
+
+    def test_reference_sample_counts(self, sample_invalid, demo_provider):
+        # One stay issue and two transit issues: three issues, two invalid segments.
+        (row,) = aggregate(records("m", 4, [validate(sample_invalid, demo_provider)]))
+        assert (row.issue_count, row.segment_issue_count) == (3, 2)
 
     def test_route_unavailable_counts_as_issue_not_segment(self):
         (row,) = aggregate(records("m", 4, [report(route_unavailable=1)]))

@@ -14,7 +14,6 @@ from itiguard.validation import (
     ValidationReport,
     check_segment,
     check_stay,
-    count_issue_stats,
     validate,
 )
 from support import brute_force_issues, random_itinerary
@@ -156,11 +155,6 @@ class TestValidate:
         lax = ValidationPolicy(min_stay_minutes=18 * 60)
         kinds = [issue.kind for issue in validate(sample_invalid, demo_provider, lax).issues]
         assert IssueKind.STAY_TOO_SHORT not in kinds
-
-
-def test_count_issue_stats(sample_invalid, demo_provider):
-    report = validate(sample_invalid, demo_provider)
-    assert count_issue_stats(report) == (3, 2)
 
 
 def test_empty_report_is_valid():
