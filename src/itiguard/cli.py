@@ -9,8 +9,8 @@ Exit codes are part of the contract: 0 everything valid, 1 at least one
 itinerary invalid, 2 input or provider problem, 3 the check after the single
 correction pass found an issue left (a bug), 4 generation retries exhausted.
 
-Settings resolve as flags > config file > environment > built-in defaults.
-The config file is one JSON object whose keys mirror AppConfig.
+Settings resolve as flags > config file > built-in defaults. The config
+file is one JSON object whose keys mirror AppConfig.
 """
 
 from __future__ import annotations
@@ -18,13 +18,14 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import date
 from pathlib import Path
 
 from .airports import AIRPORT_COORDS
-from .correction import CorrectionTrace, NonConvergenceError, correct
+from .correction import CorrectionTrace, NonConvergenceError, correct, correct_against_bounds
 from .durations import (
     CachedProvider,
     DurationProvider,
@@ -55,7 +56,15 @@ from .model import (
     render_itinerary,
 )
 from .prompts import GenerationRequest
-from .validation import Issue, IssueKind, ProviderError, ValidationPolicy, validate
+from .validation import (
+    Issue,
+    IssueKind,
+    ProviderError,
+    ValidationPolicy,
+    check_against_bounds,
+    resolve_segment_bounds,
+    validate,
+)
 
 log = logging.getLogger(__name__)
 
@@ -135,11 +144,18 @@ def _check_config_type(key: str, value: object, default: object) -> None:
 
 def build_policy(config: AppConfig) -> ValidationPolicy:
     return ValidationPolicy(
-        min_stay_minutes=round(config.min_stay_hours * 60),
-        buffer_minutes=round(config.buffer_hours * 60),
+        min_stay_minutes=_minutes("min_stay_hours", config.min_stay_hours),
+        buffer_minutes=_minutes("buffer_hours", config.buffer_hours),
         max_multiplier=config.max_multiplier,
         strict=bool(config.strict),
     )
+
+
+def _minutes(key: str, hours: float) -> int:
+    minutes = hours * 60
+    if not math.isfinite(minutes):
+        raise ValueError(f"{key} must be a finite number of hours, got {hours}")
+    return round(minutes)
 
 
 def build_provider(config: AppConfig) -> DurationProvider:
@@ -282,11 +298,12 @@ def cmd_generate(args: argparse.Namespace, config: AppConfig) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_GENERATION
     try:
-        report = validate(itinerary, provider, policy)
+        resolved = resolve_segment_bounds(itinerary, provider, policy)
+        report = check_against_bounds(itinerary, resolved, policy)
         trace: CorrectionTrace | None = None
         final = itinerary
         if not report.is_valid and not args.no_correct:
-            final, trace = correct(itinerary, provider, policy)
+            final, trace = correct_against_bounds(itinerary, resolved, policy)
     except ProviderError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

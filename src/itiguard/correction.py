@@ -6,10 +6,16 @@ outgoing leg is checked against its transit bounds using that updated
 departure. A leg that is too short, overlapping, or too long gets its
 arrival pinned to departure + t_min, which satisfies both bounds. Because
 each stop's arrival is final before its stay is examined, a single pass
-leaves no violations. The route bounds are resolved once, before the pass;
-the result is then checked once against those same bounds, and any issue
-left over is reported as NonConvergenceError, a logic bug rather than bad
-input.
+leaves no violations. Which stop or leg breaks which rule is decided by the
+validator's own check_stay / check_segment; this module only decides how to
+fix it.
+
+correct_against_bounds() is the pure part: given bounds already resolved for
+the itinerary's legs, it makes the pass and then checks the result once
+against those same bounds; any issue left over is reported as
+NonConvergenceError, a logic bug rather than bad input. correct() resolves
+the bounds through a provider and hands them to it, so a caller that has
+already resolved them (to validate first) never asks the provider twice.
 
 The first stop's arrival anchors the schedule and is never moved; city order
 is never changed. Legs without resolvable route data are skipped and
@@ -25,8 +31,11 @@ from .durations import DurationProvider
 from .model import Itinerary, Timestamp
 from .validation import (
     IssueKind,
+    ResolvedBounds,
     ValidationPolicy,
     check_against_bounds,
+    check_segment,
+    check_stay,
     resolve_segment_bounds,
 )
 
@@ -98,23 +107,15 @@ def _adjustment_pass(
 ) -> None:
     n = len(arrivals)
     for i in range(n):
-        stay = departures[i] - arrivals[i]
-        if stay < policy.min_stay_minutes:
+        if check_stay(i, departures[i] - arrivals[i], policy):
             new = arrivals[i] + policy.min_stay_minutes
             out.append(Adjustment(i, TimeField.DEPARTURE, departures[i], new, IssueKind.STAY_TOO_SHORT))
             departures[i] = new
         if i < n - 1 and bounds[i] is not None:
-            gap = arrivals[i + 1] - departures[i]
-            if gap < bounds[i].t_min:
-                reason = IssueKind.OVERLAP if gap < 0 else IssueKind.TRANSIT_TOO_SHORT
+            issue = check_segment(i, arrivals[i + 1] - departures[i], bounds[i])
+            if issue:
                 new = departures[i] + bounds[i].t_min
-                out.append(Adjustment(i + 1, TimeField.ARRIVAL, arrivals[i + 1], new, reason))
-                arrivals[i + 1] = new
-            elif gap > bounds[i].t_max:
-                new = departures[i] + bounds[i].t_min
-                out.append(
-                    Adjustment(i + 1, TimeField.ARRIVAL, arrivals[i + 1], new, IssueKind.TRANSIT_TOO_LONG)
-                )
+                out.append(Adjustment(i + 1, TimeField.ARRIVAL, arrivals[i + 1], new, issue.kind))
                 arrivals[i + 1] = new
 
 
@@ -132,13 +133,24 @@ def correct(
 ) -> tuple[Itinerary, CorrectionTrace]:
     """Repair every detected violation by shifting timestamps forward.
 
-    Resolves the route bounds once, makes one forward pass, and checks the
-    result against the same bounds. Returns the corrected itinerary plus the
-    trace. Raises ProviderError in strict mode if a route cannot be
-    resolved, and NonConvergenceError if the check finds an issue the pass
-    should have fixed.
+    Resolves the route bounds once and hands them to correct_against_bounds.
+    Returns the corrected itinerary plus the trace. Raises ProviderError in
+    strict mode if a route cannot be resolved, and NonConvergenceError if
+    the check finds an issue the pass should have fixed.
     """
-    resolved = resolve_segment_bounds(itin, provider, policy)
+    return correct_against_bounds(itin, resolve_segment_bounds(itin, provider, policy), policy)
+
+
+def correct_against_bounds(
+    itin: Itinerary, resolved: ResolvedBounds, policy: ValidationPolicy
+) -> tuple[Itinerary, CorrectionTrace]:
+    """correct() against bounds already resolved for itin's legs.
+
+    Makes one forward pass and checks the result with check_against_bounds
+    on the same bounds; no provider is consulted. Raises
+    NonConvergenceError if that check finds an issue the pass should have
+    fixed.
+    """
     bounds, skipped, _ = resolved
     arrivals = [stop.arrival for stop in itin.stops]
     departures = [stop.departure for stop in itin.stops]

@@ -107,12 +107,6 @@ class TransitBounds:
         return cls(t_min=t_min, t_max=int(t_min * multiplier))
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    route: RoutePair
-    duration: FlightDuration
-
-
 class DurationProvider(Protocol):
     def route_duration(self, route: RoutePair) -> FlightDuration:
         """Return the minimum flight duration, or raise RouteUnavailable."""
@@ -130,10 +124,9 @@ class FixtureProvider:
 
     @classmethod
     def from_file(cls, path: str | Path, symmetric: bool = True) -> "FixtureProvider":
-        cache = load_cache(path)
         table = {
-            (str(entry.route.origin), str(entry.route.destination)): entry.duration.minutes
-            for entry in cache.entries()
+            (str(route.origin), str(route.destination)): duration.minutes
+            for route, duration in load_cache(path).items()
         }
         return cls(table, symmetric=symmetric)
 
@@ -277,32 +270,11 @@ class RemoteDurationClient:
         raise RouteUnavailable(route, attempts=self._max_retries, reason=last_reason)
 
 
-class DurationCache:
-    """Route -> duration map persisted as 'ORIGIN DEST minutes' lines."""
-
-    def __init__(self, entries: dict[RoutePair, CacheEntry] | None = None):
-        self._entries: dict[RoutePair, CacheEntry] = dict(entries or {})
-
-    def get(self, route: RoutePair) -> CacheEntry | None:
-        return self._entries.get(route)
-
-    def put(self, route: RoutePair, duration: FlightDuration):
-        self._entries[route] = CacheEntry(route, duration)
-
-    def entries(self) -> list[CacheEntry]:
-        return list(self._entries.values())
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, route: RoutePair) -> bool:
-        return route in self._entries
-
-
-def load_cache(path: str | Path) -> DurationCache:
-    """Load a cache file; a missing file is an empty cache, corrupt lines are
-    skipped with a warning, never fatal."""
-    cache = DurationCache()
+def load_cache(path: str | Path) -> dict[RoutePair, FlightDuration]:
+    """Load a route -> duration map from 'ORIGIN DEST minutes' lines; a
+    missing file is an empty map, corrupt lines are skipped with a warning,
+    never fatal."""
+    cache: dict[RoutePair, FlightDuration] = {}
     path = Path(path)
     if not path.exists():
         return cache
@@ -311,18 +283,17 @@ def load_cache(path: str | Path) -> DurationCache:
             continue
         try:
             origin, dest, minutes = line.split()
-            route = RoutePair(AirportCode(origin), AirportCode(dest))
-            cache.put(route, FlightDuration(int(minutes)))
+            cache[RoutePair(AirportCode(origin), AirportCode(dest))] = FlightDuration(int(minutes))
         except ValueError:
             log.warning("skipping corrupt cache line %s:%d: %r", path, lineno, line)
     return cache
 
 
-def save_cache(cache: DurationCache, path: str | Path) -> None:
+def save_cache(cache: Mapping[RoutePair, FlightDuration], path: str | Path) -> None:
     """Write sorted 'ORIGIN DEST minutes' lines; load(save(c)) round-trips."""
     lines = sorted(
-        f"{entry.route.origin} {entry.route.destination} {entry.duration.minutes}\n"
-        for entry in cache.entries()
+        f"{route.origin} {route.destination} {duration.minutes}\n"
+        for route, duration in cache.items()
     )
     Path(path).write_text("".join(lines), encoding="utf-8")
 
@@ -334,35 +305,19 @@ class CachedProvider:
     both tiers. Lookups may run concurrently; writes are serialized.
     """
 
-    def __init__(
-        self,
-        inner: DurationProvider,
-        *,
-        cache: DurationCache | None = None,
-        path: str | Path | None = None,
-    ):
+    def __init__(self, inner: DurationProvider, *, path: str | Path | None = None):
         self._inner = inner
         self._path = Path(path) if path else None
-        if cache is not None:
-            self._cache = cache
-        elif self._path is not None:
-            self._cache = load_cache(self._path)
-        else:
-            self._cache = DurationCache()
+        self._cache = load_cache(self._path) if self._path is not None else {}
         self._lock = threading.Lock()
 
-    @property
-    def cache(self) -> DurationCache:
-        return self._cache
-
     def route_duration(self, route: RoutePair) -> FlightDuration:
-        entry = self._cache.get(route)
-        if entry is not None:
-            return entry.duration
+        duration = self._cache.get(route)
+        if duration is not None:
+            return duration
         duration = self._inner.route_duration(route)
         with self._lock:
-            self._cache.put(route, duration)
+            self._cache[route] = duration
             if self._path is not None:
                 save_cache(self._cache, self._path)
         return duration
-

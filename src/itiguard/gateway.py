@@ -152,8 +152,11 @@ def generate_itinerary(
     """Generate until the response parses, retrying on format errors only.
 
     Returns (itinerary, attempts). Raises GenerationFailed once the initial
-    attempt plus max_retries retries have all failed to parse.
+    attempt plus max_retries retries have all failed to parse, and ValueError
+    if max_retries is negative.
     """
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     base_prompt = build_base_prompt(request)
     feedback: str | None = None
     last_error: FormatError | None = None

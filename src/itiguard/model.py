@@ -167,35 +167,9 @@ class Itinerary:
         return len(self.stops)
 
 
-@dataclass(frozen=True)
-class Segment:
-    """The leg between consecutive stops.
-
-    travel_time is next arrival minus previous departure, in minutes; it is
-    negative when the visits overlap.
-    """
-
-    from_index: int
-    to_index: int
-    travel_time: int
-
-
 def parse_timestamp(text: str) -> Timestamp:
     """Parse 'YYYY-MM-DD HH:MM' exactly; anything else raises InvalidTimeFormatError."""
     return Timestamp.parse(text)
-
-
-def segments(itin: Itinerary) -> list[Segment]:
-    """Derive the n-1 legs of an n-stop itinerary, in order."""
-    return [
-        Segment(i, i + 1, itin.stops[i + 1].arrival - itin.stops[i].departure)
-        for i in range(len(itin.stops) - 1)
-    ]
-
-
-def stay_duration(stop: Stop) -> int:
-    """Departure minus arrival in minutes; negative if the times are inverted."""
-    return stop.departure - stop.arrival
 
 
 def parse_place(raw: object, stop_index: int) -> tuple[str, AirportCode]:

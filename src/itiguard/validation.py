@@ -15,11 +15,18 @@ is structurally broken and is reported as an issue instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .durations import DurationProvider, RoutePair, RouteUnavailable, TransitBounds
-from .model import Itinerary, Segment, Stop, segments, stay_duration
+from .durations import (
+    MAX_FLIGHT_MINUTES,
+    DurationProvider,
+    RoutePair,
+    RouteUnavailable,
+    TransitBounds,
+)
+from .model import Itinerary
 
 
 class IssueKind(Enum):
@@ -40,7 +47,7 @@ class ProviderError(Exception):
     """Strict mode: a route duration could not be resolved."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Issue:
     """One rule violation.
 
@@ -76,6 +83,10 @@ class ValidationPolicy:
             raise ValueError("buffer must be >= 0")
         if self.max_multiplier <= 1:
             raise ValueError("max_multiplier must be > 1")
+        # t_max is int(t_min * max_multiplier); it must stay finite for the
+        # longest flight, which also turns away nan and infinity.
+        if not math.isfinite((MAX_FLIGHT_MINUTES + self.buffer_minutes) * self.max_multiplier):
+            raise ValueError(f"max_multiplier {self.max_multiplier} is not finite or too large")
 
 
 @dataclass(frozen=True)
@@ -99,32 +110,35 @@ class ValidationReport:
         }
 
 
-def check_stay(stop: Stop, policy: ValidationPolicy, index: int = 0) -> Issue | None:
-    """Minimum-stay rule; a negative stay (inverted times) is subsumed here."""
-    stay = stay_duration(stop)
+# What resolve_segment_bounds returns: per-leg bounds (None where the leg
+# cannot be checked), the unverifiable leg indices, and structural issues.
+ResolvedBounds = tuple[list[TransitBounds | None], list[int], list[Issue]]
+
+
+def check_stay(index: int, stay: int, policy: ValidationPolicy) -> Issue | None:
+    """Minimum-stay rule for stop index, whose stay is departure minus arrival
+    in minutes; a negative stay (inverted times) is subsumed here."""
     if stay < policy.min_stay_minutes:
         return Issue(IssueKind.STAY_TOO_SHORT, index, observed=stay, required=policy.min_stay_minutes)
     return None
 
 
-def check_segment(seg: Segment, bounds: TransitBounds) -> Issue | None:
-    """Overlap / minimum-transit / maximum-transit rules for one leg."""
-    if seg.travel_time < 0:
-        return Issue(IssueKind.OVERLAP, seg.from_index, observed=seg.travel_time, required=bounds.t_min)
-    if seg.travel_time < bounds.t_min:
-        return Issue(
-            IssueKind.TRANSIT_TOO_SHORT, seg.from_index, observed=seg.travel_time, required=bounds.t_min
-        )
-    if seg.travel_time > bounds.t_max:
-        return Issue(
-            IssueKind.TRANSIT_TOO_LONG, seg.from_index, observed=seg.travel_time, required=bounds.t_max
-        )
+def check_segment(index: int, travel_time: int, bounds: TransitBounds) -> Issue | None:
+    """Overlap / minimum-transit / maximum-transit rules for leg index, whose
+    travel time is next arrival minus departure in minutes (negative when the
+    visits overlap)."""
+    if travel_time < 0:
+        return Issue(IssueKind.OVERLAP, index, observed=travel_time, required=bounds.t_min)
+    if travel_time < bounds.t_min:
+        return Issue(IssueKind.TRANSIT_TOO_SHORT, index, observed=travel_time, required=bounds.t_min)
+    if travel_time > bounds.t_max:
+        return Issue(IssueKind.TRANSIT_TOO_LONG, index, observed=travel_time, required=bounds.t_max)
     return None
 
 
 def resolve_segment_bounds(
     itin: Itinerary, provider: DurationProvider, policy: ValidationPolicy
-) -> tuple[list[TransitBounds | None], list[int], list[Issue]]:
+) -> ResolvedBounds:
     """Resolve per-segment transit bounds.
 
     Returns (bounds, unverifiable_indices, structural_issues). bounds[i] is
@@ -169,9 +183,7 @@ def validate(
 
 
 def check_against_bounds(
-    itin: Itinerary,
-    resolved: tuple[list[TransitBounds | None], list[int], list[Issue]],
-    policy: ValidationPolicy,
+    itin: Itinerary, resolved: ResolvedBounds, policy: ValidationPolicy
 ) -> ValidationReport:
     """The rules of validate() against bounds already resolved for itin's legs.
 
@@ -180,15 +192,16 @@ def check_against_bounds(
     """
     bounds, unverifiable, structural = resolved
     structural_by_segment = {issue.subject: issue for issue in structural}
-    segs = segments(itin)
+    stops = itin.stops
+    last = len(stops) - 1
     issues: list[Issue] = []
-    for i, stop in enumerate(itin.stops):
-        issue = check_stay(stop, policy, index=i)
+    for i, stop in enumerate(stops):
+        issue = check_stay(i, stop.departure - stop.arrival, policy)
         if issue:
             issues.append(issue)
-        if i < len(segs):
+        if i < last:
             if bounds[i] is not None:
-                issue = check_segment(segs[i], bounds[i])
+                issue = check_segment(i, stops[i + 1].arrival - stop.departure, bounds[i])
                 if issue:
                     issues.append(issue)
             elif i in structural_by_segment:

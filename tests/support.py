@@ -20,6 +20,18 @@ WINDOW_MINUTES = 30 * 24 * 60
 GOLDEN_TABLE = {("SYD", "FRA"): 1020, ("FRA", "CAI"): 60, ("CAI", "CMN"): 60}
 
 
+class CountingProvider:
+    """Wraps a provider and counts its route_duration calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def route_duration(self, route):
+        self.calls += 1
+        return self.inner.route_duration(route)
+
+
 def random_airport_codes(rng: random.Random, n: int) -> list[str]:
     """n codes with no two consecutive equal; same-airport legs cannot be
     route-checked and get exercised by dedicated tests instead."""

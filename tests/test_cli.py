@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 import requests
 
-from itiguard import correction, gateway
+from itiguard import cli, correction, gateway
 from itiguard.cli import main
+from support import CountingProvider
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 DEMO_FLAGS = ["--provider", "fixture", "--fixture-file", str(FIXTURES / "demo_durations.txt")]
@@ -219,6 +220,37 @@ class TestGenerate:
         captured = capsys.readouterr()
         assert captured.out == (FIXTURES / "sample_invalid.json").read_text(encoding="utf-8")
         assert "3 issues found; 0 adjustment(s) applied" in captured.err
+
+    def test_one_lookup_per_leg(self, monkeypatch, capsys):
+        # Validation and repair share one resolution of the route bounds.
+        providers = []
+        build_provider = cli.build_provider
+
+        def counting(config):
+            providers.append(CountingProvider(build_provider(config)))
+            return providers[-1]
+
+        monkeypatch.setattr(cli, "build_provider", counting)
+        code = main(["generate", "--replay-dir", str(FIXTURES / "replay"), *DEMO_FLAGS])
+        assert code == 0
+        assert "4 adjustment(s) applied" in capsys.readouterr().err
+        assert [provider.calls for provider in providers] == [3]
+
+    def test_issue_left_by_the_pass_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(correction, "_adjustment_pass", lambda *args: None)
+        code = main(["generate", "--replay-dir", str(FIXTURES / "replay"), *DEMO_FLAGS])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: correction did not converge" in captured.err
+
+    def test_negative_max_retries_exits_2(self, capsys):
+        code = main(
+            ["generate", "--replay-dir", str(FIXTURES / "replay"), "--max-retries", "-1", *DEMO_FLAGS]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: max_retries must be >= 0" in err and "Traceback" not in err
 
     def test_all_malformed_exits_4(self, tmp_path, capsys):
         recording = tmp_path / "rec" / "demo" / "4"
@@ -439,6 +471,31 @@ class TestConfigResolution:
         assert code == 2
         err = capsys.readouterr().err
         assert "error: bad configuration: config key" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags,setting",
+        [
+            (["--buffer-hours", "inf"], None),
+            (["--max-multiplier", "inf"], None),
+            (["--min-stay-hours", "nan"], None),
+            (["--max-multiplier", "nan"], None),
+            ([], '{"max_multiplier": 1e308}'),
+            ([], '{"buffer_hours": 1e308}'),
+            ([], '{"min_stay_hours": -Infinity}'),
+        ],
+        ids=["buffer-inf", "multiplier-inf", "stay-nan", "multiplier-nan",
+             "config-multiplier-1e308", "config-buffer-1e308", "config-stay-minus-inf"],
+    )
+    def test_non_finite_policy_number_exits_2(self, tmp_path, flags, setting, capsys):
+        if setting is not None:
+            config = tmp_path / "config.json"
+            config.write_text(setting)
+            flags = ["--config", str(config)]
+        code = main(["validate", str(FIXTURES / "sample_invalid.json"), *flags, *DEMO_FLAGS])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
     def test_non_object_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -18,7 +18,7 @@ from itiguard.correction import (
 from itiguard.durations import FixtureProvider
 from itiguard.model import AirportCode, Itinerary, Stop, parse_timestamp
 from itiguard.validation import IssueKind, ProviderError, ValidationPolicy, validate
-from support import random_itinerary
+from support import CountingProvider, random_itinerary
 
 
 def make_stop(code: str, arrival: str, departure: str) -> Stop:
@@ -116,16 +116,6 @@ class TestRandomCorpus:
             fixed, _ = correct(itin, provider)
             assert [s.airport for s in fixed.stops] == [s.airport for s in itin.stops]
             assert fixed.stops[0].arrival == itin.stops[0].arrival
-
-
-class CountingProvider:
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
-
-    def route_duration(self, route):
-        self.calls += 1
-        return self.inner.route_duration(route)
 
 
 class TestOnePass:

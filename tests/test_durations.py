@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from itiguard.durations import (
     CachedProvider,
-    DurationCache,
     FixtureProvider,
     FlightDuration,
     GreatCircleProvider,
@@ -290,15 +289,11 @@ class TestCache:
         assert inner.calls == 0
 
     def test_save_load_round_trip(self, tmp_path):
-        cache = DurationCache()
-        cache.put(route("SYD", "FRA"), FlightDuration(1020))
-        cache.put(route("CAI", "CMN"), FlightDuration(60))
+        cache = {route("SYD", "FRA"): FlightDuration(1020), route("CAI", "CMN"): FlightDuration(60)}
         path = tmp_path / "cache.txt"
         save_cache(cache, path)
-        reloaded = load_cache(path)
-        assert reloaded.get(route("SYD", "FRA")).duration.minutes == 1020
-        assert reloaded.get(route("CAI", "CMN")).duration.minutes == 60
-        assert len(reloaded) == 2
+        assert path.read_text() == "CAI CMN 60\nSYD FRA 1020\n"
+        assert load_cache(path) == cache
 
     def test_missing_file_is_empty(self, tmp_path):
         assert len(load_cache(tmp_path / "nope.txt")) == 0

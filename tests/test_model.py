@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from itiguard.durations import FixtureProvider
 from itiguard.model import (
     AirportCode,
     BadPlaceFormatError,
@@ -23,9 +24,8 @@ from itiguard.model import (
     parse_place,
     parse_timestamp,
     render_itinerary,
-    segments,
-    stay_duration,
 )
+from itiguard.validation import IssueKind, ValidationPolicy, validate
 from support import random_itinerary
 
 
@@ -128,7 +128,7 @@ class TestParseItinerary:
         )
         itin = parse_itinerary(doc, 1)
         assert len(itin) == 1
-        assert segments(itin) == []
+        assert itin.stops[0].place == "Sydney (SYD)"
 
     def test_stop_count_enforced(self, fixtures_dir):
         text = (fixtures_dir / "sample_invalid.json").read_text()
@@ -206,16 +206,25 @@ class TestRender:
 
 
 class TestDerived:
-    def test_segments_and_stays(self, sample_invalid):
-        segs = segments(sample_invalid)
-        assert len(segs) == 3
-        assert [s.travel_time for s in segs] == [12 * 60, 104 * 60, 9 * 60]
-        assert stay_duration(sample_invalid.stops[0]) == 20 * 60
+    # No stay or leg can meet this policy, so validate() reports every stay
+    # and every travel time as the observed value of an issue.
+    UNMEETABLE = ValidationPolicy(min_stay_minutes=10**6, buffer_minutes=10**6)
+
+    def observed(self, itin, provider, kind):
+        report = validate(itin, provider, self.UNMEETABLE)
+        return [issue.observed for issue in report.issues if issue.kind is kind]
+
+    def test_segments_and_stays(self, sample_invalid, demo_provider):
+        travel = self.observed(sample_invalid, demo_provider, IssueKind.TRANSIT_TOO_SHORT)
+        assert travel == [12 * 60, 104 * 60, 9 * 60]
+        stays = self.observed(sample_invalid, demo_provider, IssueKind.STAY_TOO_SHORT)
+        assert stays == [20 * 60, 58 * 60, 49 * 60, 83 * 60]
 
     def test_negative_travel_time_allowed(self):
         a = Stop("A", AirportCode("AAA"), parse_timestamp("2025-06-01 10:00"), parse_timestamp("2025-06-04 10:00"))
         b = Stop("B", AirportCode("BBB"), parse_timestamp("2025-06-04 08:00"), parse_timestamp("2025-06-07 10:00"))
-        assert segments(Itinerary((a, b)))[0].travel_time == -120
+        provider = FixtureProvider({("AAA", "BBB"): 60})
+        assert self.observed(Itinerary((a, b)), provider, IssueKind.OVERLAP) == [-120]
 
     def test_empty_itinerary_rejected(self):
         with pytest.raises(ValueError):

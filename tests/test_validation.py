@@ -5,7 +5,7 @@ import random
 import pytest
 
 from itiguard.durations import FixtureProvider, TransitBounds
-from itiguard.model import AirportCode, Itinerary, Segment, Stop, parse_timestamp
+from itiguard.model import AirportCode, Itinerary, Stop, parse_timestamp
 from itiguard.validation import (
     Issue,
     IssueKind,
@@ -42,17 +42,14 @@ class TestPolicy:
 
 class TestCheckStay:
     def test_exactly_minimum_passes(self):
-        stop = make_stop("SYD", "2025-06-01 10:00", "2025-06-03 10:00")
-        assert check_stay(stop, ValidationPolicy()) is None
+        assert check_stay(0, 2880, ValidationPolicy()) is None
 
     def test_one_minute_under_fails(self):
-        stop = make_stop("SYD", "2025-06-01 10:00", "2025-06-03 09:59")
-        issue = check_stay(stop, ValidationPolicy(), index=2)
+        issue = check_stay(2, 2879, ValidationPolicy())
         assert issue == Issue(IssueKind.STAY_TOO_SHORT, 2, observed=2879, required=2880)
 
     def test_inverted_times_are_a_short_stay(self):
-        stop = make_stop("SYD", "2025-06-03 10:00", "2025-06-01 10:00")
-        issue = check_stay(stop, ValidationPolicy())
+        issue = check_stay(0, -2880, ValidationPolicy())
         assert issue.kind is IssueKind.STAY_TOO_SHORT
         assert issue.observed == -2880
 
@@ -60,23 +57,20 @@ class TestCheckStay:
 class TestCheckSegment:
     BOUNDS = TransitBounds(t_min=300, t_max=600)
 
-    def seg(self, travel_time: int) -> Segment:
-        return Segment(0, 1, travel_time)
-
     @pytest.mark.parametrize("gap", [300, 600, 450])
     def test_within_bounds_passes(self, gap):
-        assert check_segment(self.seg(gap), self.BOUNDS) is None
+        assert check_segment(0, gap, self.BOUNDS) is None
 
     def test_under_minimum(self):
-        issue = check_segment(self.seg(299), self.BOUNDS)
+        issue = check_segment(0, 299, self.BOUNDS)
         assert issue == Issue(IssueKind.TRANSIT_TOO_SHORT, 0, observed=299, required=300)
 
     def test_over_maximum(self):
-        issue = check_segment(self.seg(601), self.BOUNDS)
+        issue = check_segment(0, 601, self.BOUNDS)
         assert issue == Issue(IssueKind.TRANSIT_TOO_LONG, 0, observed=601, required=600)
 
     def test_negative_is_overlap(self):
-        issue = check_segment(self.seg(-1), self.BOUNDS)
+        issue = check_segment(0, -1, self.BOUNDS)
         assert issue == Issue(IssueKind.OVERLAP, 0, observed=-1, required=300)
 
 
