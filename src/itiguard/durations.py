@@ -6,6 +6,11 @@ and a remote HTTP client with bounded retries. CachedProvider layers an
 in-memory table plus an optional on-disk file over any of them so repeated
 routes never trigger a second fetch.
 
+The cache file holds 'ORIGIN DEST minutes' lines and is append-only: each
+fetched route adds one line, the file is never rewritten, and when a route
+appears twice the later line wins. A failed write logs one warning and the
+provider carries on from memory alone.
+
 Transit bounds: the minimum feasible door-to-door time for a leg is the
 flight duration plus a fixed airport-logistics buffer (default 4h); the
 maximum reasonable time is twice that minimum.
@@ -299,16 +304,26 @@ def save_cache(cache: Mapping[RoutePair, FlightDuration], path: str | Path) -> N
 
 
 class CachedProvider:
-    """Two-tier cache (memory + optional file) over any provider.
+    """Two-tier cache (memory + optional append-only file) over any provider.
 
-    A hit never touches the inner provider; a miss fetches once and populates
-    both tiers. Lookups may run concurrently; writes are serialized.
+    A hit never touches the inner provider; a miss fetches once, stores the
+    duration in memory and appends one 'ORIGIN DEST minutes' line to the
+    file with a single write. The file is never truncated, so a crash loses
+    at most the line being written; a last line found without its newline
+    when the file is loaded is ended before the first append. Providers in
+    other processes may append to the same file; load_cache keeps the later
+    of two lines for one route. If a write fails, one warning is logged and
+    the file is left alone from then on. Lookups may run concurrently;
+    writes are serialized.
     """
 
     def __init__(self, inner: DurationProvider, *, path: str | Path | None = None):
         self._inner = inner
         self._path = Path(path) if path else None
         self._cache = load_cache(self._path) if self._path is not None else {}
+        # A last line without its newline (hand-edited, or torn by a crash)
+        # would merge with the first appended line into one corrupt line.
+        self._lead = "\n" if self._path is not None and _ends_mid_line(self._path) else ""
         self._lock = threading.Lock()
 
     def route_duration(self, route: RoutePair) -> FlightDuration:
@@ -319,5 +334,24 @@ class CachedProvider:
         with self._lock:
             self._cache[route] = duration
             if self._path is not None:
-                save_cache(self._cache, self._path)
+                self._append(f"{route.origin} {route.destination} {duration.minutes}\n")
         return duration
+
+    def _append(self, line: str) -> None:
+        try:
+            with open(self._path, "a", encoding="utf-8") as file:
+                file.write(self._lead + line)
+        except OSError as err:
+            log.warning("cannot write cache file %s: %s; continuing without it", self._path, err)
+            self._path = None
+        else:
+            self._lead = ""
+
+
+def _ends_mid_line(path: Path) -> bool:
+    """True when the file is non-empty and its last byte is not a newline."""
+    if not path.exists() or path.stat().st_size == 0:
+        return False
+    with open(path, "rb") as file:
+        file.seek(-1, os.SEEK_END)
+        return file.read(1) != b"\n"

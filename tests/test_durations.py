@@ -3,11 +3,20 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from itiguard.cli import main
 from itiguard.durations import (
     CachedProvider,
     FixtureProvider,
@@ -27,6 +36,8 @@ from itiguard.durations import (
     save_cache,
 )
 from itiguard.model import AirportCode
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def route(a: str, b: str) -> RoutePair:
@@ -305,3 +316,204 @@ class TestCache:
             cache = load_cache(path)
         assert len(cache) == 2
         assert any("skip" in record.message.lower() for record in caplog.records)
+
+
+class RouteMinutes:
+    """Answers a fixed duration per route and records every route it fetches."""
+
+    def __init__(self):
+        self.fetched: list[RoutePair] = []
+
+    def route_duration(self, r: RoutePair) -> FlightDuration:
+        self.fetched.append(r)
+        return FlightDuration(60 + sum(map(ord, str(r))) % 600)
+
+
+CACHE_LOGGER = "itiguard.durations"
+
+
+def write_warnings(caplog) -> list[str]:
+    return [
+        record.getMessage()
+        for record in caplog.records
+        if record.name == CACHE_LOGGER and "cannot write cache file" in record.getMessage()
+    ]
+
+
+class TestAppendOnlyFile:
+    def test_each_miss_appends_one_line(self, tmp_path):
+        path = tmp_path / "durations.txt"
+        original = b"SYD FRA 1020\nCAI CMN 60\n"
+        path.write_bytes(original)
+        inner = RouteMinutes()
+        provider = CachedProvider(inner, path=path)
+        missed = [route("FRA", "CAI"), route("CMN", "SYD"), route("FRA", "SYD")]
+        answers = {
+            r: provider.route_duration(r)
+            for r in (route("SYD", "FRA"), route("CAI", "CMN"), *missed, route("FRA", "CAI"))
+        }
+        assert inner.fetched == missed
+        data = path.read_bytes()
+        assert data.startswith(original)
+        assert data.count(b"\n") == original.count(b"\n") + len(missed)
+        assert load_cache(path) == answers
+
+    def test_two_providers_on_one_file_keep_both_sets(self, tmp_path):
+        path = tmp_path / "durations.txt"
+        first = CachedProvider(RouteMinutes(), path=path)
+        second = CachedProvider(RouteMinutes(), path=path)
+        answers = {r: first.route_duration(r) for r in (route("SYD", "FRA"), route("FRA", "CAI"))}
+        answers.update({r: second.route_duration(r) for r in (route("CAI", "CMN"), route("CMN", "SYD"))})
+        inner = RouteMinutes()
+        fresh = CachedProvider(inner, path=path)
+        assert {r: fresh.route_duration(r) for r in answers} == answers
+        assert inner.fetched == []
+
+    def test_last_line_without_newline_is_kept(self, tmp_path):
+        path = tmp_path / "durations.txt"
+        path.write_text("SYD FRA 555", encoding="utf-8")
+        provider = CachedProvider(CountingProvider(300), path=path)
+        provider.route_duration(route("FRA", "CAI"))
+        assert load_cache(path) == {
+            route("SYD", "FRA"): FlightDuration(555),
+            route("FRA", "CAI"): FlightDuration(300),
+        }
+        provider.route_duration(route("CAI", "CMN"))
+        assert path.read_text(encoding="utf-8") == "SYD FRA 555\nFRA CAI 300\nCAI CMN 300\n"
+
+    def test_failed_write_warns_once_and_keeps_serving(self, tmp_path, caplog):
+        path = tmp_path / "missing" / "durations.txt"
+        inner = CountingProvider(300)
+        provider = CachedProvider(inner, path=path)
+        lookups = [route("SYD", "FRA"), route("FRA", "CAI"), route("SYD", "FRA")]
+        with caplog.at_level(logging.WARNING, logger=CACHE_LOGGER):
+            minutes = [provider.route_duration(r).minutes for r in lookups]
+        assert minutes == [300, 300, 300]
+        assert inner.calls == 2
+        assert len(write_warnings(caplog)) == 1
+        assert not path.parent.exists()
+
+    def test_concurrent_processes_keep_every_route(self, tmp_path):
+        """Writers in separate processes, released together, append to one file."""
+        path = tmp_path / "durations.txt"
+        codes = [a + b + c for a in "ABCD" for b in "EFG" for c in "HI"]
+        routes = [(o, d) for o in codes for d in codes if o != d]
+        workers = 4
+        script = textwrap.dedent(
+            """
+            import sys
+            from itiguard.durations import CachedProvider, FlightDuration, RoutePair
+            from itiguard.model import AirportCode
+
+            class Minutes:
+                def route_duration(self, r):
+                    return FlightDuration(60 + sum(map(ord, str(r))) % 600)
+
+            path, worker, workers = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+            routes = [line.split() for line in sys.argv[4].split(",")]
+            provider = CachedProvider(Minutes(), path=path)
+            print("ready", flush=True)
+            sys.stdin.readline()
+            for origin, dest in routes[worker::workers]:
+                provider.route_duration(RoutePair(AirportCode(origin), AirportCode(dest)))
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        listed = ",".join(f"{o} {d}" for o, d in routes)
+        children = []
+        try:
+            for worker in range(workers):
+                children.append(
+                    subprocess.Popen(
+                        [sys.executable, "-c", script, str(path), str(worker), str(workers), listed],
+                        stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True,
+                    )
+                )
+            for child in children:
+                assert child.stdout.readline() == "ready\n"
+            for child in children:
+                child.stdin.write("go\n")
+                child.stdin.close()
+            assert [child.wait(timeout=60) for child in children] == [0] * workers
+        finally:
+            for child in children:
+                child.kill()
+                child.stdin.close()
+                child.stdout.close()
+                child.wait()
+        expected = {
+            route(o, d): RouteMinutes().route_duration(route(o, d)) for o, d in routes
+        }
+        assert load_cache(path) == expected
+        assert path.read_text(encoding="utf-8").count("\n") == len(routes)
+
+
+class TestCacheFileThroughCli:
+    """A cache file that cannot be written leaves stdout and the exit code as without one."""
+
+    @pytest.mark.parametrize("command", ["correct", "bench", "generate"])
+    def test_unwritable_cache_file_changes_nothing(self, command, fixtures_dir, tmp_path, capsys, caplog):
+        demo = ["--provider", "fixture", "--fixture-file", str(fixtures_dir / "demo_durations.txt")]
+        argv = {
+            "correct": ["correct", str(fixtures_dir / "sample_invalid.json"), *demo],
+            "bench": [
+                "bench", str(fixtures_dir / "corpus" / "manifest.json"),
+                "--provider", "fixture", "--fixture-file", str(fixtures_dir / "corpus" / "durations.txt"),
+            ],
+            "generate": ["generate", "--replay-dir", str(fixtures_dir / "replay"), *demo],
+        }[command]
+        expected_code = main(argv)
+        expected = capsys.readouterr()
+        with caplog.at_level(logging.WARNING, logger=CACHE_LOGGER):
+            code = main([*argv, "--cache-file", str(tmp_path / "missing" / "cache.txt")])
+        captured = capsys.readouterr()
+        assert code == expected_code == 0
+        assert captured.out == expected.out
+        assert "Traceback" not in captured.err
+        assert "skipping" not in captured.err
+        assert len(write_warnings(caplog)) == 1
+
+
+ROUTES = [route(a, b) for a in ("SYD", "FRA", "CAI", "CMN") for b in ("SYD", "FRA", "CAI", "CMN") if a != b]
+
+
+class SharedCacheFile(RuleBasedStateMachine):
+    """Two providers over one cache file, each reopened at will."""
+
+    def __init__(self):
+        super().__init__()
+        self.dir = tempfile.mkdtemp()
+        self.path = Path(self.dir) / "durations.txt"
+        self.returned: dict[RoutePair, FlightDuration] = {}
+        self.providers = [self.open_provider() for _ in range(2)]
+
+    def open_provider(self) -> tuple[CachedProvider, RouteMinutes, set[RoutePair]]:
+        inner = RouteMinutes()
+        return CachedProvider(inner, path=self.path), inner, set(self.returned)
+
+    @rule(which=st.sampled_from([0, 1]), r=st.sampled_from(ROUTES))
+    def lookup(self, which, r):
+        provider, _, _ = self.providers[which]
+        duration = provider.route_duration(r)
+        assert self.returned.setdefault(r, duration) == duration
+
+    @rule(which=st.sampled_from([0, 1]))
+    def reopen(self, which):
+        self.providers[which] = self.open_provider()
+
+    @invariant()
+    def file_holds_every_duration_returned(self):
+        assert load_cache(self.path) == self.returned
+
+    @invariant()
+    def no_provider_fetches_a_route_twice_or_one_on_disk_at_open(self):
+        for _, inner, known_at_open in self.providers:
+            assert len(inner.fetched) == len(set(inner.fetched))
+            assert not known_at_open.intersection(inner.fetched)
+
+    def teardown(self):
+        shutil.rmtree(self.dir)
+
+
+TestSharedCacheFile = SharedCacheFile.TestCase
+TestSharedCacheFile.settings = settings(max_examples=60, stateful_step_count=30, deadline=None)
