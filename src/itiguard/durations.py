@@ -8,7 +8,8 @@ routes never trigger a second fetch.
 
 The cache file holds 'ORIGIN DEST minutes' lines and is append-only: each
 fetched route adds one line, the file is never rewritten, and when a route
-appears twice the later line wins. A failed write logs one warning and the
+appears twice the later line wins. Corrupt lines are never removed, so
+every load warns about them again. A failed write logs one warning and the
 provider carries on from memory alone.
 
 Transit bounds: the minimum feasible door-to-door time for a leg is the
@@ -295,26 +296,31 @@ def load_cache(path: str | Path) -> dict[RoutePair, FlightDuration]:
 
 
 def save_cache(cache: Mapping[RoutePair, FlightDuration], path: str | Path) -> None:
-    """Write sorted 'ORIGIN DEST minutes' lines; load(save(c)) round-trips."""
+    """Append sorted 'ORIGIN DEST minutes' lines to the file in one write,
+    creating it if missing. load_cache keeps the later of two lines for a
+    route, so load(save(c)) agrees with c on every route of c, and equals c
+    when the file was new."""
     lines = sorted(
         f"{route.origin} {route.destination} {duration.minutes}\n"
         for route, duration in cache.items()
     )
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    with open(path, "a", encoding="utf-8") as file:
+        file.write("".join(lines))
 
 
 class CachedProvider:
     """Two-tier cache (memory + optional append-only file) over any provider.
 
     A hit never touches the inner provider; a miss fetches once, stores the
-    duration in memory and appends one 'ORIGIN DEST minutes' line to the
-    file with a single write. The file is never truncated, so a crash loses
-    at most the line being written; a last line found without its newline
-    when the file is loaded is ended before the first append. Providers in
-    other processes may append to the same file; load_cache keeps the later
-    of two lines for one route. If a write fails, one warning is logged and
-    the file is left alone from then on. Lookups may run concurrently;
-    writes are serialized.
+    duration in memory and appends its one line to the file through
+    save_cache. The file is never truncated, so a crash loses at most the
+    line being written; a last line found without its newline when the file
+    is loaded is ended before the first append. Providers in other processes
+    may append to the same file; load_cache keeps the later of two lines for
+    one route. Nothing is ever removed from the file, so a corrupt line
+    stays in it and load_cache warns about it on every load. If a write
+    fails, one warning is logged and the file is left alone from then on.
+    Lookups may run concurrently; writes are serialized.
     """
 
     def __init__(self, inner: DurationProvider, *, path: str | Path | None = None):
@@ -323,7 +329,7 @@ class CachedProvider:
         self._cache = load_cache(self._path) if self._path is not None else {}
         # A last line without its newline (hand-edited, or torn by a crash)
         # would merge with the first appended line into one corrupt line.
-        self._lead = "\n" if self._path is not None and _ends_mid_line(self._path) else ""
+        self._torn = self._path is not None and _ends_mid_line(self._path)
         self._lock = threading.Lock()
 
     def route_duration(self, route: RoutePair) -> FlightDuration:
@@ -334,18 +340,19 @@ class CachedProvider:
         with self._lock:
             self._cache[route] = duration
             if self._path is not None:
-                self._append(f"{route.origin} {route.destination} {duration.minutes}\n")
+                self._append(route, duration)
         return duration
 
-    def _append(self, line: str) -> None:
+    def _append(self, route: RoutePair, duration: FlightDuration) -> None:
         try:
-            with open(self._path, "a", encoding="utf-8") as file:
-                file.write(self._lead + line)
+            if self._torn:
+                with open(self._path, "a", encoding="utf-8") as file:
+                    file.write("\n")
+                self._torn = False
+            save_cache({route: duration}, self._path)
         except OSError as err:
             log.warning("cannot write cache file %s: %s; continuing without it", self._path, err)
             self._path = None
-        else:
-            self._lead = ""
 
 
 def _ends_mid_line(path: Path) -> bool:

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from itiguard import durations
 from itiguard.cli import main
 from itiguard.durations import (
     CachedProvider,
@@ -306,6 +307,13 @@ class TestCache:
         assert path.read_text() == "CAI CMN 60\nSYD FRA 1020\n"
         assert load_cache(path) == cache
 
+    def test_save_appends_and_the_later_line_wins(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        path.write_text("SYD FRA 1020\n")
+        save_cache({route("SYD", "FRA"): FlightDuration(990), route("CAI", "CMN"): FlightDuration(60)}, path)
+        assert path.read_text() == "SYD FRA 1020\nCAI CMN 60\nSYD FRA 990\n"
+        assert load_cache(path) == {route("SYD", "FRA"): FlightDuration(990), route("CAI", "CMN"): FlightDuration(60)}
+
     def test_missing_file_is_empty(self, tmp_path):
         assert len(load_cache(tmp_path / "nope.txt")) == 0
 
@@ -357,6 +365,16 @@ class TestAppendOnlyFile:
         assert data.startswith(original)
         assert data.count(b"\n") == original.count(b"\n") + len(missed)
         assert load_cache(path) == answers
+
+    def test_each_miss_writes_through_save_cache(self, tmp_path, monkeypatch):
+        """The module-level save_cache is the one write path; tracing wraps it by name."""
+        path = tmp_path / "durations.txt"
+        calls = []
+        original = durations.save_cache
+        monkeypatch.setattr(durations, "save_cache", lambda cache, p: (calls.append(dict(cache)), original(cache, p)))
+        provider = CachedProvider(RouteMinutes(), path=path)
+        answers = {r: provider.route_duration(r) for r in (route("SYD", "FRA"), route("FRA", "CAI"), route("SYD", "FRA"))}
+        assert calls == [{r: d} for r, d in answers.items()]
 
     def test_two_providers_on_one_file_keep_both_sets(self, tmp_path):
         path = tmp_path / "durations.txt"
