@@ -159,6 +159,15 @@ def _minutes(key: str, hours: float) -> int:
 
 
 def build_provider(config: AppConfig) -> DurationProvider:
+    """The configured provider; a cache or fixture file that cannot be read
+    raises ValueError naming it."""
+    try:
+        return _build_provider(config)
+    except OSError as err:
+        raise ValueError(f"cannot read {err.filename}: {err.strerror}") from err
+
+
+def _build_provider(config: AppConfig) -> DurationProvider:
     if config.provider == "fixture":
         if not config.fixture_file:
             raise ValueError("--fixture-file is required with --provider fixture")

@@ -130,6 +130,10 @@ class FixtureProvider:
 
     @classmethod
     def from_file(cls, path: str | Path, symmetric: bool = True) -> "FixtureProvider":
+        """Load the table from a duration file, which must exist (unlike a
+        cache file, a missing fixture file is an error, not an empty table)."""
+        if not Path(path).exists():
+            raise ValueError(f"fixture file {path} does not exist")
         table = {
             (str(route.origin), str(route.destination)): duration.minutes
             for route, duration in load_cache(path).items()
@@ -278,19 +282,20 @@ class RemoteDurationClient:
 
 def load_cache(path: str | Path) -> dict[RoutePair, FlightDuration]:
     """Load a route -> duration map from 'ORIGIN DEST minutes' lines; a
-    missing file is an empty map, corrupt lines are skipped with a warning,
-    never fatal."""
+    missing file is an empty map, corrupt lines (including lines that are
+    not UTF-8) are skipped with a warning, never fatal."""
     cache: dict[RoutePair, FlightDuration] = {}
     path = Path(path)
     if not path.exists():
         return cache
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        if not raw.strip():
             continue
         try:
-            origin, dest, minutes = line.split()
+            origin, dest, minutes = raw.decode("utf-8").split()
             cache[RoutePair(AirportCode(origin), AirportCode(dest))] = FlightDuration(int(minutes))
         except ValueError:
+            line = raw.decode("utf-8", "backslashreplace")
             log.warning("skipping corrupt cache line %s:%d: %r", path, lineno, line)
     return cache
 

@@ -6,6 +6,12 @@ accepts the two document shapes seen in the wild (a bare array of stop
 objects, or an object wrapping that array under an "itinerary" key) and
 never reorders or repairs anything: inconsistent timestamps are the
 validator's business, not the parser's.
+
+A timestamp is a count of minutes since 1970-01-01 00:00 UTC on the
+proleptic Gregorian calendar. Parsing and formatting convert between that
+count and the civil date with integer arithmetic (H. Hinnant's
+days_from_civil / civil_from_days,
+http://howardhinnant.github.io/date_algorithms.html), without datetime.
 """
 
 from __future__ import annotations
@@ -13,11 +19,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
 
-WIRE_TIME_FORMAT = "%Y-%m-%d %H:%M"
-
-_TIME_RE = re.compile(r"^\d{4}-\d{2}-\d{2} \d{2}:\d{2}$")
+_TIME_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}")
 _AIRPORT_RE = re.compile(r"^[A-Z]{3}$")
 # Last parenthesized 3-letter token wins, so city names containing
 # parentheses ("San Francisco (Bay Area)") still parse.
@@ -25,7 +28,42 @@ _PLACE_RE = re.compile(r"\(([A-Z]{3})\)\s*$")
 
 _STOP_FIELDS = ("place", "arrival_time", "departure_time")
 
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_DAYS_IN_MONTH = (0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+_MINUTES_PER_DAY = 24 * 60
+
+
+def days_from_civil(year: int, month: int, day: int) -> int:
+    """Days from 1970-01-01 to a proleptic Gregorian date (negative before)."""
+    year -= month <= 2
+    era = year // 400
+    yoe = year - era * 400
+    doy = (153 * (month - 3 if month > 2 else month + 9) + 2) // 5 + day - 1
+    doe = yoe * 365 + yoe // 4 - yoe // 100 + doy
+    return era * 146097 + doe - 719468
+
+
+def civil_from_days(days: int) -> tuple[int, int, int]:
+    """Inverse of days_from_civil: (year, month, day)."""
+    days += 719468
+    era = days // 146097
+    doe = days - era * 146097
+    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
+    mp = (5 * doy + 2) // 153
+    day = doy - (153 * mp + 2) // 5 + 1
+    month = mp + 3 if mp < 10 else mp - 9
+    return yoe + era * 400 + (month <= 2), month, day
+
+
+def _days_in_month(year: int, month: int) -> int:
+    if month == 2 and year % 4 == 0 and (year % 100 != 0 or year % 400 == 0):
+        return 29
+    return _DAYS_IN_MONTH[month]
+
+
+# The wire form spells years 0001-9999 only.
+_MIN_MINUTES = days_from_civil(1, 1, 1) * _MINUTES_PER_DAY
+_MAX_MINUTES = days_from_civil(10000, 1, 1) * _MINUTES_PER_DAY - 1
 
 
 class FormatError(ValueError):
@@ -86,25 +124,31 @@ class Timestamp:
 
     @classmethod
     def parse(cls, text: str) -> "Timestamp":
-        if not isinstance(text, str) or not _TIME_RE.match(text):
+        if not isinstance(text, str) or not _TIME_RE.fullmatch(text):
             raise InvalidTimeFormatError(text if isinstance(text, str) else repr(text))
-        try:
-            dt = datetime.strptime(text, WIRE_TIME_FORMAT)
-        except ValueError:
-            # Regex passed but the calendar disagrees (month 13, Feb 30, hour 24).
-            raise InvalidTimeFormatError(text) from None
-        dt = dt.replace(tzinfo=timezone.utc)
-        return cls(int((dt - _EPOCH).total_seconds()) // 60)
+        year, month, day = int(text[0:4]), int(text[5:7]), int(text[8:10])
+        hour, minute = int(text[11:13]), int(text[14:16])
+        # The shape is right; the calendar may still disagree (month 13,
+        # Feb 30, hour 24, year 0).
+        if not (
+            year >= 1
+            and 1 <= month <= 12
+            and 1 <= day <= _days_in_month(year, month)
+            and hour < 24
+            and minute < 60
+        ):
+            raise InvalidTimeFormatError(text)
+        return cls(days_from_civil(year, month, day) * _MINUTES_PER_DAY + hour * 60 + minute)
 
     def text(self) -> str:
         """Wire form; raises ValueError outside the years 0001-9999 it can spell."""
-        try:
-            dt = _EPOCH + timedelta(minutes=self.minutes_since_epoch)
-        except OverflowError:
-            raise ValueError(
-                f"timestamp {self.minutes_since_epoch} minutes from 1970 is outside years 0001-9999"
-            ) from None
-        return dt.strftime(WIRE_TIME_FORMAT)
+        minutes = self.minutes_since_epoch
+        if not _MIN_MINUTES <= minutes <= _MAX_MINUTES:
+            raise ValueError(f"timestamp {minutes} minutes from 1970 is outside years 0001-9999")
+        days, minute_of_day = divmod(minutes, _MINUTES_PER_DAY)
+        hour, minute = divmod(minute_of_day, 60)
+        year, month, day = civil_from_days(days)
+        return f"{year:04d}-{month:02d}-{day:02d} {hour:02d}:{minute:02d}"
 
     def __str__(self) -> str:
         return self.text()
@@ -234,19 +278,19 @@ def parse_itinerary(text: str, expected_stops: int | None) -> Itinerary:
 def render_itinerary(itin: Itinerary) -> str:
     """Serialize to the canonical wire form (wrapped "itinerary" array, 2-space indent).
 
+    The text is written directly and equals json.dumps(doc, indent=2) of the
+    wrapped document byte for byte: place goes through json.dumps, so its
+    escaping is the standard encoder's, and timestamps are ASCII digits.
+
     parse_itinerary(render_itinerary(x), len(x)) == x.
     """
-    doc = {
-        "itinerary": [
-            {
-                "place": stop.place,
-                "arrival_time": stop.arrival.text(),
-                "departure_time": stop.departure.text(),
-            }
-            for stop in itin.stops
-        ]
-    }
-    return json.dumps(doc, indent=2)
+    stops = ",\n".join(
+        f'    {{\n      "place": {json.dumps(stop.place)},\n'
+        f'      "arrival_time": "{stop.arrival.text()}",\n'
+        f'      "departure_time": "{stop.departure.text()}"\n    }}'
+        for stop in itin.stops
+    )
+    return f'{{\n  "itinerary": [\n{stops}\n  ]\n}}'
 
 
 def format_minutes(minutes: int) -> str:

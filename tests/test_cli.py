@@ -10,6 +10,7 @@ import requests
 
 from itiguard import cli, correction, gateway
 from itiguard.cli import main
+from itiguard.model import parse_itinerary
 from support import CountingProvider
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -176,6 +177,24 @@ class TestCorrect:
         assert code == 2
         err = capsys.readouterr().err
         assert "error: timestamp" in err and "Traceback" not in err
+
+    def test_year_0999_output_reads_back(self, tmp_path, pair_durations, capsys):
+        # The first stay (2h) is too short, so correction moves both stops.
+        path = write_itinerary(
+            tmp_path / "early.json",
+            [
+                ("Alpha", "AAA", "0999-06-01 08:00", "0999-06-01 10:00"),
+                ("Beta", "BBB", "0999-06-01 15:00", "0999-06-04 15:00"),
+            ],
+        )
+        code = main(["correct", str(path), *pair_flags(pair_durations)])
+        assert code == 0
+        out = capsys.readouterr().out
+        original = parse_itinerary(path.read_text(encoding="utf-8"), None)
+        corrected = parse_itinerary(out, len(original))
+        assert corrected != original
+        assert [stop.place for stop in corrected.stops] == [stop.place for stop in original.stops]
+        assert '"0999-06-' in out
 
     def test_issue_left_by_the_pass_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(correction, "_adjustment_pass", lambda *args: None)
@@ -506,6 +525,38 @@ class TestConfigResolution:
         code = main(["validate", str(FIXTURES / "sample_invalid.json"), "--provider", "fixture"])
         assert code == 2
         assert "--fixture-file" in capsys.readouterr().err
+
+
+class TestDurationFiles:
+    """A cache or fixture file that cannot be read is an input error, exit 2."""
+
+    def run(self, argv, capsys):
+        code = main(["correct", str(FIXTURES / "sample_invalid.json"), *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert [line for line in captured.err.splitlines() if line.startswith("error:")] == captured.err.splitlines()
+        assert len(captured.err.splitlines()) == 1
+        return captured.err
+
+    def test_cache_file_is_a_directory(self, tmp_path, capsys):
+        err = self.run([*DEMO_FLAGS, "--cache-file", str(tmp_path)], capsys)
+        assert str(tmp_path) in err
+
+    def test_fixture_file_is_a_directory(self, tmp_path, capsys):
+        err = self.run(["--provider", "fixture", "--fixture-file", str(tmp_path)], capsys)
+        assert str(tmp_path) in err
+
+    def test_missing_fixture_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent.txt"
+        code = main(
+            ["validate", str(FIXTURES / "sample_invalid.json"), "--provider", "fixture", "--fixture-file", str(missing)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: fixture file {missing} does not exist\n"
 
 
 class TestEntrypoint:

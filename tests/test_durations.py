@@ -107,6 +107,11 @@ class TestFixtureProvider:
         assert provider.route_duration(route("SYD", "FRA")).minutes == 1020
         assert provider.route_duration(route("CMN", "CAI")).minutes == 60
 
+    def test_from_missing_file_raises(self, tmp_path):
+        # Unlike a cache file, a fixture file the user named must exist.
+        with pytest.raises(ValueError, match="nope.txt"):
+            FixtureProvider.from_file(tmp_path / "nope.txt")
+
 
 class TestGreatCircle:
     def test_haversine_known_distance(self):
@@ -324,6 +329,16 @@ class TestCache:
             cache = load_cache(path)
         assert len(cache) == 2
         assert any("skip" in record.message.lower() for record in caplog.records)
+
+    def test_non_utf8_line_skipped_with_warning(self, tmp_path, caplog):
+        path = tmp_path / "cache.txt"
+        path.write_bytes(b"SYD FRA 720\n\xff\xfe\nFRA CAI 300\n")
+        with caplog.at_level(logging.WARNING, logger=CACHE_LOGGER):
+            cache = load_cache(path)
+        assert cache == {route("SYD", "FRA"): FlightDuration(720), route("FRA", "CAI"): FlightDuration(300)}
+        warnings = [r.getMessage() for r in caplog.records if r.name == CACHE_LOGGER]
+        assert len(warnings) == 1
+        assert "skipping corrupt cache line" in warnings[0] and ":2:" in warnings[0]
 
 
 class RouteMinutes:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import json
 import random
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -50,13 +50,17 @@ class TestTimestamp:
             "2024-03-20",
             "",
             "2024-03-20  14:30",
+            "2024-03-20 14:30\n",
+            "\u0662\u0660\u0662\u0664-03-20 14:30",  # Arabic-Indic digits: the wire form is ASCII
         ],
     )
     def test_parse_rejects_deviations(self, raw):
         with pytest.raises(InvalidTimeFormatError):
             parse_timestamp(raw)
 
-    @pytest.mark.parametrize("raw", ["2024-13-01 10:00", "2024-02-30 10:00", "2024-03-20 24:00"])
+    @pytest.mark.parametrize(
+        "raw", ["2024-13-01 10:00", "2024-02-30 10:00", "2024-03-20 24:00", "0000-01-01 00:00"]
+    )
     def test_parse_rejects_impossible_dates(self, raw):
         # These pass the shape check but not the calendar.
         with pytest.raises(InvalidTimeFormatError):
@@ -71,6 +75,35 @@ class TestTimestamp:
     def test_text_parse_round_trip(self, dt):
         text = dt.strftime("%Y-%m-%d %H:%M")
         assert Timestamp.parse(text).text() == text
+
+    @given(
+        st.integers(1, 9999), st.integers(0, 13), st.integers(0, 32), st.integers(0, 25), st.integers(0, 61)
+    )
+    @settings(max_examples=500)
+    def test_parse_agrees_with_strptime(self, year, month, day, hour, minute):
+        text = f"{year:04d}-{month:02d}-{day:02d} {hour:02d}:{minute:02d}"
+        try:
+            expected = (datetime.strptime(text, "%Y-%m-%d %H:%M") - datetime(1970, 1, 1)) // timedelta(minutes=1)
+        except ValueError:
+            expected = None
+        try:
+            got = Timestamp.parse(text).minutes_since_epoch
+        except InvalidTimeFormatError:
+            got = None
+        assert got == expected
+
+    @pytest.mark.parametrize("text", ["0001-01-01 00:00", "0999-12-31 23:59", "9999-12-31 23:59"])
+    def test_round_trip_at_the_year_range_ends(self, text):
+        # Years below 1000 are zero-padded, so they read back.
+        ts = Timestamp.parse(text)
+        assert ts.text() == text
+        assert Timestamp.parse(ts.text()) == ts
+
+    # One minute before 0001-01-01 00:00 and one after 9999-12-31 23:59.
+    @pytest.mark.parametrize("minutes", [-1035593281, 4223371680])
+    def test_text_outside_the_year_range_raises(self, minutes):
+        with pytest.raises(ValueError, match="outside years 0001-9999"):
+            Timestamp(minutes).text()
 
     def test_arithmetic(self):
         a = parse_timestamp("2025-06-01 10:00")
@@ -203,6 +236,29 @@ class TestRender:
         doc = json.loads(rendered)
         assert list(doc) == ["itinerary"]
         assert doc == json.loads((fixtures_dir / "sample_invalid.json").read_text())
+
+    def test_equals_json_dumps_with_indent(self):
+        rng = random.Random(11)
+        names = ["São Paulo", 'The "Big" Apple', "Back\\slash", "Tab\tCity", "東京", "City"]
+        for _ in range(200):
+            itin, _, _ = random_itinerary(rng, min_stops=1)
+            itin = Itinerary(
+                tuple(
+                    Stop(rng.choice(names), stop.airport, stop.arrival + rng.randint(-10**9, 10**9), stop.departure)
+                    for stop in itin.stops
+                )
+            )
+            doc = {
+                "itinerary": [
+                    {
+                        "place": stop.place,
+                        "arrival_time": stop.arrival.text(),
+                        "departure_time": stop.departure.text(),
+                    }
+                    for stop in itin.stops
+                ]
+            }
+            assert render_itinerary(itin) == json.dumps(doc, indent=2)
 
 
 class TestDerived:
