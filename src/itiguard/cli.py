@@ -8,6 +8,9 @@ statistics).
 Exit codes are part of the contract: 0 everything valid, 1 at least one
 itinerary invalid, 2 input or provider problem, 3 the check after the single
 correction pass found an issue left (a bug), 4 generation retries exhausted.
+A failure that ends the run is raised, and the except clauses in main are
+the one table that maps it to its code. Only validate returns 2 itself,
+after it has reported every file.
 
 Settings resolve as flags > config file > built-in defaults. The config
 file is one JSON object whose keys mirror AppConfig.
@@ -37,6 +40,7 @@ from .gateway import (
     GenerationFailed,
     HttpGenerationClient,
     ReplayClient,
+    ResponsesExhausted,
     generate_itinerary,
 )
 from .metrics import (
@@ -49,9 +53,9 @@ from .metrics import (
 )
 from .model import (
     AirportCode,
-    FormatError,
     Itinerary,
     format_minutes,
+    load_json,
     parse_itinerary,
     render_itinerary,
 )
@@ -111,7 +115,7 @@ def resolve_config(args: argparse.Namespace) -> AppConfig:
     config = AppConfig()
     config_path = getattr(args, "config", None)
     if config_path:
-        data = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        data = load_json(Path(config_path).read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
         defaults = {f.name: f.default for f in fields(AppConfig)}
@@ -119,7 +123,7 @@ def resolve_config(args: argparse.Namespace) -> AppConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
         for key, value in data.items():
-            _check_config_type(key, value, defaults[key])
+            data[key] = _check_config_type(key, value, defaults[key])
         config = replace(config, **data)
     overrides = {}
     for f in fields(AppConfig):
@@ -129,17 +133,21 @@ def resolve_config(args: argparse.Namespace) -> AppConfig:
     return replace(config, **overrides) if overrides else config
 
 
-def _check_config_type(key: str, value: object, default: object) -> None:
-    """A config value must have its default's type; numbers may be ints, and
-    keys that default to None take a string."""
+def _check_config_type(key: str, value: object, default: object) -> object:
+    """A config value must have its default's type, and is returned as the
+    flags would give it: a number may be an int and becomes a float, so one
+    no float can hold is refused here. Keys that default to None take a
+    string."""
     if isinstance(default, bool):
         ok, expected = isinstance(value, bool), "true or false"
     elif isinstance(default, float):
-        ok, expected = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+        ok, expected = type(value) in (int, float) and abs(value) <= sys.float_info.max, "a finite number"
+        value = float(value) if ok else value
     else:
         ok, expected = isinstance(value, str) or (value is None and default is None), "a string"
     if not ok:
         raise ValueError(f"config key {key} must be {expected}, got {json.dumps(value)}")
+    return value
 
 
 def build_policy(config: AppConfig) -> ValidationPolicy:
@@ -159,15 +167,6 @@ def _minutes(key: str, hours: float) -> int:
 
 
 def build_provider(config: AppConfig) -> DurationProvider:
-    """The configured provider; a cache or fixture file that cannot be read
-    raises ValueError naming it."""
-    try:
-        return _build_provider(config)
-    except OSError as err:
-        raise ValueError(f"cannot read {err.filename}: {err.strerror}") from err
-
-
-def _build_provider(config: AppConfig) -> DurationProvider:
     if config.provider == "fixture":
         if not config.fixture_file:
             raise ValueError("--fixture-file is required with --provider fixture")
@@ -203,8 +202,7 @@ def _issue_line(issue: Issue, itin: Itinerary) -> str:
 
 def cmd_validate(args: argparse.Namespace, config: AppConfig) -> int:
     if config.format not in ("table", "json"):
-        print(f"error: validate supports --format table or json, not {config.format!r}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"validate supports --format table or json, not {config.format!r}")
     provider = build_provider(config)
     policy = build_policy(config)
     results = []
@@ -213,7 +211,7 @@ def cmd_validate(args: argparse.Namespace, config: AppConfig) -> int:
         try:
             itinerary = parse_itinerary(Path(path).read_text(encoding="utf-8"), None)
             report = validate(itinerary, provider, policy)
-        except (OSError, FormatError, ProviderError) as err:
+        except (OSError, ValueError, ProviderError) as err:
             print(f"{path}: error: {err}", file=sys.stderr)
             had_error = True
             continue
@@ -242,19 +240,8 @@ def cmd_validate(args: argparse.Namespace, config: AppConfig) -> int:
 def cmd_correct(args: argparse.Namespace, config: AppConfig) -> int:
     provider = build_provider(config)
     policy = build_policy(config)
-    try:
-        itinerary = parse_itinerary(Path(args.input).read_text(encoding="utf-8"), None)
-    except (OSError, FormatError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        corrected, trace = correct(itinerary, provider, policy)
-    except ProviderError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except NonConvergenceError as err:
-        print(f"error: correction did not converge: {err}", file=sys.stderr)
-        return EXIT_NON_CONVERGENCE
+    itinerary = parse_itinerary(Path(args.input).read_text(encoding="utf-8"), None)
+    corrected, trace = correct(itinerary, provider, policy)
     print(render_itinerary(corrected))
     if config.trace:
         print(json.dumps(trace.to_dict(), indent=2), file=sys.stderr)
@@ -287,38 +274,18 @@ def cmd_generate(args: argparse.Namespace, config: AppConfig) -> int:
         fixed_sequence=sequence,
     )
     if args.replay_dir:
-        try:
-            client = ReplayClient.for_request(args.replay_dir, args.model_tag, request.num_destinations)
-        except FileNotFoundError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_INPUT
+        client = ReplayClient.for_request(args.replay_dir, args.model_tag, request.num_destinations)
     elif args.endpoint:
         client = HttpGenerationClient(args.endpoint)
     else:
-        print("error: configure a generation client with --replay-dir or --endpoint", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        itinerary, attempts = generate_itinerary(client, request, max_retries=args.max_retries)
-    except GenerationFailed as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_GENERATION
-    except RuntimeError as err:
-        # Replay recording ran out before an attempt could parse.
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_GENERATION
-    try:
-        resolved = resolve_segment_bounds(itinerary, provider, policy)
-        report = check_against_bounds(itinerary, resolved, policy)
-        trace: CorrectionTrace | None = None
-        final = itinerary
-        if not report.is_valid and not args.no_correct:
-            final, trace = correct_against_bounds(itinerary, resolved, policy)
-    except ProviderError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except NonConvergenceError as err:
-        print(f"error: correction did not converge: {err}", file=sys.stderr)
-        return EXIT_NON_CONVERGENCE
+        raise ValueError("configure a generation client with --replay-dir or --endpoint")
+    itinerary, attempts = generate_itinerary(client, request, max_retries=args.max_retries)
+    resolved = resolve_segment_bounds(itinerary, provider, policy)
+    report = check_against_bounds(itinerary, resolved, policy)
+    trace: CorrectionTrace | None = None
+    final = itinerary
+    if not report.is_valid and not args.no_correct:
+        final, trace = correct_against_bounds(itinerary, resolved, policy)
     print(render_itinerary(final))
     adjustments = len(trace.adjustments) if trace else 0
     print(
@@ -334,11 +301,7 @@ def cmd_generate(args: argparse.Namespace, config: AppConfig) -> int:
 def cmd_bench(args: argparse.Namespace, config: AppConfig) -> int:
     provider = build_provider(config)
     policy = build_policy(config)
-    try:
-        entries = load_manifest(args.manifest)
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+    entries = load_manifest(args.manifest)
     root = Path(args.manifest).parent
     records = []
     for entry in entries:
@@ -430,13 +393,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; a failure that ends the run is mapped to its exit
+    code here and nowhere else, with one 'error:' line on stderr."""
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
         config = resolve_config(args)
     except (OSError, ValueError) as err:
-        print(f"error: bad configuration: {err}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail(f"bad configuration: {err}", EXIT_INPUT)
     handlers = {
         "validate": cmd_validate,
         "correct": cmd_correct,
@@ -445,9 +409,17 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args, config)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+    except NonConvergenceError as err:
+        return _fail(f"correction did not converge: {err}", EXIT_NON_CONVERGENCE)
+    except (GenerationFailed, ResponsesExhausted) as err:
+        return _fail(str(err), EXIT_GENERATION)
+    except (OSError, ValueError, ProviderError) as err:
+        return _fail(str(err), EXIT_INPUT)
+
+
+def _fail(message: str, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

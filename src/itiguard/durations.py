@@ -19,7 +19,6 @@ maximum reasonable time is twice that minimum.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import os
@@ -31,7 +30,7 @@ from typing import Callable, Mapping, Protocol
 
 import requests
 
-from .model import AirportCode
+from .model import AirportCode, InvalidJsonError, load_json
 
 log = logging.getLogger(__name__)
 
@@ -121,15 +120,14 @@ class DurationProvider(Protocol):
 class FixtureProvider:
     """Deterministic provider backed by a {(origin, dest): minutes} table.
 
-    Lookups are direction-symmetric by default: (A, B) falls back to (B, A).
+    Lookups are direction-symmetric: (A, B) falls back to (B, A).
     """
 
-    def __init__(self, table: Mapping[tuple[str, str], int], symmetric: bool = True):
+    def __init__(self, table: Mapping[tuple[str, str], int]):
         self._table = {(str(o), str(d)): int(m) for (o, d), m in table.items()}
-        self._symmetric = symmetric
 
     @classmethod
-    def from_file(cls, path: str | Path, symmetric: bool = True) -> "FixtureProvider":
+    def from_file(cls, path: str | Path) -> "FixtureProvider":
         """Load the table from a duration file, which must exist (unlike a
         cache file, a missing fixture file is an error, not an empty table)."""
         if not Path(path).exists():
@@ -138,12 +136,12 @@ class FixtureProvider:
             (str(route.origin), str(route.destination)): duration.minutes
             for route, duration in load_cache(path).items()
         }
-        return cls(table, symmetric=symmetric)
+        return cls(table)
 
     def route_duration(self, route: RoutePair) -> FlightDuration:
         key = (str(route.origin), str(route.destination))
         minutes = self._table.get(key)
-        if minutes is None and self._symmetric:
+        if minutes is None:
             minutes = self._table.get((key[1], key[0]))
         if minutes is None:
             raise RouteUnavailable(route, attempts=1, reason="no fixture duration for route")
@@ -197,9 +195,9 @@ def parse_duration_payload(body: bytes | str) -> FlightDuration:
     NullDurationError; everything else unusable raises MalformedPayloadError.
     """
     try:
-        doc = json.loads(body)
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise MalformedPayloadError(f"payload is not JSON: {err}") from None
+        doc = load_json(body)
+    except InvalidJsonError as err:
+        raise MalformedPayloadError(f"payload is {err}") from None
     if not isinstance(doc, dict):
         raise MalformedPayloadError("payload is not a JSON object")
     value = doc
@@ -214,7 +212,7 @@ def parse_duration_payload(body: bytes | str) -> FlightDuration:
     total = 0
     for field, scale in (("hours", 60), ("minutes", 1)):
         raw = value.get(field, 0)
-        if isinstance(raw, bool) or not isinstance(raw, int) or raw < 0:
+        if isinstance(raw, bool) or not isinstance(raw, int) or not 0 <= raw <= MAX_FLIGHT_MINUTES:
             raise MalformedPayloadError(f"bad {field} value: {raw!r}")
         total += raw * scale
     if not 0 < total <= MAX_FLIGHT_MINUTES:

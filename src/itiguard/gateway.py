@@ -23,8 +23,10 @@ import requests
 from .model import (
     FormatError,
     InsufficientStopsError,
+    InvalidJsonError,
     InvalidTimeFormatError,
     Itinerary,
+    load_json,
     parse_itinerary,
 )
 from .prompts import FeedbackKind, GenerationRequest, build_base_prompt, build_feedback
@@ -44,6 +46,10 @@ class GenerationFailed(Exception):
         super().__init__(f"no parseable itinerary after {attempts} attempts: {last_error}")
 
 
+class ResponsesExhausted(Exception):
+    """A scripted or replayed client has no response left to serve."""
+
+
 class GenerationClient(Protocol):
     def complete(self, prompt: str) -> str: ...
 
@@ -59,7 +65,7 @@ class ScriptedClient:
     def complete(self, prompt: str) -> str:
         self.prompts.append(prompt)
         if self._cursor >= len(self._responses):
-            raise RuntimeError(f"scripted client exhausted after {len(self._responses)} responses")
+            raise ResponsesExhausted(f"scripted client exhausted after {len(self._responses)} responses")
         response = self._responses[self._cursor]
         self._cursor += 1
         return response
@@ -86,7 +92,7 @@ class ReplayClient:
 
     def complete(self, prompt: str) -> str:
         if self._cursor >= len(self._files):
-            raise RuntimeError(f"replay exhausted after {len(self._files)} responses: {self._directory}")
+            raise ResponsesExhausted(f"replay exhausted after {len(self._files)} responses: {self._directory}")
         path = self._files[self._cursor]
         self._cursor += 1
         return path.read_text(encoding="utf-8")
@@ -122,9 +128,12 @@ class HttpGenerationClient:
                 self._endpoint, json={"prompt": prompt}, headers=headers, timeout=self._timeout
             )
             response.raise_for_status()
-            body = response.json()
         except requests.RequestException as err:
             raise ValueError(f"generation endpoint request failed: {err}") from err
+        try:
+            body = load_json(response.content)
+        except InvalidJsonError as err:
+            raise ValueError(f"generation endpoint returned {err}") from None
         if not isinstance(body, dict) or not isinstance(body.get("text"), str):
             raise ValueError(f"generation endpoint returned unexpected payload: {json.dumps(body)[:200]}")
         return body["text"]

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+from .model import load_json
 from .validation import SEGMENT_ISSUE_KINDS, IssueKind, ValidationReport
 
 TABLE_HEADERS = ("Model", "Cities", "Invalid Itin.", "Invalid Seg.", "Avg Issues/Itn.")
@@ -68,7 +68,7 @@ class ManifestEntry:
 
 def load_manifest(path: str | Path) -> list[ManifestEntry]:
     """Read a corpus manifest: a JSON array of {file, model_tag, num_cities}."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = load_json(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, list):
         raise ValueError(f"manifest must be a JSON array, got {type(raw).__name__}")
     entries = []
@@ -76,15 +76,14 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
         if not isinstance(item, dict):
             raise ValueError(f"manifest entry {i} is not an object")
         try:
-            entries.append(
-                ManifestEntry(
-                    file=item["file"],
-                    model_tag=item["model_tag"],
-                    num_cities=int(item["num_cities"]),
-                )
-            )
+            file, model_tag, num_cities = item["file"], item["model_tag"], int(item["num_cities"])
         except KeyError as err:
             raise ValueError(f"manifest entry {i} is missing key {err}") from None
+        except (TypeError, OverflowError):
+            raise ValueError(f"manifest entry {i} has a num_cities that is not a whole number") from None
+        if not isinstance(file, str) or not isinstance(model_tag, str):
+            raise ValueError(f"manifest entry {i} needs strings for file and model_tag")
+        entries.append(ManifestEntry(file, model_tag, num_cities))
     return entries
 
 

@@ -211,9 +211,15 @@ class Itinerary:
         return len(self.stops)
 
 
-def parse_timestamp(text: str) -> Timestamp:
-    """Parse 'YYYY-MM-DD HH:MM' exactly; anything else raises InvalidTimeFormatError."""
-    return Timestamp.parse(text)
+def load_json(text: str | bytes) -> object:
+    """json.loads for text from outside the program. Whatever it cannot
+    decode raises InvalidJsonError: bad syntax, bytes that are not UTF-8, an
+    integer past CPython's digit limit (all ValueError) and nesting deeper
+    than the recursion limit (RecursionError)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as err:
+        raise InvalidJsonError(f"not valid JSON: {err}") from None
 
 
 def parse_place(raw: object, stop_index: int) -> tuple[str, AirportCode]:
@@ -240,11 +246,7 @@ def parse_itinerary(text: str, expected_stops: int | None) -> Itinerary:
     """
     if expected_stops is not None and expected_stops < 1:
         raise ValueError("expected_stops must be >= 1")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise InvalidJsonError(f"not valid JSON: {err}") from None
-
+    doc = load_json(text)
     if isinstance(doc, dict):
         items = doc.get("itinerary")
         if not isinstance(items, list):

@@ -30,8 +30,8 @@ from itiguard.model import (
     AirportCode,
     Itinerary,
     Stop,
+    Timestamp,
     parse_itinerary,
-    parse_timestamp,
     render_itinerary,
 )
 from itiguard.prompts import (
@@ -336,7 +336,7 @@ def test_criterion_9_latency():
         table[(a, b)] = 300
     provider = FixtureProvider(table)
     stops = []
-    arrival = parse_timestamp("2025-06-01 08:00")
+    arrival = Timestamp.parse("2025-06-01 08:00")
     for i, code in enumerate(codes):
         # Stays of one day and one-hour hops: plenty to correct.
         departure = arrival + 24 * 60

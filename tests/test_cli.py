@@ -501,9 +501,15 @@ class TestConfigResolution:
             ([], '{"max_multiplier": 1e308}'),
             ([], '{"buffer_hours": 1e308}'),
             ([], '{"min_stay_hours": -Infinity}'),
+            ([], '{"buffer_hours": 1%s}' % ("0" * 400)),
+            ([], '{"min_stay_hours": 1%s}' % ("0" * 400)),
+            ([], '{"max_multiplier": 1%s}' % ("0" * 400)),
+            ([], '{"buffer_hours": 1%s}' % ("0" * 307)),
         ],
         ids=["buffer-inf", "multiplier-inf", "stay-nan", "multiplier-nan",
-             "config-multiplier-1e308", "config-buffer-1e308", "config-stay-minus-inf"],
+             "config-multiplier-1e308", "config-buffer-1e308", "config-stay-minus-inf",
+             "config-buffer-400-digits", "config-stay-400-digits", "config-multiplier-400-digits",
+             "config-buffer-int-1e307"],
     )
     def test_non_finite_policy_number_exits_2(self, tmp_path, flags, setting, capsys):
         if setting is not None:

@@ -16,13 +16,13 @@ from itiguard.correction import (
     replay_trace,
 )
 from itiguard.durations import FixtureProvider
-from itiguard.model import AirportCode, Itinerary, Stop, parse_timestamp
+from itiguard.model import AirportCode, Itinerary, Stop, Timestamp
 from itiguard.validation import IssueKind, ProviderError, ValidationPolicy, validate
 from support import CountingProvider, random_itinerary
 
 
 def make_stop(code: str, arrival: str, departure: str) -> Stop:
-    return Stop(f"City {code}", AirportCode(code), parse_timestamp(arrival), parse_timestamp(departure))
+    return Stop(f"City {code}", AirportCode(code), Timestamp.parse(arrival), Timestamp.parse(departure))
 
 
 def times(itin: Itinerary) -> list[tuple[str, str]]:
@@ -77,7 +77,7 @@ class TestOverlapCase:
         )
         provider = FixtureProvider({("AAA", "BBB"): 60})
         fixed, trace = correct(itin, provider)
-        assert fixed.stops[1].arrival == parse_timestamp("2025-06-03 13:00")
+        assert fixed.stops[1].arrival == Timestamp.parse("2025-06-03 13:00")
         assert [adj.reason for adj in trace.adjustments] == [IssueKind.OVERLAP]
 
 
@@ -183,7 +183,7 @@ class TestReplay:
         _, trace = correct(sample_invalid, demo_provider)
         tampered = Itinerary(
             (
-                replace(sample_invalid.stops[0], departure=parse_timestamp("2025-06-08 06:01")),
+                replace(sample_invalid.stops[0], departure=Timestamp.parse("2025-06-08 06:01")),
             )
             + sample_invalid.stops[1:]
         )
@@ -200,7 +200,7 @@ class TestReplay:
 
 class TestTraceTypes:
     def test_no_op_adjustment_rejected(self):
-        ts = parse_timestamp("2025-06-01 08:00")
+        ts = Timestamp.parse("2025-06-01 08:00")
         with pytest.raises(ValueError):
             Adjustment(0, TimeField.ARRIVAL, ts, ts, IssueKind.OVERLAP)
 

@@ -92,11 +92,6 @@ class TestFixtureProvider:
         provider = FixtureProvider({("SYD", "FRA"): 1020})
         assert provider.route_duration(route("FRA", "SYD")).minutes == 1020
 
-    def test_asymmetric_mode(self):
-        provider = FixtureProvider({("SYD", "FRA"): 1020}, symmetric=False)
-        with pytest.raises(RouteUnavailable):
-            provider.route_duration(route("FRA", "SYD"))
-
     def test_miss(self):
         provider = FixtureProvider({})
         with pytest.raises(RouteUnavailable):
@@ -172,6 +167,10 @@ class TestPayload:
             '{"hours": "2"}',
             '{"hours": 0, "minutes": 0}',
             '{"hours": 50}',
+            pytest.param(b"[" * 100_000, id="too-deep"),
+            pytest.param(b'{"hours": ' + b"1" * 5000 + b"}", id="past-digit-limit"),
+            pytest.param(b'{"hours": ' + b"9" * 4299 + b"}", id="4299-digit-hours"),
+            pytest.param(b'\xff{"hours": 2}', id="not-utf8"),
         ],
     )
     def test_malformed(self, body):

@@ -11,6 +11,7 @@ from itiguard.gateway import (
     GenerationFailed,
     HttpGenerationClient,
     ReplayClient,
+    ResponsesExhausted,
     ScriptedClient,
     feedback_for_error,
     generate_itinerary,
@@ -146,7 +147,7 @@ class TestScriptedClient:
     def test_exhaustion(self):
         client = ScriptedClient(["only"])
         client.complete("p")
-        with pytest.raises(RuntimeError, match="exhausted"):
+        with pytest.raises(ResponsesExhausted, match="exhausted"):
             client.complete("p")
 
 
@@ -247,7 +248,7 @@ class TestReplayClient:
         (tmp_path / "001.txt").write_text("only")
         client = ReplayClient(tmp_path)
         client.complete("p")
-        with pytest.raises(RuntimeError, match="exhausted"):
+        with pytest.raises(ResponsesExhausted, match="exhausted"):
             client.complete("p")
 
     def test_bundled_demo_recording(self, fixtures_dir, sample_invalid):
@@ -258,16 +259,13 @@ class TestReplayClient:
 
 
 class FakeResponse:
-    def __init__(self, payload, status: int = 200):
-        self._payload = payload
+    def __init__(self, payload, status: int = 200, *, content: bytes | None = None):
+        self.content = json.dumps(payload).encode() if content is None else content
         self.status_code = status
 
     def raise_for_status(self):
         if self.status_code >= 400:
             raise requests.HTTPError(f"status {self.status_code}")
-
-    def json(self):
-        return self._payload
 
 
 class RecordingTransport:
@@ -311,6 +309,15 @@ class TestHttpGenerationClient:
         with pytest.raises(ValueError, match="status 500") as exc:
             client.complete("p")
         assert isinstance(exc.value.__cause__, requests.HTTPError)
+
+    @pytest.mark.parametrize(
+        "content", [b"<html>", b"[" * 100_000, b"\xff{}"], ids=["not-json", "too-deep", "not-utf8"]
+    )
+    def test_undecodable_body(self, content):
+        transport = RecordingTransport(FakeResponse(None, content=content))
+        client = HttpGenerationClient(self.ENDPOINT, transport=transport)
+        with pytest.raises(ValueError, match="generation endpoint returned not valid JSON"):
+            client.complete("p")
 
     @pytest.mark.parametrize("payload", [{"message": "x"}, {"text": 5}, ["text"], "text"])
     def test_unexpected_payload(self, payload):

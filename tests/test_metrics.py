@@ -250,6 +250,22 @@ class TestManifest:
         with pytest.raises(ValueError, match="missing key"):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            '{"file": "a.json", "model_tag": "m", "num_cities": null}',
+            '{"file": "a.json", "model_tag": "m", "num_cities": Infinity}',
+            '{"file": "a.json", "model_tag": 1, "num_cities": 4}',
+            '{"file": ["a.json"], "model_tag": "m", "num_cities": 4}',
+        ],
+        ids=["cities-null", "cities-infinity", "tag-number", "file-list"],
+    )
+    def test_wrong_value_type(self, tmp_path, entry):
+        path = tmp_path / "manifest.json"
+        path.write_text(f"[{entry}]")
+        with pytest.raises(ValueError, match="manifest entry 0"):
+            load_manifest(path)
+
 
 class TestCorpusRecord:
     def test_rejects_nonpositive_cities(self):

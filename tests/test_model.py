@@ -20,9 +20,9 @@ from itiguard.model import (
     Stop,
     Timestamp,
     format_minutes,
+    load_json,
     parse_itinerary,
     parse_place,
-    parse_timestamp,
     render_itinerary,
 )
 from itiguard.validation import IssueKind, ValidationPolicy, validate
@@ -31,11 +31,11 @@ from support import random_itinerary
 
 class TestTimestamp:
     def test_parse_example(self):
-        ts = parse_timestamp("2024-03-20 14:30")
+        ts = Timestamp.parse("2024-03-20 14:30")
         assert ts.text() == "2024-03-20 14:30"
 
     def test_parse_midnight(self):
-        assert parse_timestamp("2024-03-20 00:00").text() == "2024-03-20 00:00"
+        assert Timestamp.parse("2024-03-20 00:00").text() == "2024-03-20 00:00"
 
     @pytest.mark.parametrize(
         "raw",
@@ -56,7 +56,7 @@ class TestTimestamp:
     )
     def test_parse_rejects_deviations(self, raw):
         with pytest.raises(InvalidTimeFormatError):
-            parse_timestamp(raw)
+            Timestamp.parse(raw)
 
     @pytest.mark.parametrize(
         "raw", ["2024-13-01 10:00", "2024-02-30 10:00", "2024-03-20 24:00", "0000-01-01 00:00"]
@@ -64,7 +64,7 @@ class TestTimestamp:
     def test_parse_rejects_impossible_dates(self, raw):
         # These pass the shape check but not the calendar.
         with pytest.raises(InvalidTimeFormatError):
-            parse_timestamp(raw)
+            Timestamp.parse(raw)
 
     def test_parse_rejects_non_string(self):
         with pytest.raises(InvalidTimeFormatError):
@@ -106,15 +106,15 @@ class TestTimestamp:
             Timestamp(minutes).text()
 
     def test_arithmetic(self):
-        a = parse_timestamp("2025-06-01 10:00")
-        b = parse_timestamp("2025-06-02 11:30")
+        a = Timestamp.parse("2025-06-01 10:00")
+        b = Timestamp.parse("2025-06-02 11:30")
         assert b - a == 25 * 60 + 30
         assert a + (25 * 60 + 30) == b
         assert a - b == -(25 * 60 + 30)
 
     def test_ordering(self):
-        a = parse_timestamp("2025-06-01 10:00")
-        b = parse_timestamp("2025-06-01 10:01")
+        a = Timestamp.parse("2025-06-01 10:00")
+        b = Timestamp.parse("2025-06-01 10:01")
         assert a < b
         assert max(a, b) == b
 
@@ -150,7 +150,7 @@ class TestParseItinerary:
         itin = parse_itinerary((fixtures_dir / "sample_invalid.json").read_text(), 4)
         assert len(itin) == 4
         assert str(itin.stops[0].airport) == "SYD"
-        assert itin.stops[0].arrival == parse_timestamp("2025-06-07 10:00")
+        assert itin.stops[0].arrival == Timestamp.parse("2025-06-07 10:00")
         assert itin.stops[3].place == "Casablanca (CMN)"
 
     def test_bare_array(self):
@@ -178,10 +178,24 @@ class TestParseItinerary:
         with pytest.raises(ValueError):
             parse_itinerary("[]", 0)
 
-    @pytest.mark.parametrize("text", ["not json at all", "{]", "42", '"hello"'])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "not json at all",
+            "{]",
+            "42",
+            '"hello"',
+            pytest.param("[" * 100_000, id="too-deep"),
+            pytest.param("[" + "1" * 5000 + "]", id="past-digit-limit"),
+        ],
+    )
     def test_garbage_is_invalid_json(self, text):
         with pytest.raises(InvalidJsonError):
             parse_itinerary(text, 1)
+
+    def test_load_json_rejects_bytes_that_are_not_utf8(self):
+        with pytest.raises(InvalidJsonError):
+            load_json(b'\xff["x"]')
 
     def test_wrong_wrapper_key(self):
         with pytest.raises(MissingFieldError) as exc:
@@ -277,8 +291,8 @@ class TestDerived:
         assert stays == [20 * 60, 58 * 60, 49 * 60, 83 * 60]
 
     def test_negative_travel_time_allowed(self):
-        a = Stop("A", AirportCode("AAA"), parse_timestamp("2025-06-01 10:00"), parse_timestamp("2025-06-04 10:00"))
-        b = Stop("B", AirportCode("BBB"), parse_timestamp("2025-06-04 08:00"), parse_timestamp("2025-06-07 10:00"))
+        a = Stop("A", AirportCode("AAA"), Timestamp.parse("2025-06-01 10:00"), Timestamp.parse("2025-06-04 10:00"))
+        b = Stop("B", AirportCode("BBB"), Timestamp.parse("2025-06-04 08:00"), Timestamp.parse("2025-06-07 10:00"))
         provider = FixtureProvider({("AAA", "BBB"): 60})
         assert self.observed(Itinerary((a, b)), provider, IssueKind.OVERLAP) == [-120]
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from itiguard.durations import FixtureProvider, TransitBounds
-from itiguard.model import AirportCode, Itinerary, Stop, parse_timestamp
+from itiguard.model import AirportCode, Itinerary, Stop, Timestamp
 from itiguard.validation import (
     Issue,
     IssueKind,
@@ -20,7 +20,7 @@ from support import brute_force_issues, random_itinerary
 
 
 def make_stop(code: str, arrival: str, departure: str) -> Stop:
-    return Stop(f"City {code}", AirportCode(code), parse_timestamp(arrival), parse_timestamp(departure))
+    return Stop(f"City {code}", AirportCode(code), Timestamp.parse(arrival), Timestamp.parse(departure))
 
 
 class TestPolicy:
