@@ -45,7 +45,6 @@ from .gateway import (
 )
 from .metrics import (
     CorpusRecord,
-    EmptyGroupError,
     aggregate,
     failure_mode_breakdown,
     load_manifest,
@@ -58,6 +57,7 @@ from .model import (
     load_json,
     parse_itinerary,
     render_itinerary,
+    shorten,
 )
 from .prompts import GenerationRequest
 from .validation import (
@@ -121,7 +121,7 @@ def resolve_config(args: argparse.Namespace) -> AppConfig:
         defaults = {f.name: f.default for f in fields(AppConfig)}
         unknown = set(data) - set(defaults)
         if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+            raise ValueError(f"unknown config keys: {shorten(', '.join(sorted(unknown)))}")
         for key, value in data.items():
             data[key] = _check_config_type(key, value, defaults[key])
         config = replace(config, **data)
@@ -146,7 +146,7 @@ def _check_config_type(key: str, value: object, default: object) -> object:
     else:
         ok, expected = isinstance(value, str) or (value is None and default is None), "a string"
     if not ok:
-        raise ValueError(f"config key {key} must be {expected}, got {json.dumps(value)}")
+        raise ValueError(f"config key {key} must be {expected}, got {shorten(json.dumps(value))}")
     return value
 
 
@@ -178,7 +178,7 @@ def build_provider(config: AppConfig) -> DurationProvider:
             raise ValueError("--base-url is required with --provider live")
         base = RemoteDurationClient(config.base_url)
     else:
-        raise ValueError(f"unknown provider kind {config.provider!r}")
+        raise ValueError(f"unknown provider kind {shorten(repr(config.provider))}")
     if config.cache_file:
         return CachedProvider(base, path=config.cache_file)
     if config.provider == "live":
@@ -202,7 +202,7 @@ def _issue_line(issue: Issue, itin: Itinerary) -> str:
 
 def cmd_validate(args: argparse.Namespace, config: AppConfig) -> int:
     if config.format not in ("table", "json"):
-        raise ValueError(f"validate supports --format table or json, not {config.format!r}")
+        raise ValueError(f"validate supports --format table or json, not {shorten(repr(config.format))}")
     provider = build_provider(config)
     policy = build_policy(config)
     results = []
@@ -280,12 +280,12 @@ def cmd_generate(args: argparse.Namespace, config: AppConfig) -> int:
     else:
         raise ValueError("configure a generation client with --replay-dir or --endpoint")
     itinerary, attempts = generate_itinerary(client, request, max_retries=args.max_retries)
-    resolved = resolve_segment_bounds(itinerary, provider, policy)
-    report = check_against_bounds(itinerary, resolved, policy)
+    bounds = resolve_segment_bounds(itinerary, provider, policy)
+    report = check_against_bounds(itinerary, bounds, policy)
     trace: CorrectionTrace | None = None
     final = itinerary
     if not report.is_valid and not args.no_correct:
-        final, trace = correct_against_bounds(itinerary, resolved, policy)
+        final, trace = correct_against_bounds(itinerary, bounds, policy)
     print(render_itinerary(final))
     adjustments = len(trace.adjustments) if trace else 0
     print(
@@ -299,6 +299,8 @@ def cmd_generate(args: argparse.Namespace, config: AppConfig) -> int:
 
 
 def cmd_bench(args: argparse.Namespace, config: AppConfig) -> int:
+    if args.breakdown and config.format != "table":
+        raise ValueError(f"bench --breakdown needs --format table, not {shorten(repr(config.format))}")
     provider = build_provider(config)
     policy = build_policy(config)
     entries = load_manifest(args.manifest)
@@ -312,10 +314,7 @@ def cmd_bench(args: argparse.Namespace, config: AppConfig) -> int:
             records.append(CorpusRecord(entry.model_tag, entry.num_cities, report))
         except Exception as err:
             print(f"warning: skipping {entry.file}: {err}", file=sys.stderr)
-    try:
-        stats = aggregate(records, include_stays=args.include_stays)
-    except EmptyGroupError:
-        stats = []
+    stats = aggregate(records, include_stays=args.include_stays)
     if config.format == "json":
         print(json.dumps([asdict(row) for row in stats], indent=2))
     else:

@@ -10,28 +10,30 @@ leaves no violations. Which stop or leg breaks which rule is decided by the
 validator's own check_stay / check_segment; this module only decides how to
 fix it.
 
-correct_against_bounds() is the pure part: given bounds already resolved for
-the itinerary's legs, it makes the pass and then checks the result once
-against those same bounds; any issue left over is reported as
+correct_against_bounds() is the pure part: given the per-leg bounds list
+that resolve_segment_bounds returned, it makes the pass and then checks the
+result once against those same bounds; any issue left over is reported as
 NonConvergenceError, a logic bug rather than bad input. correct() resolves
 the bounds through a provider and hands them to it, so a caller that has
 already resolved them (to validate first) never asks the provider twice.
 
 The first stop's arrival anchors the schedule and is never moved; city order
-is never changed. Legs without resolvable route data are skipped and
-recorded so the caller knows which part of the output is unchecked.
+is never changed. Legs whose bounds entry is None are skipped and recorded
+so the caller knows which part of the output is unchecked. The trace logs
+every timestamp the pass changed, with its old and new value and the rule
+that forced it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import ClassVar
 
-from .durations import DurationProvider
+from .durations import DurationProvider, TransitBounds
 from .model import Itinerary, Timestamp
 from .validation import (
     IssueKind,
-    ResolvedBounds,
     ValidationPolicy,
     check_against_bounds,
     check_segment,
@@ -42,10 +44,6 @@ from .validation import (
 
 class NonConvergenceError(RuntimeError):
     """Issues survived the forward pass; indicates a logic bug, not bad input."""
-
-
-class TraceMismatchError(Exception):
-    """A trace was replayed against an input it was not produced from."""
 
 
 class TimeField(Enum):
@@ -80,15 +78,12 @@ class Adjustment:
 
 @dataclass(frozen=True)
 class CorrectionTrace:
-    """Replayable audit log of a correction run; passes is always 1."""
+    """Audit log of a correction run: the adjustments in the order the pass
+    made them, and the legs it could not check. passes is 1 for every run."""
 
     adjustments: tuple[Adjustment, ...]
-    passes: int
-    skipped_segments: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.passes < 1:
-            raise ValueError("a correction run makes at least one pass")
+    skipped_segments: tuple[int, ...]
+    passes: ClassVar[int] = 1
 
     def to_dict(self) -> dict:
         return {
@@ -101,7 +96,7 @@ class CorrectionTrace:
 def _adjustment_pass(
     arrivals: list[Timestamp],
     departures: list[Timestamp],
-    bounds: list,
+    bounds: list[TransitBounds | None],
     policy: ValidationPolicy,
     out: list[Adjustment],
 ) -> None:
@@ -142,47 +137,24 @@ def correct(
 
 
 def correct_against_bounds(
-    itin: Itinerary, resolved: ResolvedBounds, policy: ValidationPolicy
+    itin: Itinerary, bounds: list[TransitBounds | None], policy: ValidationPolicy
 ) -> tuple[Itinerary, CorrectionTrace]:
     """correct() against bounds already resolved for itin's legs.
 
     Makes one forward pass and checks the result with check_against_bounds
-    on the same bounds; no provider is consulted. Raises
-    NonConvergenceError if that check finds an issue the pass should have
-    fixed.
+    on the same bounds; no provider is consulted. The legs whose entry is
+    None become the trace's skipped_segments. Raises NonConvergenceError if
+    that check finds an issue the pass should have fixed.
     """
-    bounds, skipped, _ = resolved
     arrivals = [stop.arrival for stop in itin.stops]
     departures = [stop.departure for stop in itin.stops]
     adjustments: list[Adjustment] = []
     _adjustment_pass(arrivals, departures, bounds, policy, adjustments)
     candidate = _rebuild(itin, arrivals, departures)
-    report = check_against_bounds(candidate, resolved, policy)
+    report = check_against_bounds(candidate, bounds, policy)
     correctable = [i for i in report.issues if i.kind is not IssueKind.ROUTE_DATA_UNAVAILABLE]
     if correctable:
         raise NonConvergenceError(f"{len(correctable)} issue(s) remain after the pass: {correctable}")
-    trace = CorrectionTrace(
-        adjustments=tuple(adjustments), passes=1, skipped_segments=tuple(skipped)
-    )
+    trace = CorrectionTrace(tuple(adjustments), report.unverifiable_segments)
     return candidate, trace
 
-
-def replay_trace(itin: Itinerary, trace: CorrectionTrace) -> Itinerary:
-    """Re-apply a trace to its original input, reproducing correct()'s output.
-
-    Each adjustment asserts the value it is about to overwrite; a mismatch
-    means the input is not the one the trace came from.
-    """
-    stops = list(itin.stops)
-    for adj in trace.adjustments:
-        stop = stops[adj.stop_index]
-        current = stop.arrival if adj.field is TimeField.ARRIVAL else stop.departure
-        if current != adj.old:
-            raise TraceMismatchError(
-                f"stop {adj.stop_index} {adj.field.value} is {current}, trace expected {adj.old}"
-            )
-        if adj.field is TimeField.ARRIVAL:
-            stops[adj.stop_index] = replace(stop, arrival=adj.new)
-        else:
-            stops[adj.stop_index] = replace(stop, departure=adj.new)
-    return Itinerary(tuple(stops))

@@ -22,7 +22,6 @@ from __future__ import annotations
 import logging
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,13 +29,14 @@ from typing import Callable, Mapping, Protocol
 
 import requests
 
-from .model import AirportCode, InvalidJsonError, load_json
+from .model import AirportCode, InvalidJsonError, load_json, shorten
 
 log = logging.getLogger(__name__)
 
 MAX_FLIGHT_MINUTES = 48 * 60  # sanity bound, no commercial flight exceeds 48h
-DEFAULT_MAX_RETRIES = 3
-DEFAULT_RETRY_DELAY_SECONDS = 1.0
+FETCH_ATTEMPTS = 3
+RETRY_DELAY_SECONDS = 1.0
+FETCH_TIMEOUT_SECONDS = 30.0
 API_KEY_ENV = "AERODATABOX_API_KEY"
 
 EARTH_RADIUS_KM = 6371.0
@@ -61,14 +61,6 @@ class TransportError(Exception):
 
 class PayloadError(ValueError):
     """The remote response body could not be used."""
-
-
-class MalformedPayloadError(PayloadError):
-    pass
-
-
-class NullDurationError(PayloadError):
-    """The service answered but carried a null duration."""
 
 
 @dataclass(frozen=True, order=True)
@@ -191,32 +183,32 @@ def parse_duration_payload(body: bytes | str) -> FlightDuration:
     """Extract hours+minutes from a remote JSON response.
 
     Accepts either a flat {"hours": H, "minutes": M} object or one nesting
-    those fields under a "duration" key. A null duration raises
-    NullDurationError; everything else unusable raises MalformedPayloadError.
+    those fields under a "duration" key. Anything unusable, a null duration
+    included, raises PayloadError.
     """
     try:
         doc = load_json(body)
     except InvalidJsonError as err:
-        raise MalformedPayloadError(f"payload is {err}") from None
+        raise PayloadError(f"payload is {err}") from None
     if not isinstance(doc, dict):
-        raise MalformedPayloadError("payload is not a JSON object")
+        raise PayloadError("payload is not a JSON object")
     value = doc
     if "duration" in doc:
         value = doc["duration"]
         if value is None:
-            raise NullDurationError("duration field is null")
+            raise PayloadError("duration field is null")
         if not isinstance(value, dict):
-            raise MalformedPayloadError("duration field is not an object")
+            raise PayloadError("duration field is not an object")
     if "hours" not in value and "minutes" not in value:
-        raise MalformedPayloadError("payload carries no hours/minutes fields")
+        raise PayloadError("payload carries no hours/minutes fields")
     total = 0
     for field, scale in (("hours", 60), ("minutes", 1)):
         raw = value.get(field, 0)
         if isinstance(raw, bool) or not isinstance(raw, int) or not 0 <= raw <= MAX_FLIGHT_MINUTES:
-            raise MalformedPayloadError(f"bad {field} value: {raw!r}")
+            raise PayloadError(f"bad {field} value: {shorten(repr(raw))}")
         total += raw * scale
     if not 0 < total <= MAX_FLIGHT_MINUTES:
-        raise MalformedPayloadError(f"implausible duration: {total} minutes")
+        raise PayloadError(f"implausible duration: {total} minutes")
     return FlightDuration(total)
 
 
@@ -229,8 +221,9 @@ class RemoteDurationClient:
 
     GET {base_url}/{origin}/{destination}; the API key (X-Api-Key header)
     comes from the AERODATABOX_API_KEY environment variable unless given.
-    A failed fetch or unusable payload is retried after retry_delay seconds,
-    up to max_retries total attempts, then RouteUnavailable is raised.
+    A failed fetch or unusable payload is retried after RETRY_DELAY_SECONDS,
+    up to FETCH_ATTEMPTS attempts in all, then RouteUnavailable is raised.
+    fetch and sleep stand in for the HTTP request and the wait, for tests.
     """
 
     def __init__(
@@ -238,25 +231,17 @@ class RemoteDurationClient:
         base_url: str,
         api_key: str | None = None,
         *,
-        max_retries: int = DEFAULT_MAX_RETRIES,
-        retry_delay: float = DEFAULT_RETRY_DELAY_SECONDS,
-        timeout: float = 30.0,
         fetch: FetchFn | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        if max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
         self._base_url = base_url.rstrip("/")
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        self._max_retries = max_retries
-        self._retry_delay = retry_delay
-        self._timeout = timeout
         self._fetch = fetch or self._http_fetch
         self._sleep = sleep
 
     def _http_fetch(self, url: str, headers: Mapping[str, str]) -> bytes:
         try:
-            response = requests.get(url, headers=dict(headers), timeout=self._timeout)
+            response = requests.get(url, headers=dict(headers), timeout=FETCH_TIMEOUT_SECONDS)
         except requests.RequestException as err:
             raise TransportError(str(err)) from err
         if not 200 <= response.status_code < 300:
@@ -267,15 +252,15 @@ class RemoteDurationClient:
         url = f"{self._base_url}/{route.origin}/{route.destination}"
         headers = {"X-Api-Key": self._api_key} if self._api_key else {}
         last_reason = "no attempts made"
-        for attempt in range(1, self._max_retries + 1):
+        for attempt in range(1, FETCH_ATTEMPTS + 1):
             try:
                 return parse_duration_payload(self._fetch(url, headers))
             except (TransportError, PayloadError) as err:
                 last_reason = str(err)
                 log.debug("fetch %s attempt %d failed: %s", route, attempt, last_reason)
-                if attempt < self._max_retries:
-                    self._sleep(self._retry_delay)
-        raise RouteUnavailable(route, attempts=self._max_retries, reason=last_reason)
+                if attempt < FETCH_ATTEMPTS:
+                    self._sleep(RETRY_DELAY_SECONDS)
+        raise RouteUnavailable(route, attempts=FETCH_ATTEMPTS, reason=last_reason)
 
 
 def load_cache(path: str | Path) -> dict[RoutePair, FlightDuration]:
@@ -323,7 +308,7 @@ class CachedProvider:
     one route. Nothing is ever removed from the file, so a corrupt line
     stays in it and load_cache warns about it on every load. If a write
     fails, one warning is logged and the file is left alone from then on.
-    Lookups may run concurrently; writes are serialized.
+    The provider holds no lock, so use each one from one thread.
     """
 
     def __init__(self, inner: DurationProvider, *, path: str | Path | None = None):
@@ -333,17 +318,15 @@ class CachedProvider:
         # A last line without its newline (hand-edited, or torn by a crash)
         # would merge with the first appended line into one corrupt line.
         self._torn = self._path is not None and _ends_mid_line(self._path)
-        self._lock = threading.Lock()
 
     def route_duration(self, route: RoutePair) -> FlightDuration:
         duration = self._cache.get(route)
         if duration is not None:
             return duration
         duration = self._inner.route_duration(route)
-        with self._lock:
-            self._cache[route] = duration
-            if self._path is not None:
-                self._append(route, duration)
+        self._cache[route] = duration
+        if self._path is not None:
+            self._append(route, duration)
         return duration
 
     def _append(self, route: RoutePair, duration: FlightDuration) -> None:

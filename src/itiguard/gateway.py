@@ -1,8 +1,10 @@
 """Text-generation clients and the format-feedback retry loop.
 
-A client is anything with complete(prompt) -> str. Three implementations
-cover the useful cases: a live HTTP client, a scripted client for tests,
-and a replay client that serves previously recorded responses from disk.
+A client is anything with complete(prompt) -> str or bytes; the parser
+decodes bytes itself, so a response that is not UTF-8 is a format error.
+Three implementations cover the useful cases: a live HTTP client, a
+scripted client for tests, and a replay client that serves previously
+recorded responses from disk.
 
 generate_itinerary() sends the base prompt, and on a parse failure retries
 with a feedback message prepended to the unchanged base prompt, up to 3
@@ -34,6 +36,7 @@ from .prompts import FeedbackKind, GenerationRequest, build_base_prompt, build_f
 log = logging.getLogger(__name__)
 
 DEFAULT_MAX_RETRIES = 3
+REQUEST_TIMEOUT_SECONDS = 60.0
 API_KEY_ENV = "GENERATION_API_KEY"
 
 
@@ -51,7 +54,7 @@ class ResponsesExhausted(Exception):
 
 
 class GenerationClient(Protocol):
-    def complete(self, prompt: str) -> str: ...
+    def complete(self, prompt: str) -> str | bytes: ...
 
 
 class ScriptedClient:
@@ -76,7 +79,8 @@ class ReplayClient:
 
     Files are consumed in sorted name order, so number them (001.txt,
     002.txt, ...). Layout under a recording root is
-    <root>/<model_tag>/<num_destinations>/.
+    <root>/<model_tag>/<num_destinations>/. A response is served as the
+    bytes on disk.
     """
 
     def __init__(self, directory: str | Path):
@@ -90,12 +94,12 @@ class ReplayClient:
     def for_request(cls, root: str | Path, model_tag: str, num_destinations: int) -> ReplayClient:
         return cls(Path(root) / model_tag / str(num_destinations))
 
-    def complete(self, prompt: str) -> str:
+    def complete(self, prompt: str) -> bytes:
         if self._cursor >= len(self._files):
             raise ResponsesExhausted(f"replay exhausted after {len(self._files)} responses: {self._directory}")
         path = self._files[self._cursor]
         self._cursor += 1
-        return path.read_text(encoding="utf-8")
+        return path.read_bytes()
 
 
 class HttpGenerationClient:
@@ -106,17 +110,9 @@ class HttpGenerationClient:
     and HTTP-status failures raise ValueError, as an unexpected payload does.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        api_key: str | None = None,
-        *,
-        timeout: float = 60.0,
-        transport=None,
-    ):
+    def __init__(self, endpoint: str, api_key: str | None = None, *, transport=None):
         self._endpoint = endpoint
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        self._timeout = timeout
         self._post = transport if transport is not None else requests.post
 
     def complete(self, prompt: str) -> str:
@@ -125,7 +121,10 @@ class HttpGenerationClient:
             headers["Authorization"] = f"Bearer {self._api_key}"
         try:
             response = self._post(
-                self._endpoint, json={"prompt": prompt}, headers=headers, timeout=self._timeout
+                self._endpoint,
+                json={"prompt": prompt},
+                headers=headers,
+                timeout=REQUEST_TIMEOUT_SECONDS,
             )
             response.raise_for_status()
         except requests.RequestException as err:

@@ -19,14 +19,10 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .model import load_json
+from .model import load_json, shorten
 from .validation import SEGMENT_ISSUE_KINDS, IssueKind, ValidationReport
 
 TABLE_HEADERS = ("Model", "Cities", "Invalid Itin.", "Invalid Seg.", "Avg Issues/Itn.")
-
-
-class EmptyGroupError(ValueError):
-    """Aggregation was asked to summarize zero records."""
 
 
 @dataclass(frozen=True)
@@ -99,8 +95,6 @@ def _issue_counts(report: ValidationReport, include_stays: bool) -> tuple[int, i
 def _stats_for_group(
     model_tag: str, num_cities: int, reports: list[ValidationReport], include_stays: bool
 ) -> CorpusStats:
-    if not reports:
-        raise EmptyGroupError(f"no records for group ({model_tag}, {num_cities})")
     total = len(reports)
     issue_total = 0
     segment_issue_total = 0
@@ -134,11 +128,9 @@ def _stats_for_group(
 def aggregate(records: list[CorpusRecord], *, include_stays: bool = False) -> list[CorpusStats]:
     """Fold records into one CorpusStats per (model_tag, num_cities) group.
 
-    Groups come back sorted by tag then city count. Raises EmptyGroupError
-    when there is nothing to aggregate.
+    Groups come back sorted by tag then city count; no records give no
+    groups.
     """
-    if not records:
-        raise EmptyGroupError("no records to aggregate")
     groups: dict[tuple[str, int], list[ValidationReport]] = {}
     for record in records:
         groups.setdefault((record.model_tag, record.num_cities), []).append(record.report)
@@ -179,7 +171,7 @@ def render_stats(stats: list[CorpusStats], format: str = "table") -> str:
             )
         return buffer.getvalue()
     if format != "table":
-        raise ValueError(f"unknown format {format!r}, expected 'table' or 'csv'")
+        raise ValueError(f"unknown format {shorten(repr(format))}, expected 'table' or 'csv'")
     rows = [TABLE_HEADERS] + [_stat_cells(s) for s in stats]
     widths = [max(len(row[col]) for row in rows) for col in range(len(TABLE_HEADERS))]
     lines = []

@@ -31,6 +31,16 @@ _STOP_FIELDS = ("place", "arrival_time", "departure_time")
 _DAYS_IN_MONTH = (0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 _MINUTES_PER_DAY = 24 * 60
 
+QUOTE_LIMIT = 80
+
+
+def shorten(text: str) -> str:
+    """An outside value's text for an error message: whole up to QUOTE_LIMIT
+    characters, else its first QUOTE_LIMIT and its full length."""
+    if len(text) <= QUOTE_LIMIT:
+        return text
+    return f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"
+
 
 def days_from_civil(year: int, month: int, day: int) -> int:
     """Days from 1970-01-01 to a proleptic Gregorian date (negative before)."""
@@ -80,8 +90,8 @@ class InvalidTimeFormatError(FormatError):
     def __init__(self, raw: str, place_label: str | None = None):
         self.raw = raw
         self.place_label = place_label
-        where = f" for {place_label}" if place_label else ""
-        super().__init__(f"invalid time format{where}: {raw!r}")
+        where = f" for {shorten(place_label)}" if place_label else ""
+        super().__init__(f"invalid time format{where}: {shorten(repr(raw))}")
 
 
 class InsufficientStopsError(FormatError):
@@ -109,7 +119,7 @@ class BadPlaceFormatError(FormatError):
     def __init__(self, stop_index: int, raw: object):
         self.stop_index = stop_index
         self.raw = raw
-        super().__init__(f"stop {stop_index} place {raw!r} does not match 'City Name (IATA)'")
+        super().__init__(f"stop {stop_index} place {shorten(repr(raw))} does not match 'City Name (IATA)'")
 
 
 @dataclass(frozen=True, order=True)
@@ -235,7 +245,7 @@ def parse_place(raw: object, stop_index: int) -> tuple[str, AirportCode]:
     return name, AirportCode(match.group(1))
 
 
-def parse_itinerary(text: str, expected_stops: int | None) -> Itinerary:
+def parse_itinerary(text: str | bytes, expected_stops: int | None) -> Itinerary:
     """Parse an itinerary document and check it has exactly expected_stops stops.
 
     Accepts both wire shapes: a bare JSON array of stop objects, or an object

@@ -10,7 +10,7 @@ Violations are strict: exact equality with a bound passes, so an itinerary
 whose times sit exactly on t_min or the minimum stay is valid. Legs whose
 route duration cannot be resolved are listed as unverifiable and excluded
 from the verdict in non-strict mode; a leg between two identical airports
-is structurally broken and is reported as an issue instead.
+is structurally broken and is reported as an issue as well.
 """
 
 from __future__ import annotations
@@ -110,11 +110,6 @@ class ValidationReport:
         }
 
 
-# What resolve_segment_bounds returns: per-leg bounds (None where the leg
-# cannot be checked), the unverifiable leg indices, and structural issues.
-ResolvedBounds = tuple[list[TransitBounds | None], list[int], list[Issue]]
-
-
 def check_stay(index: int, stay: int, policy: ValidationPolicy) -> Issue | None:
     """Minimum-stay rule for stop index, whose stay is departure minus arrival
     in minutes; a negative stay (inverted times) is subsumed here."""
@@ -138,24 +133,19 @@ def check_segment(index: int, travel_time: int, bounds: TransitBounds) -> Issue 
 
 def resolve_segment_bounds(
     itin: Itinerary, provider: DurationProvider, policy: ValidationPolicy
-) -> ResolvedBounds:
-    """Resolve per-segment transit bounds.
+) -> list[TransitBounds | None]:
+    """Resolve each leg's transit bounds, one entry per leg.
 
-    Returns (bounds, unverifiable_indices, structural_issues). bounds[i] is
-    None when segment i cannot be checked. A same-airport leg yields a
-    ROUTE_DATA_UNAVAILABLE issue; a provider miss yields only an
-    unverifiable index (or ProviderError in strict mode).
+    Entry i is None when leg i cannot be checked: its two airports are the
+    same, or the provider has no duration for its route (ProviderError in
+    strict mode). Which of the two it was can be read off the itinerary.
     """
     bounds: list[TransitBounds | None] = []
-    unverifiable: list[int] = []
-    structural: list[Issue] = []
     for i in range(len(itin.stops) - 1):
         origin = itin.stops[i].airport
         dest = itin.stops[i + 1].airport
         if origin == dest:
             bounds.append(None)
-            unverifiable.append(i)
-            structural.append(Issue(IssueKind.ROUTE_DATA_UNAVAILABLE, i))
             continue
         try:
             duration = provider.route_duration(RoutePair(origin, dest))
@@ -163,12 +153,11 @@ def resolve_segment_bounds(
             if policy.strict:
                 raise ProviderError(str(err)) from err
             bounds.append(None)
-            unverifiable.append(i)
             continue
         bounds.append(
             TransitBounds.from_flight(duration.minutes, policy.buffer_minutes, policy.max_multiplier)
         )
-    return bounds, unverifiable, structural
+    return bounds
 
 
 def validate(
@@ -183,18 +172,19 @@ def validate(
 
 
 def check_against_bounds(
-    itin: Itinerary, resolved: ResolvedBounds, policy: ValidationPolicy
+    itin: Itinerary, bounds: list[TransitBounds | None], policy: ValidationPolicy
 ) -> ValidationReport:
     """The rules of validate() against bounds already resolved for itin's legs.
 
-    resolved is what resolve_segment_bounds returned for an itinerary with
-    the same airports in the same order; no provider is consulted.
+    bounds is what resolve_segment_bounds returned for an itinerary with the
+    same airports in the same order; no provider is consulted. A None entry
+    makes its leg unverifiable, and a ROUTE_DATA_UNAVAILABLE issue when the
+    leg joins an airport to itself.
     """
-    bounds, unverifiable, structural = resolved
-    structural_by_segment = {issue.subject: issue for issue in structural}
     stops = itin.stops
     last = len(stops) - 1
     issues: list[Issue] = []
+    unverifiable: list[int] = []
     for i, stop in enumerate(stops):
         issue = check_stay(i, stop.departure - stop.arrival, policy)
         if issue:
@@ -204,6 +194,8 @@ def check_against_bounds(
                 issue = check_segment(i, stops[i + 1].arrival - stop.departure, bounds[i])
                 if issue:
                     issues.append(issue)
-            elif i in structural_by_segment:
-                issues.append(structural_by_segment[i])
+                continue
+            unverifiable.append(i)
+            if stop.airport == stops[i + 1].airport:
+                issues.append(Issue(IssueKind.ROUTE_DATA_UNAVAILABLE, i))
     return ValidationReport(issues=tuple(issues), unverifiable_segments=tuple(unverifiable))

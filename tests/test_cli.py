@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import requests
 
-from itiguard import cli, correction, gateway
+from itiguard import cli, correction, durations, gateway
 from itiguard.cli import main
 from itiguard.model import parse_itinerary
 from support import CountingProvider
@@ -280,6 +280,17 @@ class TestGenerate:
         assert code == 4
         assert "4 attempts" in capsys.readouterr().err
 
+    def test_non_utf8_response_is_retried(self, tmp_path, capsys):
+        recording = tmp_path / "rec" / "demo" / "4"
+        recording.mkdir(parents=True)
+        (recording / "001.txt").write_bytes(b"\xff\xfe garbage")
+        (recording / "002.txt").write_bytes((FIXTURES / "sample_invalid.json").read_bytes())
+        code = main(["generate", "--replay-dir", str(tmp_path / "rec"), *DEMO_FLAGS])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out == (FIXTURES / "sample_corrected.json").read_text(encoding="utf-8")
+        assert "generation: 2 attempt(s)" in captured.err
+
     def test_recording_exhausted_exits_4(self, tmp_path, capsys):
         recording = tmp_path / "rec" / "demo" / "4"
         recording.mkdir(parents=True)
@@ -432,6 +443,17 @@ class TestBench:
     def test_missing_manifest_exits_2(self, capsys):
         assert main(["bench", "no_manifest.json"]) == 2
 
+    @pytest.mark.parametrize("format", ["json", "csv"])
+    def test_breakdown_needs_table_format(self, format, capsys):
+        manifest = str(self.CORPUS / "manifest.json")
+        code = main(["bench", manifest, "--format", format, "--breakdown", *self.corpus_flags()])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: bench --breakdown needs --format table, not '{format}'"
+        ]
+
 
 class TestConfigResolution:
     def test_config_file_applies(self, tmp_path, short_stay_file, pair_durations, capsys):
@@ -531,6 +553,55 @@ class TestConfigResolution:
         code = main(["validate", str(FIXTURES / "sample_invalid.json"), "--provider", "fixture"])
         assert code == 2
         assert "--fixture-file" in capsys.readouterr().err
+
+
+LONG = "x" * 300
+
+
+def stop_doc(place: object, arrival: object = "2025-06-01 08:00") -> dict:
+    return {"place": place, "arrival_time": arrival, "departure_time": "2025-06-04 08:00"}
+
+
+class TestLongValuesInErrors:
+    """An error message quotes at most QUOTE_LIMIT characters of a value read
+    from outside, and states its full length."""
+
+    @pytest.mark.parametrize(
+        "source,doc",
+        [
+            pytest.param("input", [stop_doc(LONG)], id="place"),
+            pytest.param("input", [stop_doc(list(range(300)))], id="place-not-a-string"),
+            pytest.param("input", [stop_doc("Sydney (SYD)", LONG)], id="time"),
+            pytest.param("input", [stop_doc(f"{LONG} (SYD)", "2025-06-01T08:00")],
+                         id="place-of-a-bad-time"),
+            pytest.param("config", {"buffer_hours": 10**400}, id="config-number"),
+            pytest.param("config", {f"{LONG}{i}": 1 for i in range(3)}, id="config-keys"),
+            pytest.param("config", {"format": LONG}, id="config-format"),
+            pytest.param("config", {"provider": LONG}, id="config-provider"),
+            pytest.param("payload", {"hours": LONG}, id="live-payload"),
+        ],
+    )
+    def test_error_line_is_short(self, tmp_path, monkeypatch, source, doc, capsys):
+        sample = str(FIXTURES / "sample_invalid.json")
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        if source == "input":
+            argv = ["validate", str(path), *DEMO_FLAGS]
+        elif source == "config":
+            argv = ["validate", sample, "--config", str(path)]
+        else:
+            body = path.read_bytes()
+            monkeypatch.setattr(durations.RemoteDurationClient, "_http_fetch", lambda *args: body)
+            monkeypatch.setattr(durations, "RETRY_DELAY_SECONDS", 0)
+            argv = ["validate", sample, "--provider", "live", "--base-url", "http://api.test",
+                    "--strict"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        message = line.split("error: ", 1)[1]
+        assert "characters)" in message
+        assert len(message) < 200
 
 
 class TestDurationFiles:

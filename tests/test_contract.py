@@ -115,9 +115,9 @@ def workdir(tmp_path, monkeypatch) -> Path:
 
 def serve_payloads(monkeypatch, fetch) -> None:
     """Answer the live provider's fetches with fetch(), with no wait between
-    retries (retry_delay and sleep are bound when __init__ is defined)."""
+    retries (sleep is bound when __init__ is defined)."""
     monkeypatch.setattr(RemoteDurationClient, "_http_fetch", fetch)
-    no_wait = dict(RemoteDurationClient.__init__.__kwdefaults__, retry_delay=0, sleep=lambda s: None)
+    no_wait = dict(RemoteDurationClient.__init__.__kwdefaults__, sleep=lambda s: None)
     monkeypatch.setattr(RemoteDurationClient.__init__, "__kwdefaults__", no_wait)
 
 

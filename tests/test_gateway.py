@@ -226,15 +226,15 @@ class TestReplayClient:
         (tmp_path / "002.txt").write_text("second")
         (tmp_path / "001.txt").write_text("first")
         client = ReplayClient(tmp_path)
-        assert client.complete("p") == "first"
-        assert client.complete("p") == "second"
+        assert client.complete("p") == b"first"
+        assert client.complete("p") == b"second"
 
     def test_for_request_layout(self, tmp_path):
         target = tmp_path / "demo" / "4"
         target.mkdir(parents=True)
         (target / "001.txt").write_text("reply")
         client = ReplayClient.for_request(tmp_path, "demo", 4)
-        assert client.complete("p") == "reply"
+        assert client.complete("p") == b"reply"
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -10,7 +10,6 @@ import pytest
 from itiguard.metrics import (
     TABLE_HEADERS,
     CorpusRecord,
-    EmptyGroupError,
     aggregate,
     failure_mode_breakdown,
     load_manifest,
@@ -65,8 +64,7 @@ class TestAggregate:
         assert row.avg_issues_per_itinerary == 0.0
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyGroupError):
-            aggregate([])
+        assert aggregate([]) == []
 
     def test_groups_sorted_by_tag_then_cities(self):
         rows = aggregate(

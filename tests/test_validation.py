@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from itiguard.correction import correct
 from itiguard.durations import FixtureProvider, TransitBounds
 from itiguard.model import AirportCode, Itinerary, Stop, Timestamp
 from itiguard.validation import (
@@ -143,6 +145,33 @@ class TestValidate:
             assert list(validate(itin, provider, policy).issues) == brute_force_issues(
                 itin, table, policy
             )
+
+    def test_matches_oracle_with_same_airport_legs_and_missing_routes(self):
+        rng = random.Random(4321)
+        policy = ValidationPolicy()
+        for _ in range(300):
+            itin, _, table = random_itinerary(rng)
+            stops = list(itin.stops)
+            for i in range(1, len(stops)):
+                if rng.random() < 0.2:
+                    stops[i] = replace(stops[i], airport=stops[i - 1].airport)
+            itin = Itinerary(tuple(stops))
+            table = {route: minutes for route, minutes in table.items() if rng.random() < 0.75}
+            provider = FixtureProvider(table)
+            unchecked = tuple(
+                i
+                for i, (a, b) in enumerate(zip(stops, stops[1:]))
+                if a.airport == b.airport
+                or (min(str(a.airport), str(b.airport)), max(str(a.airport), str(b.airport)))
+                not in table
+            )
+            report = validate(itin, provider, policy)
+            assert list(report.issues) == brute_force_issues(itin, table, policy)
+            assert report.unverifiable_segments == unchecked
+            fixed, trace = correct(itin, provider, policy)
+            assert trace.skipped_segments == unchecked
+            left = validate(fixed, provider, policy).issues
+            assert {issue.kind for issue in left} <= {IssueKind.ROUTE_DATA_UNAVAILABLE}
 
     def test_custom_policy_respected(self, sample_invalid, demo_provider):
         # A 20h stay passes once the minimum drops below it.
