@@ -115,7 +115,7 @@ def resolve_config(args: argparse.Namespace) -> AppConfig:
     config = AppConfig()
     config_path = getattr(args, "config", None)
     if config_path:
-        data = load_json(Path(config_path).read_text(encoding="utf-8"))
+        data = load_json(Path(config_path).read_bytes())
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
         defaults = {f.name: f.default for f in fields(AppConfig)}
@@ -209,7 +209,7 @@ def cmd_validate(args: argparse.Namespace, config: AppConfig) -> int:
     had_error = False
     for path in args.inputs:
         try:
-            itinerary = parse_itinerary(Path(path).read_text(encoding="utf-8"), None)
+            itinerary = parse_itinerary(Path(path).read_bytes(), None)
             report = validate(itinerary, provider, policy)
         except (OSError, ValueError, ProviderError) as err:
             print(f"{path}: error: {err}", file=sys.stderr)
@@ -240,7 +240,7 @@ def cmd_validate(args: argparse.Namespace, config: AppConfig) -> int:
 def cmd_correct(args: argparse.Namespace, config: AppConfig) -> int:
     provider = build_provider(config)
     policy = build_policy(config)
-    itinerary = parse_itinerary(Path(args.input).read_text(encoding="utf-8"), None)
+    itinerary = parse_itinerary(Path(args.input).read_bytes(), None)
     corrected, trace = correct(itinerary, provider, policy)
     print(render_itinerary(corrected))
     if config.trace:
@@ -308,8 +308,7 @@ def cmd_bench(args: argparse.Namespace, config: AppConfig) -> int:
     records = []
     for entry in entries:
         try:
-            text = (root / entry.file).read_text(encoding="utf-8")
-            itinerary = parse_itinerary(text, entry.num_cities)
+            itinerary = parse_itinerary((root / entry.file).read_bytes(), entry.num_cities)
             report = validate(itinerary, provider, policy)
             records.append(CorpusRecord(entry.model_tag, entry.num_cities, report))
         except Exception as err:

@@ -6,9 +6,12 @@ outgoing leg is checked against its transit bounds using that updated
 departure. A leg that is too short, overlapping, or too long gets its
 arrival pinned to departure + t_min, which satisfies both bounds. Because
 each stop's arrival is final before its stay is examined, a single pass
-leaves no violations. Which stop or leg breaks which rule is decided by the
-validator's own check_stay / check_segment; this module only decides how to
-fix it.
+leaves no violations. The pass runs on int minutes, and which stop or leg
+breaks which rule is decided by the validator's int rule functions,
+stay_violation / segment_violation; this module only decides how to fix
+it. A Timestamp is built only for an Adjustment's new value, and the stops
+are rebuilt from the adjustments, so an untouched stop or timestamp is
+reused as it is.
 
 correct_against_bounds() is the pure part: given the per-leg bounds list
 that resolve_segment_bounds returned, it makes the pass and then checks the
@@ -26,19 +29,19 @@ that forced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar
 
 from .durations import DurationProvider, TransitBounds
-from .model import Itinerary, Timestamp
+from .model import Itinerary, Stop, Timestamp
 from .validation import (
     IssueKind,
     ValidationPolicy,
     check_against_bounds,
-    check_segment,
-    check_stay,
     resolve_segment_bounds,
+    segment_violation,
+    stay_violation,
 )
 
 
@@ -51,7 +54,7 @@ class TimeField(Enum):
     DEPARTURE = "departure"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Adjustment:
     """One timestamp change: which stop, which field, old -> new, and the
     rule that forced it."""
@@ -94,31 +97,47 @@ class CorrectionTrace:
 
 
 def _adjustment_pass(
-    arrivals: list[Timestamp],
-    departures: list[Timestamp],
+    stops: tuple[Stop, ...],
     bounds: list[TransitBounds | None],
     policy: ValidationPolicy,
     out: list[Adjustment],
 ) -> None:
-    n = len(arrivals)
-    for i in range(n):
-        if check_stay(i, departures[i] - arrivals[i], policy):
-            new = arrivals[i] + policy.min_stay_minutes
-            out.append(Adjustment(i, TimeField.DEPARTURE, departures[i], new, IssueKind.STAY_TOO_SHORT))
-            departures[i] = new
-        if i < n - 1 and bounds[i] is not None:
-            issue = check_segment(i, arrivals[i + 1] - departures[i], bounds[i])
-            if issue:
-                new = departures[i] + bounds[i].t_min
-                out.append(Adjustment(i + 1, TimeField.ARRIVAL, arrivals[i + 1], new, issue.kind))
-                arrivals[i + 1] = new
+    """The forward pass, on int minutes: appends to out every change it
+    makes. The pass changes each field at most once, so an adjustment's old
+    value is always the stop's own timestamp."""
+    last = len(stops) - 1
+    arrival = stops[0].arrival.minutes_since_epoch
+    for i, stop in enumerate(stops):
+        departure = stop.departure.minutes_since_epoch
+        kind = stay_violation(departure - arrival, policy)
+        if kind:
+            departure = arrival + policy.min_stay_minutes
+            out.append(Adjustment(i, TimeField.DEPARTURE, stop.departure, Timestamp(departure), kind))
+        if i == last:
+            break
+        following = stops[i + 1]
+        arrival = following.arrival.minutes_since_epoch
+        leg = bounds[i]
+        if leg is not None:
+            kind = segment_violation(arrival - departure, leg.t_min, leg.t_max)
+            if kind:
+                arrival = departure + leg.t_min
+                out.append(Adjustment(i + 1, TimeField.ARRIVAL, following.arrival, Timestamp(arrival), kind))
 
 
-def _rebuild(itin: Itinerary, arrivals: list[Timestamp], departures: list[Timestamp]) -> Itinerary:
+def _rebuild(itin: Itinerary, adjustments: list[Adjustment]) -> Itinerary:
+    """itin with each adjustment's new timestamp in place; a stop that no
+    adjustment touched is reused as it is."""
+    arrivals = [stop.arrival for stop in itin.stops]
+    departures = [stop.departure for stop in itin.stops]
+    for adj in adjustments:
+        (arrivals if adj.field is TimeField.ARRIVAL else departures)[adj.stop_index] = adj.new
     return Itinerary(
         tuple(
-            replace(stop, arrival=arrivals[i], departure=departures[i])
-            for i, stop in enumerate(itin.stops)
+            stop
+            if stop.arrival is arrival and stop.departure is departure
+            else Stop(stop.place_name, stop.airport, arrival, departure)
+            for stop, arrival, departure in zip(itin.stops, arrivals, departures)
         )
     )
 
@@ -146,11 +165,9 @@ def correct_against_bounds(
     None become the trace's skipped_segments. Raises NonConvergenceError if
     that check finds an issue the pass should have fixed.
     """
-    arrivals = [stop.arrival for stop in itin.stops]
-    departures = [stop.departure for stop in itin.stops]
     adjustments: list[Adjustment] = []
-    _adjustment_pass(arrivals, departures, bounds, policy, adjustments)
-    candidate = _rebuild(itin, arrivals, departures)
+    _adjustment_pass(itin.stops, bounds, policy, adjustments)
+    candidate = _rebuild(itin, adjustments)
     report = check_against_bounds(candidate, bounds, policy)
     correctable = [i for i in report.issues if i.kind is not IssueKind.ROUTE_DATA_UNAVAILABLE]
     if correctable:

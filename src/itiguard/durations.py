@@ -63,7 +63,7 @@ class PayloadError(ValueError):
     """The remote response body could not be used."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class RoutePair:
     """Directed airport pair; same-airport pairs are rejected upstream."""
 
@@ -78,7 +78,7 @@ class RoutePair:
         return f"{self.origin}->{self.destination}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlightDuration:
     """Minimum flight duration in minutes, 0 < minutes <= 48h."""
 
@@ -89,7 +89,7 @@ class FlightDuration:
             raise ValueError(f"implausible flight duration: {self.minutes!r} minutes")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransitBounds:
     """Allowed [t_min, t_max] window for a leg's travel time, in minutes."""
 
@@ -101,7 +101,7 @@ class TransitBounds:
         cls, flight_minutes: int, buffer_minutes: int, multiplier: float = 2.0
     ) -> "TransitBounds":
         t_min = flight_minutes + buffer_minutes
-        return cls(t_min=t_min, t_max=int(t_min * multiplier))
+        return cls(t_min, int(t_min * multiplier))
 
 
 class DurationProvider(Protocol):
@@ -116,7 +116,8 @@ class FixtureProvider:
     """
 
     def __init__(self, table: Mapping[tuple[str, str], int]):
-        self._table = {(str(o), str(d)): int(m) for (o, d), m in table.items()}
+        # Each entry is validated once here and its FlightDuration served as is.
+        self._table = {(str(o), str(d)): FlightDuration(int(m)) for (o, d), m in table.items()}
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FixtureProvider":
@@ -125,19 +126,19 @@ class FixtureProvider:
         if not Path(path).exists():
             raise ValueError(f"fixture file {path} does not exist")
         table = {
-            (str(route.origin), str(route.destination)): duration.minutes
+            (route.origin.code, route.destination.code): duration.minutes
             for route, duration in load_cache(path).items()
         }
         return cls(table)
 
     def route_duration(self, route: RoutePair) -> FlightDuration:
-        key = (str(route.origin), str(route.destination))
-        minutes = self._table.get(key)
-        if minutes is None:
-            minutes = self._table.get((key[1], key[0]))
-        if minutes is None:
+        origin, destination = route.origin.code, route.destination.code
+        duration = self._table.get((origin, destination))
+        if duration is None:
+            duration = self._table.get((destination, origin))
+        if duration is None:
             raise RouteUnavailable(route, attempts=1, reason="no fixture duration for route")
-        return FlightDuration(minutes)
+        return duration
 
 
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:

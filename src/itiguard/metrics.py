@@ -64,7 +64,7 @@ class ManifestEntry:
 
 def load_manifest(path: str | Path) -> list[ManifestEntry]:
     """Read a corpus manifest: a JSON array of {file, model_tag, num_cities}."""
-    raw = load_json(Path(path).read_text(encoding="utf-8"))
+    raw = load_json(Path(path).read_bytes())
     if not isinstance(raw, list):
         raise ValueError(f"manifest must be a JSON array, got {type(raw).__name__}")
     entries = []

@@ -122,7 +122,7 @@ class BadPlaceFormatError(FormatError):
         super().__init__(f"stop {stop_index} place {shorten(repr(raw))} does not match 'City Name (IATA)'")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Timestamp:
     """A UTC instant at minute resolution.
 
@@ -174,7 +174,7 @@ class Timestamp:
         return self.minutes_since_epoch - other.minutes_since_epoch
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class AirportCode:
     """Three-letter uppercase IATA airport code."""
 
@@ -188,7 +188,7 @@ class AirportCode:
         return self.code
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Stop:
     """One visited city: name, airport, and the raw arrival/departure times.
 
@@ -222,12 +222,13 @@ class Itinerary:
 
 
 def load_json(text: str | bytes) -> object:
-    """json.loads for text from outside the program. Whatever it cannot
-    decode raises InvalidJsonError: bad syntax, bytes that are not UTF-8, an
-    integer past CPython's digit limit (all ValueError) and nesting deeper
-    than the recursion limit (RecursionError)."""
+    """json.loads for text from outside the program; bytes must be UTF-8.
+    Whatever it cannot decode raises InvalidJsonError: bad syntax, bytes
+    that are not UTF-8, an integer past CPython's digit limit (all
+    ValueError) and nesting deeper than the recursion limit (RecursionError)."""
     try:
-        return json.loads(text)
+        # json.loads would guess UTF-16 or UTF-32 from the first bytes.
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except (ValueError, RecursionError) as err:
         raise InvalidJsonError(f"not valid JSON: {err}") from None
 

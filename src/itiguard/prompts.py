@@ -190,12 +190,14 @@ class GenerationRequest:
                     raise ValueError(f"fixed_sequence city {entry!r} is not in city_pool")
 
 
+# str(code), not {code}: the same text without the format() call an
+# f-string makes for an object that is not a str.
 def _cities_str(cities: tuple[tuple[str, AirportCode], ...]) -> str:
-    return ", ".join(f"{name} ({code})" for name, code in cities)
+    return ", ".join(f"{name} ({str(code)})" for name, code in cities)
 
 
 def _route_str(sequence: tuple[tuple[str, AirportCode], ...]) -> str:
-    return " -> ".join(f"{name} ({code})" for name, code in sequence)
+    return " -> ".join(f"{name} ({str(code)})" for name, code in sequence)
 
 
 def build_generic_prompt(request: GenerationRequest) -> str:

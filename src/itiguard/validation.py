@@ -11,6 +11,10 @@ whose times sit exactly on t_min or the minimum stay is valid. Legs whose
 route duration cannot be resolved are listed as unverifiable and excluded
 from the verdict in non-strict mode; a leg between two identical airports
 is structurally broken and is reported as an issue as well.
+
+Each comparison lives in one place, stay_violation or segment_violation:
+they take int minutes and name the broken rule. check_stay / check_segment
+wrap their answer in an Issue, and the correction pass asks them directly.
 """
 
 from __future__ import annotations
@@ -110,25 +114,43 @@ class ValidationReport:
         }
 
 
-def check_stay(index: int, stay: int, policy: ValidationPolicy) -> Issue | None:
-    """Minimum-stay rule for stop index, whose stay is departure minus arrival
-    in minutes; a negative stay (inverted times) is subsumed here."""
-    if stay < policy.min_stay_minutes:
-        return Issue(IssueKind.STAY_TOO_SHORT, index, observed=stay, required=policy.min_stay_minutes)
+def stay_violation(stay: int, policy: ValidationPolicy) -> IssueKind | None:
+    """The minimum-stay rule on a stay of departure minus arrival in minutes:
+    STAY_TOO_SHORT below policy.min_stay_minutes, None from it on. A
+    negative stay (inverted times) is subsumed here."""
+    return IssueKind.STAY_TOO_SHORT if stay < policy.min_stay_minutes else None
+
+
+def segment_violation(travel_time: int, t_min: int, t_max: int) -> IssueKind | None:
+    """The overlap / minimum-transit / maximum-transit rules on a leg's
+    travel time (next arrival minus departure, in minutes), checked in that
+    order: a negative time is OVERLAP before it is TRANSIT_TOO_SHORT.
+    Times from t_min to t_max inclusive pass (None)."""
+    if travel_time < 0:
+        return IssueKind.OVERLAP
+    if travel_time < t_min:
+        return IssueKind.TRANSIT_TOO_SHORT
+    if travel_time > t_max:
+        return IssueKind.TRANSIT_TOO_LONG
     return None
+
+
+def check_stay(index: int, stay: int, policy: ValidationPolicy) -> Issue | None:
+    """stay_violation as an Issue for stop index, or None."""
+    kind = stay_violation(stay, policy)
+    if kind is None:
+        return None
+    return Issue(kind, index, observed=stay, required=policy.min_stay_minutes)
 
 
 def check_segment(index: int, travel_time: int, bounds: TransitBounds) -> Issue | None:
-    """Overlap / minimum-transit / maximum-transit rules for leg index, whose
-    travel time is next arrival minus departure in minutes (negative when the
-    visits overlap)."""
-    if travel_time < 0:
-        return Issue(IssueKind.OVERLAP, index, observed=travel_time, required=bounds.t_min)
-    if travel_time < bounds.t_min:
-        return Issue(IssueKind.TRANSIT_TOO_SHORT, index, observed=travel_time, required=bounds.t_min)
-    if travel_time > bounds.t_max:
-        return Issue(IssueKind.TRANSIT_TOO_LONG, index, observed=travel_time, required=bounds.t_max)
-    return None
+    """segment_violation as an Issue for leg index, or None; the required
+    value is t_max for TRANSIT_TOO_LONG and t_min otherwise."""
+    kind = segment_violation(travel_time, bounds.t_min, bounds.t_max)
+    if kind is None:
+        return None
+    required = bounds.t_max if kind is IssueKind.TRANSIT_TOO_LONG else bounds.t_min
+    return Issue(kind, index, observed=travel_time, required=required)
 
 
 def resolve_segment_bounds(
@@ -140,11 +162,12 @@ def resolve_segment_bounds(
     same, or the provider has no duration for its route (ProviderError in
     strict mode). Which of the two it was can be read off the itinerary.
     """
+    stops = itin.stops
     bounds: list[TransitBounds | None] = []
-    for i in range(len(itin.stops) - 1):
-        origin = itin.stops[i].airport
-        dest = itin.stops[i + 1].airport
-        if origin == dest:
+    for i in range(len(stops) - 1):
+        origin = stops[i].airport
+        dest = stops[i + 1].airport
+        if origin.code == dest.code:
             bounds.append(None)
             continue
         try:
@@ -179,23 +202,28 @@ def check_against_bounds(
     bounds is what resolve_segment_bounds returned for an itinerary with the
     same airports in the same order; no provider is consulted. A None entry
     makes its leg unverifiable, and a ROUTE_DATA_UNAVAILABLE issue when the
-    leg joins an airport to itself.
+    leg joins an airport to itself. Each stop's minutes are read once and
+    compared as ints by check_stay / check_segment, which build an Issue
+    only for a violation.
     """
     stops = itin.stops
+    arrivals = [stop.arrival.minutes_since_epoch for stop in stops]
+    departures = [stop.departure.minutes_since_epoch for stop in stops]
     last = len(stops) - 1
     issues: list[Issue] = []
     unverifiable: list[int] = []
-    for i, stop in enumerate(stops):
-        issue = check_stay(i, stop.departure - stop.arrival, policy)
+    for i in range(len(stops)):
+        issue = check_stay(i, departures[i] - arrivals[i], policy)
         if issue:
             issues.append(issue)
         if i < last:
-            if bounds[i] is not None:
-                issue = check_segment(i, stops[i + 1].arrival - stop.departure, bounds[i])
+            leg = bounds[i]
+            if leg is not None:
+                issue = check_segment(i, arrivals[i + 1] - departures[i], leg)
                 if issue:
                     issues.append(issue)
                 continue
             unverifiable.append(i)
-            if stop.airport == stops[i + 1].airport:
+            if stops[i].airport.code == stops[i + 1].airport.code:
                 issues.append(Issue(IssueKind.ROUTE_DATA_UNAVAILABLE, i))
     return ValidationReport(issues=tuple(issues), unverifiable_segments=tuple(unverifiable))

@@ -143,6 +143,11 @@ class TestCorrect:
         assert trace["passes"] == 1
         assert len(trace["adjustments"]) == 4
 
+    def test_trace_matches_golden(self, goldens_dir, capsys):
+        code = main(["correct", str(FIXTURES / "sample_invalid.json"), "--trace", *DEMO_FLAGS])
+        assert code == 0
+        assert capsys.readouterr().err == (goldens_dir / "sample_trace.json").read_text(encoding="utf-8")
+
     def test_valid_input_is_identity(self, capsys):
         code = main(["correct", str(FIXTURES / "sample_corrected.json"), *DEMO_FLAGS])
         assert code == 0
@@ -602,6 +607,40 @@ class TestLongValuesInErrors:
         message = line.split("error: ", 1)[1]
         assert "characters)" in message
         assert len(message) < 200
+
+
+class TestNonUtf8Input:
+    """Bytes that are not UTF-8 in the input file, the config or the bench
+    manifest are not valid JSON: exit 2 with one error line."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(b"\xff\xfe[]", id="utf16-bom"),
+            pytest.param(
+                json.dumps([stop_doc("S\u00e3o Paulo (GRU)")], ensure_ascii=False).encode("latin-1"),
+                id="latin-1",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["validate", "correct", "config", "manifest"])
+    def test_exits_2_as_invalid_json(self, tmp_path, source, content, capsys):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        sample = str(FIXTURES / "sample_invalid.json")
+        argv = {
+            "validate": ["validate", str(path), *DEMO_FLAGS],
+            "correct": ["correct", str(path), *DEMO_FLAGS],
+            "config": ["validate", sample, "--config", str(path)],
+            "manifest": ["bench", str(path), *DEMO_FLAGS],
+        }[source]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert "error: " in line
+        assert "not valid JSON" in line
+        assert "Traceback" not in captured.err
 
 
 class TestDurationFiles:

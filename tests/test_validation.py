@@ -16,6 +16,8 @@ from itiguard.validation import (
     ValidationReport,
     check_segment,
     check_stay,
+    segment_violation,
+    stay_violation,
     validate,
 )
 from support import brute_force_issues, random_itinerary
@@ -74,6 +76,58 @@ class TestCheckSegment:
     def test_negative_is_overlap(self):
         issue = check_segment(0, -1, self.BOUNDS)
         assert issue == Issue(IssueKind.OVERLAP, 0, observed=-1, required=300)
+
+
+class TestRuleFunctions:
+    """The int rule functions at their edges, and the Issue builders over them."""
+
+    def test_stay_at_minimum_passes(self):
+        policy = ValidationPolicy(min_stay_minutes=2880)
+        assert stay_violation(2880, policy) is None
+        assert stay_violation(2879, policy) is IssueKind.STAY_TOO_SHORT
+
+    @pytest.mark.parametrize("travel", [300, 600])
+    def test_travel_at_a_bound_passes(self, travel):
+        assert segment_violation(travel, 300, 600) is None
+
+    def test_just_outside_the_bounds(self):
+        assert segment_violation(299, 300, 600) is IssueKind.TRANSIT_TOO_SHORT
+        assert segment_violation(601, 300, 600) is IssueKind.TRANSIT_TOO_LONG
+
+    @pytest.mark.parametrize("travel", [-1, -600, -10**9])
+    def test_negative_travel_is_overlap_before_too_short(self, travel):
+        assert segment_violation(travel, 300, 600) is IssueKind.OVERLAP
+        assert segment_violation(travel, 0, 0) is IssueKind.OVERLAP
+
+    def test_zero_travel_with_zero_minimum_passes(self):
+        assert segment_violation(0, 0, 0) is None
+
+    def test_check_stay_agrees_on_a_grid(self):
+        for min_stay in (1, 60, 2880):
+            policy = ValidationPolicy(min_stay_minutes=min_stay)
+            for stay in range(-2 * min_stay - 2, 2 * min_stay + 3, max(1, min_stay // 7)):
+                kind = stay_violation(stay, policy)
+                issue = check_stay(3, stay, policy)
+                if kind is None:
+                    assert issue is None
+                else:
+                    assert issue == Issue(kind, 3, observed=stay, required=min_stay)
+
+    def test_check_segment_agrees_on_a_grid(self):
+        for t_min, t_max in ((0, 0), (0, 5), (300, 300), (300, 600), (1260, 2520)):
+            bounds = TransitBounds(t_min=t_min, t_max=t_max)
+            for travel in range(-t_max - 3, 2 * t_max + 4, max(1, t_max // 11)):
+                kind = segment_violation(travel, t_min, t_max)
+                issue = check_segment(5, travel, bounds)
+                if kind is None:
+                    assert issue is None
+                    assert 0 <= travel and t_min <= travel <= t_max
+                else:
+                    required = t_max if kind is IssueKind.TRANSIT_TOO_LONG else t_min
+                    assert issue == Issue(kind, 5, observed=travel, required=required)
+            for travel in (t_min - 1, t_min, t_max, t_max + 1):
+                issue = check_segment(5, travel, bounds)
+                assert (issue.kind if issue else None) is segment_violation(travel, t_min, t_max)
 
 
 class TestValidate:
