@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Protocol
 
-import requests
-
 from .model import AirportCode, InvalidJsonError, load_json, shorten
 
 log = logging.getLogger(__name__)
@@ -225,6 +223,8 @@ class RemoteDurationClient:
     A failed fetch or unusable payload is retried after RETRY_DELAY_SECONDS,
     up to FETCH_ATTEMPTS attempts in all, then RouteUnavailable is raised.
     fetch and sleep stand in for the HTTP request and the wait, for tests.
+    The default fetch imports requests on its first call, so a run that
+    never fetches does not load the HTTP stack.
     """
 
     def __init__(
@@ -241,6 +241,8 @@ class RemoteDurationClient:
         self._sleep = sleep
 
     def _http_fetch(self, url: str, headers: Mapping[str, str]) -> bytes:
+        import requests
+
         try:
             response = requests.get(url, headers=dict(headers), timeout=FETCH_TIMEOUT_SECONDS)
         except requests.RequestException as err:

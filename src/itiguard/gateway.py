@@ -20,8 +20,6 @@ import os
 from pathlib import Path
 from typing import Protocol
 
-import requests
-
 from .model import (
     FormatError,
     InsufficientStopsError,
@@ -30,6 +28,7 @@ from .model import (
     Itinerary,
     load_json,
     parse_itinerary,
+    shorten,
 )
 from .prompts import FeedbackKind, GenerationRequest, build_base_prompt, build_feedback
 
@@ -106,16 +105,25 @@ class HttpGenerationClient:
     """Minimal JSON-over-HTTP client: POST {"prompt": ...}, read {"text": ...}.
 
     The API key comes from the constructor or GENERATION_API_KEY. transport
-    is injectable for tests and must behave like requests.post. Transport
-    and HTTP-status failures raise ValueError, as an unexpected payload does.
+    is injectable for tests and must behave like requests.post; without
+    one, the client binds requests.post when it is built. requests is
+    imported here and in complete, not when the module loads, so only a
+    run that builds this client loads the HTTP stack. Transport and
+    HTTP-status failures raise ValueError, as an unexpected payload does.
     """
 
     def __init__(self, endpoint: str, api_key: str | None = None, *, transport=None):
         self._endpoint = endpoint
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        self._post = transport if transport is not None else requests.post
+        if transport is None:
+            import requests
+
+            transport = requests.post
+        self._post = transport
 
     def complete(self, prompt: str) -> str:
+        import requests
+
         headers = {"Content-Type": "application/json"}
         if self._api_key:
             headers["Authorization"] = f"Bearer {self._api_key}"
@@ -134,7 +142,7 @@ class HttpGenerationClient:
         except InvalidJsonError as err:
             raise ValueError(f"generation endpoint returned {err}") from None
         if not isinstance(body, dict) or not isinstance(body.get("text"), str):
-            raise ValueError(f"generation endpoint returned unexpected payload: {json.dumps(body)[:200]}")
+            raise ValueError(f"generation endpoint returned unexpected payload: {shorten(json.dumps(body))}")
         return body["text"]
 
 

@@ -63,7 +63,8 @@ class ManifestEntry:
 
 
 def load_manifest(path: str | Path) -> list[ManifestEntry]:
-    """Read a corpus manifest: a JSON array of {file, model_tag, num_cities}."""
+    """Read a corpus manifest: a JSON array of {file, model_tag, num_cities},
+    with num_cities a JSON integer."""
     raw = load_json(Path(path).read_bytes())
     if not isinstance(raw, list):
         raise ValueError(f"manifest must be a JSON array, got {type(raw).__name__}")
@@ -72,11 +73,11 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
         if not isinstance(item, dict):
             raise ValueError(f"manifest entry {i} is not an object")
         try:
-            file, model_tag, num_cities = item["file"], item["model_tag"], int(item["num_cities"])
+            file, model_tag, num_cities = item["file"], item["model_tag"], item["num_cities"]
         except KeyError as err:
             raise ValueError(f"manifest entry {i} is missing key {err}") from None
-        except (TypeError, OverflowError):
-            raise ValueError(f"manifest entry {i} has a num_cities that is not a whole number") from None
+        if isinstance(num_cities, bool) or not isinstance(num_cities, int):
+            raise ValueError(f"manifest entry {i} has a num_cities that is not a whole number")
         if not isinstance(file, str) or not isinstance(model_tag, str):
             raise ValueError(f"manifest entry {i} needs strings for file and model_tag")
         entries.append(ManifestEntry(file, model_tag, num_cities))

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 _TIME_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}")
-_AIRPORT_RE = re.compile(r"^[A-Z]{3}$")
+_AIRPORT_RE = re.compile(r"[A-Z]{3}")
 # Last parenthesized 3-letter token wins, so city names containing
 # parentheses ("San Francisco (Bay Area)") still parse.
 _PLACE_RE = re.compile(r"\(([A-Z]{3})\)\s*$")
@@ -181,7 +181,7 @@ class AirportCode:
     code: str
 
     def __post_init__(self):
-        if not isinstance(self.code, str) or not _AIRPORT_RE.match(self.code):
+        if not isinstance(self.code, str) or not _AIRPORT_RE.fullmatch(self.code):
             raise ValueError(f"invalid IATA airport code: {self.code!r}")
 
     def __str__(self) -> str:

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import requests
 
-from itiguard import cli, correction, durations, gateway
+from itiguard import cli, correction, durations
 from itiguard.cli import main
 from itiguard.model import parse_itinerary
 from support import CountingProvider
@@ -342,7 +344,7 @@ class TestGenerate:
         def refuse(url, **kwargs):
             raise requests.ConnectionError(f"connection to {url} refused")
 
-        monkeypatch.setattr(gateway.requests, "post", refuse)
+        monkeypatch.setattr(requests, "post", refuse)
         code = main(["generate", "--endpoint", "http://127.0.0.1:9/x", *DEMO_FLAGS])
         assert code == 2
         err = capsys.readouterr().err
@@ -447,6 +449,19 @@ class TestBench:
 
     def test_missing_manifest_exits_2(self, capsys):
         assert main(["bench", "no_manifest.json"]) == 2
+
+    @pytest.mark.parametrize(
+        "num_cities", ["4.7", '"4"', "true", "NaN"], ids=["fraction", "string", "bool", "nan"]
+    )
+    def test_num_cities_must_be_an_integer(self, tmp_path, num_cities, capsys):
+        (tmp_path / "a.json").write_bytes((FIXTURES / "sample_invalid.json").read_bytes())
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(f'[{{"file": "a.json", "model_tag": "m", "num_cities": {num_cities}}}]')
+        code = main(["bench", str(manifest), *DEMO_FLAGS])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: manifest entry 0 has a num_cities that is not a whole number\n"
 
     @pytest.mark.parametrize("format", ["json", "csv"])
     def test_breakdown_needs_table_format(self, format, capsys):
@@ -584,6 +599,7 @@ class TestLongValuesInErrors:
             pytest.param("config", {"format": LONG}, id="config-format"),
             pytest.param("config", {"provider": LONG}, id="config-provider"),
             pytest.param("payload", {"hours": LONG}, id="live-payload"),
+            pytest.param("endpoint", {"message": LONG}, id="endpoint"),
         ],
     )
     def test_error_line_is_short(self, tmp_path, monkeypatch, source, doc, capsys):
@@ -594,6 +610,10 @@ class TestLongValuesInErrors:
             argv = ["validate", str(path), *DEMO_FLAGS]
         elif source == "config":
             argv = ["validate", sample, "--config", str(path)]
+        elif source == "endpoint":
+            response = SimpleNamespace(content=path.read_bytes(), raise_for_status=lambda: None)
+            monkeypatch.setattr(requests, "post", lambda url, **kwargs: response)
+            argv = ["generate", "--endpoint", "http://generation.test", *DEMO_FLAGS]
         else:
             body = path.read_bytes()
             monkeypatch.setattr(durations.RemoteDurationClient, "_http_fetch", lambda *args: body)
@@ -691,3 +711,44 @@ class TestEntrypoint:
         )
         assert result.returncode == 0
         assert "valid" in result.stdout
+
+
+COLD_START_SCRIPT = """
+import contextlib, io, json, sys
+import itiguard, itiguard.cli
+results = [[None, "requests" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = itiguard.cli.main(argv)
+    results.append([code, "requests" in sys.modules])
+print(json.dumps(results))
+"""
+
+
+class TestColdStart:
+    """Only --provider live and --endpoint load the HTTP stack: importing the
+    package and every offline command leave requests unimported."""
+
+    def test_offline_commands_leave_requests_unloaded(self):
+        sample = str(FIXTURES / "sample_invalid.json")
+        corpus = FIXTURES / "corpus"
+        great_circle = ["--provider", "great-circle"]
+        commands = [
+            (["validate", sample, *DEMO_FLAGS], 1),
+            (["validate", sample, *great_circle], 1),
+            (["correct", sample, *DEMO_FLAGS], 0),
+            (["correct", sample, *great_circle], 0),
+            (["bench", str(corpus / "manifest.json"), "--provider", "fixture",
+              "--fixture-file", str(corpus / "durations.txt")], 0),
+            (["generate", "--replay-dir", str(FIXTURES / "replay"), *DEMO_FLAGS], 0),
+        ]
+        env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+        result = subprocess.run(
+            [sys.executable, "-c", COLD_START_SCRIPT, json.dumps([argv for argv, _ in commands])],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        results = json.loads(result.stdout)
+        assert results == [[None, False]] + [[code, False] for _, code in commands]

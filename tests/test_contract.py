@@ -18,10 +18,10 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+import requests
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from itiguard import gateway
 from itiguard.cli import main
 from itiguard.durations import RemoteDurationClient, TransportError
 
@@ -157,7 +157,7 @@ class TestFuzz:
     @given(body=endpoint_bodies)
     def test_any_endpoint_body(self, workdir, monkeypatch, body):
         response = SimpleNamespace(content=body, raise_for_status=lambda: None)
-        monkeypatch.setattr(gateway.requests, "post", lambda url, **kwargs: response)
+        monkeypatch.setattr(requests, "post", lambda url, **kwargs: response)
         run(["generate", "--endpoint", "http://generation.invalid", *DEMO_FLAGS])
 
     @fuzz

@@ -10,8 +10,10 @@ import sys
 import tempfile
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -260,6 +262,30 @@ class TestRemoteClient:
         client = RemoteDurationClient("https://api.test", fetch=fetch)
         client.route_duration(route("SYD", "FRA"))
         assert seen["headers"] == {"X-Api-Key": "env-key"}
+
+    def test_default_fetch_uses_requests_get(self, monkeypatch):
+        seen = {}
+
+        def get(url, *, headers, timeout):
+            seen.update(url=url, headers=headers, timeout=timeout)
+            return SimpleNamespace(status_code=200, content=b'{"hours": 2}')
+
+        monkeypatch.setattr(requests, "get", get)
+        client = RemoteDurationClient("https://api.test", "key", sleep=lambda s: None)
+        assert client.route_duration(route("SYD", "FRA")).minutes == 120
+        assert seen == {"url": "https://api.test/SYD/FRA", "headers": {"X-Api-Key": "key"}, "timeout": 30.0}
+
+    @pytest.mark.parametrize("failure", ["status", "connection"])
+    def test_default_fetch_failure_is_a_transport_error(self, monkeypatch, failure):
+        def get(url, **kwargs):
+            if failure == "connection":
+                raise requests.ConnectionError("refused")
+            return SimpleNamespace(status_code=503, content=b"")
+
+        monkeypatch.setattr(requests, "get", get)
+        client = RemoteDurationClient("https://api.test", sleep=lambda s: None)
+        with pytest.raises(RouteUnavailable, match="HTTP 503" if failure == "status" else "refused"):
+            client.route_duration(route("SYD", "FRA"))
 
 
 class CountingProvider:

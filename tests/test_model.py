@@ -122,8 +122,9 @@ class TestTimestamp:
 class TestAirportCode:
     def test_valid(self):
         assert str(AirportCode("SYD")) == "SYD"
+        assert str(AirportCode("ABC")) == "ABC"
 
-    @pytest.mark.parametrize("raw", ["syd", "SYDX", "SY", "S7D", "", "SY D"])
+    @pytest.mark.parametrize("raw", ["syd", "SYDX", "SY", "S7D", "", "SY D", "ABC\n"])
     def test_invalid(self, raw):
         with pytest.raises(ValueError):
             AirportCode(raw)
