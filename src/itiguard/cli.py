@@ -312,7 +312,7 @@ def cmd_bench(args: argparse.Namespace, config: AppConfig) -> int:
             report = validate(itinerary, provider, policy)
             records.append(CorpusRecord(entry.model_tag, entry.num_cities, report))
         except Exception as err:
-            print(f"warning: skipping {entry.file}: {err}", file=sys.stderr)
+            print(f"warning: skipping {shorten(entry.file)}: {shorten(str(err))}", file=sys.stderr)
     stats = aggregate(records, include_stays=args.include_stays)
     if config.format == "json":
         print(json.dumps([asdict(row) for row in stats], indent=2))

@@ -64,7 +64,7 @@ class ManifestEntry:
 
 def load_manifest(path: str | Path) -> list[ManifestEntry]:
     """Read a corpus manifest: a JSON array of {file, model_tag, num_cities},
-    with num_cities a JSON integer."""
+    with num_cities a JSON integer of at least 1."""
     raw = load_json(Path(path).read_bytes())
     if not isinstance(raw, list):
         raise ValueError(f"manifest must be a JSON array, got {type(raw).__name__}")
@@ -78,6 +78,8 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
             raise ValueError(f"manifest entry {i} is missing key {err}") from None
         if isinstance(num_cities, bool) or not isinstance(num_cities, int):
             raise ValueError(f"manifest entry {i} has a num_cities that is not a whole number")
+        if num_cities < 1:
+            raise ValueError(f"manifest entry {i} has a num_cities below 1")
         if not isinstance(file, str) or not isinstance(model_tag, str):
             raise ValueError(f"manifest entry {i} needs strings for file and model_tag")
         entries.append(ManifestEntry(file, model_tag, num_cities))

@@ -8,10 +8,15 @@ never reorders or repairs anything: inconsistent timestamps are the
 validator's business, not the parser's.
 
 A timestamp is a count of minutes since 1970-01-01 00:00 UTC on the
-proleptic Gregorian calendar. Parsing and formatting convert between that
-count and the civil date with integer arithmetic (H. Hinnant's
-days_from_civil / civil_from_days,
-http://howardhinnant.github.io/date_algorithms.html), without datetime.
+proleptic Gregorian calendar. Parsing and formatting split the wire form
+into its date half "YYYY-MM-DD" and its clock half "HH:MM" and look each
+half up in a memo: an lru_cache of at most _MEMO_SIZE (2048) entries per
+direction and half, filled lazily. The dates of one itinerary sit in one
+travel window, so the memos nearly always hit. Only on a miss does the
+integer civil-date arithmetic run (H. Hinnant's days_from_civil /
+civil_from_days, http://howardhinnant.github.io/date_algorithms.html,
+without datetime); a rejected half is memoised as None, so it is rejected
+again.
 """
 
 from __future__ import annotations
@@ -19,8 +24,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
-_TIME_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}")
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_CLOCK_RE = re.compile(r"[0-9]{2}:[0-9]{2}")
 _AIRPORT_RE = re.compile(r"[A-Z]{3}")
 # Last parenthesized 3-letter token wins, so city names containing
 # parentheses ("San Francisco (Bay Area)") still parse.
@@ -30,6 +37,8 @@ _STOP_FIELDS = ("place", "arrival_time", "departure_time")
 
 _DAYS_IN_MONTH = (0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 _MINUTES_PER_DAY = 24 * 60
+# Entries per memo: over five years of days, and every clock of a day.
+_MEMO_SIZE = 2048
 
 QUOTE_LIMIT = 80
 
@@ -74,6 +83,44 @@ def _days_in_month(year: int, month: int) -> int:
 # The wire form spells years 0001-9999 only.
 _MIN_MINUTES = days_from_civil(1, 1, 1) * _MINUTES_PER_DAY
 _MAX_MINUTES = days_from_civil(10000, 1, 1) * _MINUTES_PER_DAY - 1
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _date_days(text: str) -> int | None:
+    """Days from 1970-01-01 to 'YYYY-MM-DD', or None when the shape or the
+    calendar is wrong (month 13, Feb 30, year 0)."""
+    if not _DATE_RE.fullmatch(text):
+        return None
+    year, month, day = int(text[0:4]), int(text[5:7]), int(text[8:10])
+    if not (year >= 1 and 1 <= month <= 12 and 1 <= day <= _days_in_month(year, month)):
+        return None
+    return days_from_civil(year, month, day)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _date_text(days: int) -> str:
+    """Inverse of _date_days, for the years 0001-9999."""
+    year, month, day = civil_from_days(days)
+    return f"{year:04d}-{month:02d}-{day:02d}"
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _clock_minutes(text: str) -> int | None:
+    """Minute of the day of 'HH:MM', or None when the shape is wrong or the
+    clock is past 23:59."""
+    if not _CLOCK_RE.fullmatch(text):
+        return None
+    hour, minute = int(text[0:2]), int(text[3:5])
+    if hour >= 24 or minute >= 60:
+        return None
+    return hour * 60 + minute
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _clock_text(minute_of_day: int) -> str:
+    """Inverse of _clock_minutes."""
+    hour, minute = divmod(minute_of_day, 60)
+    return f"{hour:02d}:{minute:02d}"
 
 
 class FormatError(ValueError):
@@ -134,21 +181,16 @@ class Timestamp:
 
     @classmethod
     def parse(cls, text: str) -> "Timestamp":
-        if not isinstance(text, str) or not _TIME_RE.fullmatch(text):
-            raise InvalidTimeFormatError(text if isinstance(text, str) else repr(text))
-        year, month, day = int(text[0:4]), int(text[5:7]), int(text[8:10])
-        hour, minute = int(text[11:13]), int(text[14:16])
-        # The shape is right; the calendar may still disagree (month 13,
-        # Feb 30, hour 24, year 0).
-        if not (
-            year >= 1
-            and 1 <= month <= 12
-            and 1 <= day <= _days_in_month(year, month)
-            and hour < 24
-            and minute < 60
-        ):
+        if not isinstance(text, str):
+            raise InvalidTimeFormatError(repr(text))
+        # The length check keeps every memo key at 10 or 5 characters.
+        if len(text) != 16 or text[10] != " ":
             raise InvalidTimeFormatError(text)
-        return cls(days_from_civil(year, month, day) * _MINUTES_PER_DAY + hour * 60 + minute)
+        days = _date_days(text[:10])
+        minute_of_day = _clock_minutes(text[11:])
+        if days is None or minute_of_day is None:
+            raise InvalidTimeFormatError(text)
+        return cls(days * _MINUTES_PER_DAY + minute_of_day)
 
     def text(self) -> str:
         """Wire form; raises ValueError outside the years 0001-9999 it can spell."""
@@ -156,9 +198,7 @@ class Timestamp:
         if not _MIN_MINUTES <= minutes <= _MAX_MINUTES:
             raise ValueError(f"timestamp {minutes} minutes from 1970 is outside years 0001-9999")
         days, minute_of_day = divmod(minutes, _MINUTES_PER_DAY)
-        hour, minute = divmod(minute_of_day, 60)
-        year, month, day = civil_from_days(days)
-        return f"{year:04d}-{month:02d}-{day:02d} {hour:02d}:{minute:02d}"
+        return f"{_date_text(days)} {_clock_text(minute_of_day)}"
 
     def __str__(self) -> str:
         return self.text()

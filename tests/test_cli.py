@@ -463,6 +463,35 @@ class TestBench:
         assert captured.out == ""
         assert captured.err == "error: manifest entry 0 has a num_cities that is not a whole number\n"
 
+    @pytest.mark.parametrize("num_cities", [0, -3])
+    def test_num_cities_below_1_exits_2(self, tmp_path, num_cities, capsys):
+        (tmp_path / "a.json").write_bytes((FIXTURES / "sample_invalid.json").read_bytes())
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"file": "a.json", "model_tag": "m", "num_cities": num_cities}]))
+        code = main(["bench", str(manifest), *DEMO_FLAGS])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: manifest entry 0 has a num_cities below 1\n"
+
+    @pytest.mark.parametrize(
+        "file,num_cities",
+        [("x" * 300, 4), ("a.json", 10**300)],
+        ids=["long-file-name", "301-digit-num_cities"],
+    )
+    def test_skip_warning_is_short(self, tmp_path, file, num_cities, capsys):
+        (tmp_path / "a.json").write_bytes((FIXTURES / "sample_invalid.json").read_bytes())
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"file": file, "model_tag": "m", "num_cities": num_cities}]))
+        code = main(["bench", str(manifest), *DEMO_FLAGS])
+        assert code == 0
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("warning: skipping ")
+        assert "characters)" in line
+        # Two quoted values, file name and error, each at most QUOTE_LIMIT
+        # characters plus a length note.
+        assert len(line) < 240
+
     @pytest.mark.parametrize("format", ["json", "csv"])
     def test_breakdown_needs_table_format(self, format, capsys):
         manifest = str(self.CORPUS / "manifest.json")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from itiguard import model
 from itiguard.durations import FixtureProvider
 from itiguard.model import (
     AirportCode,
@@ -52,6 +53,12 @@ class TestTimestamp:
             "2024-03-20  14:30",
             "2024-03-20 14:30\n",
             "\u0662\u0660\u0662\u0664-03-20 14:30",  # Arabic-Indic digits: the wire form is ASCII
+            "2024-03-20 1\u0664:30",
+            "2024-03-20 14:3\u0660",
+            "2024-03-20_14:30",
+            "2024-03-20\t14:30",
+            "2024-03-20\u00a014:30",
+            "2024-03-20\n14:30",
         ],
     )
     def test_parse_rejects_deviations(self, raw):
@@ -104,6 +111,41 @@ class TestTimestamp:
     def test_text_outside_the_year_range_raises(self, minutes):
         with pytest.raises(ValueError, match="outside years 0001-9999"):
             Timestamp(minutes).text()
+
+    def test_every_two_digit_clock(self):
+        for hour in range(100):
+            for minute in range(100):
+                text = f"2025-06-01 {hour:02d}:{minute:02d}"
+                if hour < 24 and minute < 60:
+                    assert Timestamp.parse(text).text() == text
+                else:
+                    with pytest.raises(InvalidTimeFormatError):
+                        Timestamp.parse(text)
+
+    def test_every_day_1900_to_2100_agrees_with_datetime(self):
+        epoch = datetime(1970, 1, 1)
+        day = datetime(1900, 1, 1, 13, 7)
+        while day.year <= 2100:
+            expected = (day - epoch) // timedelta(minutes=1)
+            assert Timestamp.parse(day.strftime("%Y-%m-%d %H:%M")).minutes_since_epoch == expected
+            day += timedelta(days=1)
+
+    @pytest.mark.parametrize("raw", ["2025-02-29 10:00", "2025-06-31 10:00", "2025-06-01 24:00"])
+    def test_rejected_twice(self, raw):
+        # The memo keeps rejected halves too; a second parse must reject again.
+        for _ in range(2):
+            with pytest.raises(InvalidTimeFormatError):
+                Timestamp.parse(raw)
+
+    def test_memos_are_bounded(self):
+        start = Timestamp.parse("2000-01-01 00:00")
+        for day in range(model._MEMO_SIZE + 100):
+            Timestamp.parse((start + day * 24 * 60 + day % 1440).text())
+        # More distinct dates than a memo holds: the date memos stay full.
+        for memo in (model._date_days, model._date_text):
+            assert memo.cache_info().currsize == model._MEMO_SIZE
+        for memo in (model._clock_minutes, model._clock_text):
+            assert memo.cache_info().currsize <= model._MEMO_SIZE
 
     def test_arithmetic(self):
         a = Timestamp.parse("2025-06-01 10:00")
