@@ -23,9 +23,9 @@ import json
 import logging
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
 from datetime import date
 from pathlib import Path
+from typing import NamedTuple
 
 from .airports import AIRPORT_COORDS
 from .correction import CorrectionTrace, NonConvergenceError, correct, correct_against_bounds
@@ -70,8 +70,6 @@ from .validation import (
     validate,
 )
 
-log = logging.getLogger(__name__)
-
 EXIT_VALID = 0
 EXIT_INVALID = 1
 EXIT_INPUT = 2
@@ -90,8 +88,7 @@ DEMO_CITY_POOL = (
 )
 
 
-@dataclass(frozen=True)
-class AppConfig:
+class AppConfig(NamedTuple):
     """Resolved settings shared by all subcommands."""
 
     provider: str = "great-circle"
@@ -118,19 +115,19 @@ def resolve_config(args: argparse.Namespace) -> AppConfig:
         data = load_json(Path(config_path).read_bytes())
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
-        defaults = {f.name: f.default for f in fields(AppConfig)}
+        defaults = AppConfig._field_defaults
         unknown = set(data) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {shorten(', '.join(sorted(unknown)))}")
         for key, value in data.items():
             data[key] = _check_config_type(key, value, defaults[key])
-        config = replace(config, **data)
+        config = config._replace(**data)
     overrides = {}
-    for f in fields(AppConfig):
-        value = getattr(args, f.name, None)
+    for name in AppConfig._fields:
+        value = getattr(args, name, None)
         if value is not None:
-            overrides[f.name] = value
-    return replace(config, **overrides) if overrides else config
+            overrides[name] = value
+    return config._replace(**overrides) if overrides else config
 
 
 def _check_config_type(key: str, value: object, default: object) -> object:
@@ -312,10 +309,12 @@ def cmd_bench(args: argparse.Namespace, config: AppConfig) -> int:
             report = validate(itinerary, provider, policy)
             records.append(CorpusRecord(entry.model_tag, entry.num_cities, report))
         except Exception as err:
-            print(f"warning: skipping {shorten(entry.file)}: {shorten(str(err))}", file=sys.stderr)
+            # An OSError's text repeats the full path; the entry already names the file.
+            reason = err.strerror if isinstance(err, OSError) and err.strerror is not None else str(err)
+            print(f"warning: skipping {shorten(entry.file)}: {shorten(reason)}", file=sys.stderr)
     stats = aggregate(records, include_stays=args.include_stays)
     if config.format == "json":
-        print(json.dumps([asdict(row) for row in stats], indent=2))
+        print(json.dumps([row._asdict() for row in stats], indent=2))
     else:
         print(render_stats(stats, config.format), end="")
     if args.breakdown:

@@ -29,9 +29,9 @@ that forced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from typing import ClassVar
+from typing import NamedTuple
 
 from .durations import DurationProvider, TransitBounds
 from .model import Itinerary, Stop, Timestamp
@@ -54,20 +54,16 @@ class TimeField(Enum):
     DEPARTURE = "departure"
 
 
-@dataclass(frozen=True, slots=True)
-class Adjustment:
+class Adjustment(namedtuple("Adjustment", "stop_index field old new reason")):
     """One timestamp change: which stop, which field, old -> new, and the
     rule that forced it."""
 
-    stop_index: int
-    field: TimeField
-    old: Timestamp
-    new: Timestamp
-    reason: IssueKind
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.new == self.old:
-            raise ValueError(f"adjustment at stop {self.stop_index} changes nothing")
+    def __new__(cls, stop_index: int, field: TimeField, old: Timestamp, new: Timestamp, reason: IssueKind):
+        if new == old:
+            raise ValueError(f"adjustment at stop {stop_index} changes nothing")
+        return super().__new__(cls, stop_index, field, old, new, reason)
 
     def to_dict(self) -> dict:
         return {
@@ -79,14 +75,13 @@ class Adjustment:
         }
 
 
-@dataclass(frozen=True)
-class CorrectionTrace:
+class CorrectionTrace(NamedTuple):
     """Audit log of a correction run: the adjustments in the order the pass
     made them, and the legs it could not check. passes is 1 for every run."""
 
     adjustments: tuple[Adjustment, ...]
     skipped_segments: tuple[int, ...]
-    passes: ClassVar[int] = 1
+    passes = 1
 
     def to_dict(self) -> dict:
         return {

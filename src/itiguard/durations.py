@@ -23,9 +23,9 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
-from typing import Callable, Mapping, Protocol
+from typing import Callable, Mapping, NamedTuple, Protocol
 
 from .model import AirportCode, InvalidJsonError, load_json, shorten
 
@@ -61,34 +61,32 @@ class PayloadError(ValueError):
     """The remote response body could not be used."""
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class RoutePair:
+class RoutePair(namedtuple("RoutePair", "origin destination")):
     """Directed airport pair; same-airport pairs are rejected upstream."""
 
-    origin: AirportCode
-    destination: AirportCode
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.origin == self.destination:
-            raise ValueError(f"route origin and destination are both {self.origin}")
+    def __new__(cls, origin: AirportCode, destination: AirportCode):
+        if origin == destination:
+            raise ValueError(f"route origin and destination are both {origin}")
+        return super().__new__(cls, origin, destination)
 
     def __str__(self) -> str:
         return f"{self.origin}->{self.destination}"
 
 
-@dataclass(frozen=True, slots=True)
-class FlightDuration:
+class FlightDuration(namedtuple("FlightDuration", "minutes")):
     """Minimum flight duration in minutes, 0 < minutes <= 48h."""
 
-    minutes: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.minutes, int) or not 0 < self.minutes <= MAX_FLIGHT_MINUTES:
-            raise ValueError(f"implausible flight duration: {self.minutes!r} minutes")
+    def __new__(cls, minutes: int):
+        if not isinstance(minutes, int) or not 0 < minutes <= MAX_FLIGHT_MINUTES:
+            raise ValueError(f"implausible flight duration: {minutes!r} minutes")
+        return super().__new__(cls, minutes)
 
 
-@dataclass(frozen=True, slots=True)
-class TransitBounds:
+class TransitBounds(NamedTuple):
     """Allowed [t_min, t_max] window for a leg's travel time, in minutes."""
 
     t_min: int

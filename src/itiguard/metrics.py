@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import csv
 import io
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from pathlib import Path
+from typing import NamedTuple
 
 from .model import load_json, shorten
 from .validation import SEGMENT_ISSUE_KINDS, IssueKind, ValidationReport
@@ -25,21 +25,18 @@ from .validation import SEGMENT_ISSUE_KINDS, IssueKind, ValidationReport
 TABLE_HEADERS = ("Model", "Cities", "Invalid Itin.", "Invalid Seg.", "Avg Issues/Itn.")
 
 
-@dataclass(frozen=True)
-class CorpusRecord:
+class CorpusRecord(namedtuple("CorpusRecord", "model_tag num_cities report")):
     """One validated itinerary's report, tagged with its origin."""
 
-    model_tag: str
-    num_cities: int
-    report: ValidationReport
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.num_cities < 1:
-            raise ValueError(f"num_cities must be positive, got {self.num_cities}")
+    def __new__(cls, model_tag: str, num_cities: int, report: ValidationReport):
+        if num_cities < 1:
+            raise ValueError(f"num_cities must be positive, got {num_cities}")
+        return super().__new__(cls, model_tag, num_cities, report)
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     """Aggregate row for one (model_tag, num_cities) group."""
 
     model_tag: str
@@ -53,8 +50,7 @@ class CorpusStats:
     unverifiable_count: int
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
+class ManifestEntry(NamedTuple):
     """One corpus file: where it is and which group it belongs to."""
 
     file: str

@@ -17,14 +17,18 @@ integer civil-date arithmetic run (H. Hinnant's days_from_civil /
 civil_from_days, http://howardhinnant.github.io/date_algorithms.html,
 without datetime); a rejected half is memoised as None, so it is rejected
 again.
+
+Records are tuples; one that checks its values is a namedtuple subclass
+whose __new__ checks them, which _make and _replace skip.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
+from typing import NamedTuple
 
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _CLOCK_RE = re.compile(r"[0-9]{2}:[0-9]{2}")
@@ -169,8 +173,7 @@ class BadPlaceFormatError(FormatError):
         super().__init__(f"stop {stop_index} place {shorten(repr(raw))} does not match 'City Name (IATA)'")
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Timestamp:
+class Timestamp(NamedTuple):
     """A UTC instant at minute resolution.
 
     Subtracting two timestamps yields a signed duration in minutes; adding an
@@ -214,22 +217,21 @@ class Timestamp:
         return self.minutes_since_epoch - other.minutes_since_epoch
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class AirportCode:
+class AirportCode(namedtuple("AirportCode", "code")):
     """Three-letter uppercase IATA airport code."""
 
-    code: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.code, str) or not _AIRPORT_RE.fullmatch(self.code):
-            raise ValueError(f"invalid IATA airport code: {self.code!r}")
+    def __new__(cls, code: str):
+        if not isinstance(code, str) or not _AIRPORT_RE.fullmatch(code):
+            raise ValueError(f"invalid IATA airport code: {code!r}")
+        return super().__new__(cls, code)
 
     def __str__(self) -> str:
         return self.code
 
 
-@dataclass(frozen=True, slots=True)
-class Stop:
+class Stop(NamedTuple):
     """One visited city: name, airport, and the raw arrival/departure times.
 
     No ordering is enforced between arrival and departure; generator output
@@ -246,16 +248,17 @@ class Stop:
         return f"{self.place_name} ({self.airport})"
 
 
-@dataclass(frozen=True)
-class Itinerary:
-    """Ordered stops, in visit order as emitted by the generator."""
+class Itinerary(namedtuple("Itinerary", "stops")):
+    """Ordered stops, in visit order as emitted by the generator; len() is
+    the number of stops."""
 
-    stops: tuple[Stop, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "stops", tuple(self.stops))
-        if len(self.stops) < 1:
+    def __new__(cls, stops: tuple[Stop, ...]):
+        stops = tuple(stops)
+        if len(stops) < 1:
             raise ValueError("an itinerary needs at least one stop")
+        return super().__new__(cls, stops)
 
     def __len__(self) -> int:
         return len(self.stops)

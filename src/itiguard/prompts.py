@@ -13,7 +13,7 @@ and the pre-defined-route variant says "> 49 hours" where the other says
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from datetime import date
 from enum import Enum
 from string import Template
@@ -154,8 +154,9 @@ def _normalize_cities(cities) -> tuple[tuple[str, object], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GenerationRequest:
+class GenerationRequest(
+    namedtuple("GenerationRequest", "num_destinations city_pool window_start window_end fixed_sequence")
+):
     """Inputs that shape a generation prompt.
 
     fixed_sequence pins both the cities and their order; when it is None the
@@ -163,31 +164,35 @@ class GenerationRequest:
     the pool.
     """
 
-    num_destinations: int
-    city_pool: tuple[tuple[str, AirportCode], ...]
-    window_start: date
-    window_end: date
-    fixed_sequence: tuple[tuple[str, AirportCode], ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "city_pool", _normalize_cities(self.city_pool))
-        if self.fixed_sequence is not None:
-            object.__setattr__(self, "fixed_sequence", _normalize_cities(self.fixed_sequence))
-        if self.num_destinations < 2:
-            raise ValueError(f"an itinerary needs at least 2 destinations, got {self.num_destinations}")
-        if not self.city_pool:
+    def __new__(
+        cls,
+        num_destinations: int,
+        city_pool: tuple[tuple[str, AirportCode], ...],
+        window_start: date,
+        window_end: date,
+        fixed_sequence: tuple[tuple[str, AirportCode], ...] | None = None,
+    ):
+        city_pool = _normalize_cities(city_pool)
+        if fixed_sequence is not None:
+            fixed_sequence = _normalize_cities(fixed_sequence)
+        if num_destinations < 2:
+            raise ValueError(f"an itinerary needs at least 2 destinations, got {num_destinations}")
+        if not city_pool:
             raise ValueError("city_pool must not be empty")
-        if self.window_end < self.window_start:
-            raise ValueError(f"date window ends before it starts: {self.window_start}..{self.window_end}")
-        if self.fixed_sequence is not None:
-            if len(self.fixed_sequence) != self.num_destinations:
+        if window_end < window_start:
+            raise ValueError(f"date window ends before it starts: {window_start}..{window_end}")
+        if fixed_sequence is not None:
+            if len(fixed_sequence) != num_destinations:
                 raise ValueError(
-                    f"fixed_sequence has {len(self.fixed_sequence)} cities, expected {self.num_destinations}"
+                    f"fixed_sequence has {len(fixed_sequence)} cities, expected {num_destinations}"
                 )
-            pool = set(self.city_pool)
-            for entry in self.fixed_sequence:
+            pool = set(city_pool)
+            for entry in fixed_sequence:
                 if entry not in pool:
                     raise ValueError(f"fixed_sequence city {entry!r} is not in city_pool")
+        return super().__new__(cls, num_destinations, city_pool, window_start, window_end, fixed_sequence)
 
 
 # str(code), not {code}: the same text without the format() call an

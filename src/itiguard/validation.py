@@ -20,8 +20,9 @@ wrap their answer in an Issue, and the correction pass asks them directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
+from typing import NamedTuple
 
 from .durations import (
     MAX_FLIGHT_MINUTES,
@@ -51,8 +52,7 @@ class ProviderError(Exception):
     """Strict mode: a route duration could not be resolved."""
 
 
-@dataclass(frozen=True, slots=True)
-class Issue:
+class Issue(NamedTuple):
     """One rule violation.
 
     subject is a stop index for STAY_TOO_SHORT and a segment index otherwise;
@@ -73,28 +73,32 @@ class Issue:
         }
 
 
-@dataclass(frozen=True)
-class ValidationPolicy:
-    min_stay_minutes: int = 48 * 60
-    buffer_minutes: int = 4 * 60
-    max_multiplier: float = 2.0
-    strict: bool = False
+class ValidationPolicy(
+    namedtuple("ValidationPolicy", "min_stay_minutes buffer_minutes max_multiplier strict")
+):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.min_stay_minutes <= 0:
+    def __new__(
+        cls,
+        min_stay_minutes: int = 48 * 60,
+        buffer_minutes: int = 4 * 60,
+        max_multiplier: float = 2.0,
+        strict: bool = False,
+    ):
+        if min_stay_minutes <= 0:
             raise ValueError("min_stay must be positive")
-        if self.buffer_minutes < 0:
+        if buffer_minutes < 0:
             raise ValueError("buffer must be >= 0")
-        if self.max_multiplier <= 1:
+        if max_multiplier <= 1:
             raise ValueError("max_multiplier must be > 1")
         # t_max is int(t_min * max_multiplier); it must stay finite for the
         # longest flight, which also turns away nan and infinity.
-        if not math.isfinite((MAX_FLIGHT_MINUTES + self.buffer_minutes) * self.max_multiplier):
-            raise ValueError(f"max_multiplier {self.max_multiplier} is not finite or too large")
+        if not math.isfinite((MAX_FLIGHT_MINUTES + buffer_minutes) * max_multiplier):
+            raise ValueError(f"max_multiplier {max_multiplier} is not finite or too large")
+        return super().__new__(cls, min_stay_minutes, buffer_minutes, max_multiplier, strict)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     issues: tuple[Issue, ...] = ()
     unverifiable_segments: tuple[int, ...] = ()
 

@@ -391,6 +391,17 @@ class TestBench:
         by_tag = {row["model_tag"]: row for row in rows}
         assert by_tag["model-a"]["invalid_itineraries_pct"] == pytest.approx(48.0)
         assert by_tag["model-b"]["segment_issue_count"] == 234
+        assert list(rows[0]) == [
+            "model_tag",
+            "num_cities",
+            "total",
+            "invalid_itineraries_pct",
+            "invalid_segments_pct",
+            "avg_issues_per_itinerary",
+            "issue_count",
+            "segment_issue_count",
+            "unverifiable_count",
+        ]
 
     def test_breakdown(self, capsys):
         code = main(
@@ -449,6 +460,20 @@ class TestBench:
 
     def test_missing_manifest_exits_2(self, capsys):
         assert main(["bench", "no_manifest.json"]) == 2
+
+    # A relative manifest keeps the OSError text short enough that shorten()
+    # would not hide a second copy of the name.
+    @pytest.mark.parametrize("relative", [True, False], ids=["relative", "absolute"])
+    def test_missing_file_warning_names_it_once(self, tmp_path, relative, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"file": "missing.json", "model_tag": "m", "num_cities": 4}]))
+        code = main(["bench", "manifest.json" if relative else str(manifest), *DEMO_FLAGS])
+        assert code == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].count("missing.json") == 1
+        assert str(tmp_path) not in lines[0]
 
     @pytest.mark.parametrize(
         "num_cities", ["4.7", '"4"', "true", "NaN"], ids=["fraction", "string", "bool", "nan"]
@@ -745,18 +770,21 @@ class TestEntrypoint:
 COLD_START_SCRIPT = """
 import contextlib, io, json, sys
 import itiguard, itiguard.cli
-results = [[None, "requests" in sys.modules]]
+def loaded():
+    return [name in sys.modules for name in ("requests", "dataclasses", "inspect")]
+results = [[None, *loaded()]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = itiguard.cli.main(argv)
-    results.append([code, "requests" in sys.modules])
+    results.append([code, *loaded()])
 print(json.dumps(results))
 """
 
 
 class TestColdStart:
     """Only --provider live and --endpoint load the HTTP stack: importing the
-    package and every offline command leave requests unimported."""
+    package and every offline command leave requests unimported, and
+    dataclasses and inspect with it."""
 
     def test_offline_commands_leave_requests_unloaded(self):
         sample = str(FIXTURES / "sample_invalid.json")
@@ -780,4 +808,4 @@ class TestColdStart:
             check=True,
         )
         results = json.loads(result.stdout)
-        assert results == [[None, False]] + [[code, False] for _, code in commands]
+        assert results == [[None, False, False, False]] + [[code, False, False, False] for _, code in commands]

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -176,10 +175,10 @@ def apply_trace(itin: Itinerary, trace: CorrectionTrace) -> Itinerary:
         stop = stops[adj.stop_index]
         if adj.field is TimeField.ARRIVAL:
             assert stop.arrival == adj.old
-            stops[adj.stop_index] = replace(stop, arrival=adj.new)
+            stops[adj.stop_index] = stop._replace(arrival=adj.new)
         else:
             assert stop.departure == adj.old
-            stops[adj.stop_index] = replace(stop, departure=adj.new)
+            stops[adj.stop_index] = stop._replace(departure=adj.new)
     return Itinerary(tuple(stops))
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import replace
 
 from itiguard.correction import correct
 from itiguard.durations import FixtureProvider
@@ -37,7 +36,7 @@ def corpus_digest() -> str:
         stops = list(itin.stops)
         for i in range(1, len(stops)):
             if rng.random() < 0.15:
-                stops[i] = replace(stops[i], airport=stops[i - 1].airport)
+                stops[i] = stops[i]._replace(airport=stops[i - 1].airport)
         itin = Itinerary(tuple(stops))
         table = {route: minutes for route, minutes in table.items() if rng.random() < 0.8}
         provider = FixtureProvider(table)

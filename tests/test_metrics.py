@@ -230,6 +230,11 @@ class TestManifest:
         assert [e.file for e in entries] == ["a.json", "b.json"]
         assert entries[1].num_cities == 6
 
+    def test_one_city_accepted(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text('[{"file": "a.json", "model_tag": "m", "num_cities": 1}]')
+        assert load_manifest(path)[0].num_cities == 1
+
     def test_not_an_array(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text("{}")
@@ -269,3 +274,6 @@ class TestCorpusRecord:
     def test_rejects_nonpositive_cities(self):
         with pytest.raises(ValueError):
             CorpusRecord("m", 0, report())
+
+    def test_accepts_one_city(self):
+        assert CorpusRecord("m", 1, report()).num_cities == 1

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -42,6 +41,9 @@ class TestPolicy:
     def test_rejects_degenerate_values(self, kwargs):
         with pytest.raises(ValueError):
             ValidationPolicy(**kwargs)
+
+    def test_zero_buffer_accepted(self):
+        assert ValidationPolicy(buffer_minutes=0).buffer_minutes == 0
 
 
 class TestCheckStay:
@@ -208,7 +210,7 @@ class TestValidate:
             stops = list(itin.stops)
             for i in range(1, len(stops)):
                 if rng.random() < 0.2:
-                    stops[i] = replace(stops[i], airport=stops[i - 1].airport)
+                    stops[i] = stops[i]._replace(airport=stops[i - 1].airport)
             itin = Itinerary(tuple(stops))
             table = {route: minutes for route, minutes in table.items() if rng.random() < 0.75}
             provider = FixtureProvider(table)
