@@ -82,11 +82,12 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
     return entries
 
 
+_SEGMENT_AND_STAY_KINDS = SEGMENT_ISSUE_KINDS | {IssueKind.STAY_TOO_SHORT}
+
+
 def _issue_counts(report: ValidationReport, include_stays: bool) -> tuple[int, int]:
     """(all issues, issues that count as invalid segments)."""
-    countable = set(SEGMENT_ISSUE_KINDS)
-    if include_stays:
-        countable.add(IssueKind.STAY_TOO_SHORT)
+    countable = _SEGMENT_AND_STAY_KINDS if include_stays else SEGMENT_ISSUE_KINDS
     invalid = sum(1 for issue in report.issues if issue.kind in countable)
     return len(report.issues), invalid
 

@@ -16,7 +16,14 @@ travel window, so the memos nearly always hit. Only on a miss does the
 integer civil-date arithmetic run (H. Hinnant's days_from_civil /
 civil_from_days, http://howardhinnant.github.io/date_algorithms.html,
 without datetime); a rejected half is memoised as None, so it is rejected
-again.
+again. Timestamp.parse and the stop loop of parse_itinerary share the one
+lookup, _wire_minutes.
+
+Places repeat as often as dates do, so parse_place memoises the split of a
+place string the same way: one lru_cache of _MEMO_SIZE entries keyed on the
+raw string, a rejected place memoised as None. Only a str of at most
+_PLACE_KEY_LIMIT (64) characters is looked up; a longer one is split
+uncached, so the memo never holds a large string from outside.
 
 Records are tuples; one that checks its values is a namedtuple subclass
 whose __new__ checks them, which _make and _replace skip.
@@ -37,12 +44,12 @@ _AIRPORT_RE = re.compile(r"[A-Z]{3}")
 # parentheses ("San Francisco (Bay Area)") still parse.
 _PLACE_RE = re.compile(r"\(([A-Z]{3})\)\s*$")
 
-_STOP_FIELDS = ("place", "arrival_time", "departure_time")
-
 _DAYS_IN_MONTH = (0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 _MINUTES_PER_DAY = 24 * 60
 # Entries per memo: over five years of days, and every clock of a day.
 _MEMO_SIZE = 2048
+# Longest place string the place memo keeps; longer ones are parsed uncached.
+_PLACE_KEY_LIMIT = 64
 
 QUOTE_LIMIT = 80
 
@@ -127,6 +134,17 @@ def _clock_text(minute_of_day: int) -> str:
     return f"{hour:02d}:{minute:02d}"
 
 
+def _wire_minutes(text: object) -> int | None:
+    """Minutes since 1970 of 'YYYY-MM-DD HH:MM', or None for anything else."""
+    # The length check keeps every memo key at 10 or 5 characters.
+    if isinstance(text, str) and len(text) == 16 and text[10] == " ":
+        days = _date_days(text[:10])
+        minute_of_day = _clock_minutes(text[11:])
+        if days is not None and minute_of_day is not None:
+            return days * _MINUTES_PER_DAY + minute_of_day
+    return None
+
+
 class FormatError(ValueError):
     """An itinerary document violates the JSON wire format."""
 
@@ -184,16 +202,10 @@ class Timestamp(NamedTuple):
 
     @classmethod
     def parse(cls, text: str) -> "Timestamp":
-        if not isinstance(text, str):
-            raise InvalidTimeFormatError(repr(text))
-        # The length check keeps every memo key at 10 or 5 characters.
-        if len(text) != 16 or text[10] != " ":
-            raise InvalidTimeFormatError(text)
-        days = _date_days(text[:10])
-        minute_of_day = _clock_minutes(text[11:])
-        if days is None or minute_of_day is None:
-            raise InvalidTimeFormatError(text)
-        return cls(days * _MINUTES_PER_DAY + minute_of_day)
+        minutes = _wire_minutes(text)
+        if minutes is None:
+            raise InvalidTimeFormatError(text if isinstance(text, str) else repr(text))
+        return cls(minutes)
 
     def text(self) -> str:
         """Wire form; raises ValueError outside the years 0001-9999 it can spell."""
@@ -276,17 +288,33 @@ def load_json(text: str | bytes) -> object:
         raise InvalidJsonError(f"not valid JSON: {err}") from None
 
 
+def _split_place(raw: str) -> tuple[str, AirportCode] | None:
+    """(name, airport) of 'City Name (IATA)', or None when raw does not match."""
+    match = _PLACE_RE.search(raw)
+    if not match:
+        return None
+    name = raw[: match.start()].strip()
+    if not name:
+        return None
+    return name, AirportCode(match.group(1))
+
+
+_place_parts = lru_cache(maxsize=_MEMO_SIZE)(_split_place)
+
+
 def parse_place(raw: object, stop_index: int) -> tuple[str, AirportCode]:
     """Split 'City Name (IATA)' into name and airport code."""
     if not isinstance(raw, str):
         raise BadPlaceFormatError(stop_index, raw)
-    match = _PLACE_RE.search(raw)
-    if not match:
+    parts = _place_parts(raw) if len(raw) <= _PLACE_KEY_LIMIT else _split_place(raw)
+    if parts is None:
         raise BadPlaceFormatError(stop_index, raw)
-    name = raw[: match.start()].strip()
-    if not name:
-        raise BadPlaceFormatError(stop_index, raw)
-    return name, AirportCode(match.group(1))
+    return parts
+
+
+# Builds a NamedTuple that checks nothing without the Python-level __new__
+# its class generates.
+_new_tuple = tuple.__new__
 
 
 def parse_itinerary(text: str | bytes, expected_stops: int | None) -> Itinerary:
@@ -317,17 +345,23 @@ def parse_itinerary(text: str | bytes, expected_stops: int | None) -> Itinerary:
     for i, item in enumerate(items):
         if not isinstance(item, dict):
             raise InvalidJsonError(f"stop {i} is not a JSON object")
-        for field in _STOP_FIELDS:
-            if item.get(field) is None:
-                raise MissingFieldError(field, i)
-        name, airport = parse_place(item["place"], i)
+        place = item.get("place")
+        arrival = item.get("arrival_time")
+        departure = item.get("departure_time")
+        if place is None:
+            raise MissingFieldError("place", i)
+        if arrival is None:
+            raise MissingFieldError("arrival_time", i)
+        if departure is None:
+            raise MissingFieldError("departure_time", i)
+        name, airport = parse_place(place, i)
         times = []
-        for field in ("arrival_time", "departure_time"):
-            try:
-                times.append(Timestamp.parse(item[field]))
-            except InvalidTimeFormatError as err:
-                raise InvalidTimeFormatError(err.raw, place_label=item["place"]) from None
-        stops.append(Stop(name, airport, times[0], times[1]))
+        for raw in (arrival, departure):
+            minutes = _wire_minutes(raw)
+            if minutes is None:
+                raise InvalidTimeFormatError(raw if isinstance(raw, str) else repr(raw), place_label=place)
+            times.append(_new_tuple(Timestamp, (minutes,)))
+        stops.append(_new_tuple(Stop, (name, airport, times[0], times[1])))
     return Itinerary(tuple(stops))
 
 

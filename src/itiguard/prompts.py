@@ -5,6 +5,13 @@ feedback messages used when a response fails to parse. The exact wording is
 load-bearing: tests pin the rendered text byte-for-byte against golden
 files, so any edit here must update those files deliberately.
 
+Each template is split once, when the module loads, into literal pieces and
+placeholder names (SplitTemplate); a prompt is the pieces joined with the
+values in between, the text string.Template.substitute gives without
+scanning the template again. The city list and the route of a request are
+memoised on the pool in a small lru_cache, where the pool's names and codes
+are plain enough that equal pools give equal text.
+
 Note the templates intentionally disagree with the validator in two places:
 they ask the model for a 1 hour transit buffer (the validator enforces 4)
 and the pre-defined-route variant says "> 49 hours" where the other says
@@ -16,11 +23,48 @@ from __future__ import annotations
 from collections import namedtuple
 from datetime import date
 from enum import Enum
+from functools import lru_cache
 from string import Template
 
 from .model import AirportCode
 
-GENERIC_PROMPT = Template("""
+
+class SplitTemplate:
+    """A string.Template split once into literal pieces and placeholder names.
+
+    substitute(**values) gives what Template(template).substitute(**values)
+    gives: each value is inserted as str(value), and never scanned again.
+    """
+
+    __slots__ = ("template", "_head", "_parts")
+
+    def __init__(self, template: str):
+        self.template = template
+        pieces, names = [""], []
+        end = 0
+        for match in Template.pattern.finditer(template):
+            pieces[-1] += template[end : match.start()]
+            end = match.end()
+            name = match.group("named") or match.group("braced")
+            if name is not None:
+                names.append(name)
+                pieces.append("")
+            elif match.group("escaped") is not None:
+                pieces[-1] += "$"
+            else:
+                raise ValueError(f"invalid placeholder at index {match.start('invalid')} of a template")
+        pieces[-1] += template[end:]
+        self._head = pieces[0]
+        self._parts = tuple(zip(names, pieces[1:]))
+
+    def substitute(self, **values: object) -> str:
+        out = [self._head]
+        for name, literal in self._parts:
+            out += (str(values[name]), literal)
+        return "".join(out)
+
+
+GENERIC_PROMPT = SplitTemplate("""
 Generate a travel itinerary visiting $num_destinations destinations, exclusively using air travel.
 You MUST use ONLY these cities for your itinerary:
 $cities_str
@@ -55,7 +99,7 @@ Requirements:
 10. Return ONLY the JSON object, nothing else.
 """)
 
-FIXED_SEQUENCE_PROMPT = Template("""
+FIXED_SEQUENCE_PROMPT = SplitTemplate("""
 You are tasked with creating a valid time schedule for a PRE-DEFINED travel itinerary.
 The itinerary visits $num_destinations destinations.
 You MUST follow this exact sequence of cities and use their IATA codes as provided:
@@ -107,14 +151,14 @@ Example format:
     ]
 }"""
 
-TIME_FORMAT_FEEDBACK = Template("""Error in time format for $place_label. Please ensure:
+TIME_FORMAT_FEEDBACK = SplitTemplate("""Error in time format for $place_label. Please ensure:
 1. All times are in UTC and follow the EXACT format 'YYYY-MM-DD HH:MM'
 2. Use 24-hour format (e.g., 14:30, 00:00 for midnight)
 3. Include leading zeros (e.g., '01:05' not '1:5')
 4. No timezone indicators or UTC suffix
 Example: '2024-03-20 14:30'""")
 
-INSUFFICIENT_STOPS_FEEDBACK = Template("""Generated itinerary has insufficient stops. Please ensure:
+INSUFFICIENT_STOPS_FEEDBACK = SplitTemplate("""Generated itinerary has insufficient stops. Please ensure:
 1. The itinerary contains exactly $num_destinations stops
 2. Each stop has all required fields (place, arrival_time, departure_time)
 3. Each place includes the IATA code in parentheses
@@ -197,12 +241,22 @@ class GenerationRequest(
 
 # str(code), not {code}: the same text without the format() call an
 # f-string makes for an object that is not a str.
-def _cities_str(cities: tuple[tuple[str, AirportCode], ...]) -> str:
-    return ", ".join(f"{name} ({str(code)})" for name, code in cities)
+def _pairs_text(separator: str, pairs: tuple[tuple[str, AirportCode], ...]) -> str:
+    return separator.join(f"{name} ({str(code)})" for name, code in pairs)
 
 
-def _route_str(sequence: tuple[tuple[str, AirportCode], ...]) -> str:
-    return " -> ".join(f"{name} ({str(code)})" for name, code in sequence)
+_pairs_memo = lru_cache(maxsize=16)(_pairs_text)
+_PLAIN_CODE_TYPES = (str, AirportCode)
+
+
+def _pairs_str(separator: str, pairs: tuple[tuple[str, AirportCode], ...]) -> str:
+    """_pairs_text, memoised only where equal pairs give equal text: every
+    name a str and every code a str or an AirportCode. Other values can be
+    equal and print differently (1 == True), or be unhashable."""
+    for name, code in pairs:
+        if type(name) is not str or type(code) not in _PLAIN_CODE_TYPES:
+            return _pairs_text(separator, pairs)
+    return _pairs_memo(separator, pairs)
 
 
 def build_generic_prompt(request: GenerationRequest) -> str:
@@ -210,7 +264,7 @@ def build_generic_prompt(request: GenerationRequest) -> str:
         raise ValueError("request has a fixed sequence; use build_fixed_sequence_prompt")
     return GENERIC_PROMPT.substitute(
         num_destinations=request.num_destinations,
-        cities_str=_cities_str(request.city_pool),
+        cities_str=_pairs_str(", ", request.city_pool),
         date_start=request.window_start.isoformat(),
         date_end=request.window_end.isoformat(),
     )
@@ -222,8 +276,8 @@ def build_fixed_sequence_prompt(request: GenerationRequest) -> str:
     first_name, first_code = request.fixed_sequence[0]
     return FIXED_SEQUENCE_PROMPT.substitute(
         num_destinations=request.num_destinations,
-        fixed_route_str=_route_str(request.fixed_sequence),
-        cities_str=_cities_str(request.city_pool),
+        fixed_route_str=_pairs_str(" -> ", request.fixed_sequence),
+        cities_str=_pairs_str(", ", request.city_pool),
         example_place=first_name,
         example_iata=str(first_code),
     )

@@ -3,21 +3,81 @@
 The oracles re-derive every rule with plain arithmetic on purpose. Tests
 that compare package output against them are cross-checking two separate
 implementations, so nothing here may call into itiguard.validation logic
-beyond constructing the Issue values used for comparison.
+beyond constructing the Issue values used for comparison. The parse oracle
+is the stop loop as it was before places were memoised and the timestamp
+lookups inlined: one uncached parse_place and one Timestamp.parse per field.
 """
 
 from __future__ import annotations
 
 import random
+import re
 import string
 
 from itiguard import AirportCode, FixtureProvider, Itinerary, Stop, Timestamp
+from itiguard.model import (
+    BadPlaceFormatError,
+    InsufficientStopsError,
+    InvalidJsonError,
+    InvalidTimeFormatError,
+    MissingFieldError,
+    load_json,
+)
 from itiguard.validation import Issue, IssueKind, ValidationPolicy
 
 BASE = Timestamp.parse("2025-06-01 00:00")
 WINDOW_MINUTES = 30 * 24 * 60
 
 GOLDEN_TABLE = {("SYD", "FRA"): 1020, ("FRA", "CAI"): 60, ("CAI", "CMN"): 60}
+
+
+_ORACLE_PLACE_RE = re.compile(r"\(([A-Z]{3})\)\s*$")
+
+
+def oracle_parse_place(raw: object, stop_index: int) -> tuple[str, AirportCode]:
+    if not isinstance(raw, str):
+        raise BadPlaceFormatError(stop_index, raw)
+    match = _ORACLE_PLACE_RE.search(raw)
+    if not match:
+        raise BadPlaceFormatError(stop_index, raw)
+    name = raw[: match.start()].strip()
+    if not name:
+        raise BadPlaceFormatError(stop_index, raw)
+    return name, AirportCode(match.group(1))
+
+
+def oracle_parse_itinerary(text: str | bytes, expected_stops: int | None) -> Itinerary:
+    """parse_itinerary with the field-by-field stop loop: the same result,
+    or the same first error, is required of the package."""
+    if expected_stops is not None and expected_stops < 1:
+        raise ValueError("expected_stops must be >= 1")
+    doc = load_json(text)
+    if isinstance(doc, dict):
+        items = doc.get("itinerary")
+        if not isinstance(items, list):
+            raise MissingFieldError("itinerary")
+    elif isinstance(doc, list):
+        items = doc
+    else:
+        raise InvalidJsonError(f"top-level JSON must be an array or object, got {type(doc).__name__}")
+    if expected_stops is not None and len(items) != expected_stops:
+        raise InsufficientStopsError(expected_stops, len(items))
+    stops = []
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise InvalidJsonError(f"stop {i} is not a JSON object")
+        for field in ("place", "arrival_time", "departure_time"):
+            if item.get(field) is None:
+                raise MissingFieldError(field, i)
+        name, airport = oracle_parse_place(item["place"], i)
+        times = []
+        for field in ("arrival_time", "departure_time"):
+            try:
+                times.append(Timestamp.parse(item[field]))
+            except InvalidTimeFormatError as err:
+                raise InvalidTimeFormatError(err.raw, place_label=item["place"]) from None
+        stops.append(Stop(name, airport, times[0], times[1]))
+    return Itinerary(tuple(stops))
 
 
 class CountingProvider:

@@ -178,6 +178,14 @@ class TestPayload:
         with pytest.raises(PayloadError):
             parse_duration_payload(body)
 
+    def test_one_minute_in_all_is_accepted(self):
+        assert parse_duration_payload('{"hours": 0, "minutes": 1}').minutes == 1
+
+    def test_fields_in_bounds_but_total_past_the_limit(self):
+        # 48 h and 1 min pass their own checks; 2881 minutes in all do not.
+        with pytest.raises(PayloadError, match="2881"):
+            parse_duration_payload('{"hours": 48, "minutes": 1}')
+
 
 class FlakyFetch:
     """Fails the first k calls with TransportError, then returns a payload."""
@@ -286,6 +294,18 @@ class TestRemoteClient:
         client = RemoteDurationClient("https://api.test", sleep=lambda s: None)
         with pytest.raises(RouteUnavailable, match="HTTP 503" if failure == "status" else "refused"):
             client.route_duration(route("SYD", "FRA"))
+
+    @pytest.mark.parametrize("status,ok", [(199, False), (200, True), (299, True), (300, False)])
+    def test_default_fetch_accepts_exactly_the_2xx_statuses(self, monkeypatch, status, ok):
+        monkeypatch.setattr(
+            requests, "get", lambda url, **kwargs: SimpleNamespace(status_code=status, content=b'{"hours": 2}')
+        )
+        client = RemoteDurationClient("https://api.test", sleep=lambda s: None)
+        if ok:
+            assert client.route_duration(route("SYD", "FRA")).minutes == 120
+        else:
+            with pytest.raises(RouteUnavailable, match=f"HTTP {status}"):
+                client.route_duration(route("SYD", "FRA"))
 
 
 class CountingProvider:
@@ -435,6 +455,12 @@ class TestAppendOnlyFile:
         }
         provider.route_duration(route("CAI", "CMN"))
         assert path.read_text(encoding="utf-8") == "SYD FRA 555\nFRA CAI 300\nCAI CMN 300\n"
+
+    def test_existing_empty_file_gets_no_leading_newline(self, tmp_path):
+        path = tmp_path / "durations.txt"
+        path.write_bytes(b"")
+        CachedProvider(CountingProvider(300), path=path).route_duration(route("SYD", "FRA"))
+        assert path.read_bytes() == b"SYD FRA 300\n"
 
     def test_failed_write_warns_once_and_keeps_serving(self, tmp_path, caplog):
         path = tmp_path / "missing" / "durations.txt"

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import json
 from datetime import date
+from string import Template
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from itiguard import prompts
 from itiguard.gateway import (
     API_KEY_ENV,
     GenerationFailed,
@@ -17,6 +21,7 @@ from itiguard.gateway import (
     generate_itinerary,
 )
 from itiguard.model import (
+    AirportCode,
     BadPlaceFormatError,
     InsufficientStopsError,
     InvalidJsonError,
@@ -24,9 +29,14 @@ from itiguard.model import (
     MissingFieldError,
 )
 from itiguard.prompts import (
+    FIXED_SEQUENCE_PROMPT,
+    GENERIC_PROMPT,
+    INSUFFICIENT_STOPS_FEEDBACK,
     JSON_ERROR_FEEDBACK,
+    TIME_FORMAT_FEEDBACK,
     FeedbackKind,
     GenerationRequest,
+    SplitTemplate,
     build_base_prompt,
     build_feedback,
     build_fixed_sequence_prompt,
@@ -85,6 +95,69 @@ class TestPromptGoldens:
     def test_time_format_feedback_without_label(self):
         rendered = build_feedback(FeedbackKind.TIME_FORMAT, generic_request())
         assert "Error in time format for unknown." in rendered
+
+
+# Text that string.Template would treat as syntax if it scanned it again.
+TEMPLATE_VALUES = st.one_of(
+    st.sampled_from(["$num_destinations", "${cities_str}", "${x}", "$$", "$", "{0}", "{}", "\\1", "\\", "%s"]),
+    st.text(alphabet="${}\\_ax1 ", max_size=12),
+    st.text(max_size=8),
+    st.integers(),
+)
+SPLIT_TEMPLATES = [GENERIC_PROMPT, FIXED_SEQUENCE_PROMPT, TIME_FORMAT_FEEDBACK, INSUFFICIENT_STOPS_FEEDBACK]
+PLACEHOLDERS = (
+    "num_destinations", "cities_str", "date_start", "date_end",
+    "fixed_route_str", "example_place", "example_iata", "place_label",
+)
+
+
+class TestSplitTemplate:
+    """A template split once fills in as string.Template.substitute does."""
+
+    @pytest.mark.parametrize("template", SPLIT_TEMPLATES, ids=lambda t: t.template[:24].strip())
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.fixed_dictionaries({name: TEMPLATE_VALUES for name in PLACEHOLDERS}))
+    def test_fill_equals_string_template(self, template, values):
+        assert template.substitute(**values) == Template(template.template).substitute(**values)
+
+    def test_a_value_is_inserted_once(self):
+        split = SplitTemplate("[$a|${b}]")
+        assert split.substitute(a="$b", b="${a}") == "[$b|${a}]"
+
+    def test_escaped_dollar_and_missing_name(self):
+        split = SplitTemplate("$$a costs $$$a")
+        assert split.substitute(a=5) == Template(split.template).substitute(a=5) == "$a costs $5"
+        with pytest.raises(KeyError):
+            split.substitute(b=1)
+
+    def test_invalid_placeholder_rejected_when_split(self):
+        with pytest.raises(ValueError):
+            SplitTemplate("costs $5")
+
+
+class TestCityListMemo:
+    def test_unhashable_code_still_renders(self):
+        request = generic_request(city_pool=(("Sydney", ["SYD"]), ("Cairo", {"iata": "CAI"})))
+        assert "\nSydney (['SYD']), Cairo ({'iata': 'CAI'})\n" in build_generic_prompt(request)
+
+    def test_equal_pools_that_print_differently(self):
+        # 1 == True and ("x", 1) == ("x", True): a memo keyed on the pool
+        # alone would render the second pool as the first.
+        first = build_generic_prompt(generic_request(city_pool=((1, "SYD"),)))
+        second = build_generic_prompt(generic_request(city_pool=((True, "SYD"),)))
+        assert "\n1 (SYD)\n" in first
+        assert "\nTrue (SYD)\n" in second
+
+    def test_str_and_airport_code_pools_render_alike(self):
+        codes = tuple((name, AirportCode(code)) for name, code in POOL)
+        plain = build_generic_prompt(generic_request())
+        assert build_generic_prompt(generic_request(city_pool=codes)) == plain
+        assert build_fixed_sequence_prompt(
+            generic_request(city_pool=codes, fixed_sequence=codes)
+        ) == build_fixed_sequence_prompt(fixed_request())
+
+    def test_memo_is_bounded(self):
+        assert prompts._pairs_memo.cache_info().maxsize is not None
 
 
 class TestGenerationRequest:

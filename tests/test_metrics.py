@@ -89,6 +89,16 @@ class TestAggregate:
         (row,) = aggregate(records("m", 2, [report(unverifiable=1)]))
         assert row.invalid_segments_pct == 0.0
 
+    def test_every_leg_of_a_group_unverifiable_gives_zero(self):
+        # 2 itineraries x 3 legs, all 6 unverifiable: an empty denominator.
+        (row,) = aggregate(records("m", 4, [report(unverifiable=3), report(unverifiable=3)]))
+        assert row.invalid_segments_pct == 0.0
+        assert row.unverifiable_count == 6
+
+    def test_one_verifiable_slot_is_a_whole_denominator(self):
+        (row,) = aggregate(records("m", 2, [report(segment_issues=1)]))
+        assert row.invalid_segments_pct == 100.0
+
     def test_stays_excluded_from_segment_pct_by_default(self):
         reports = [report(stay_issues=2)]
         (row,) = aggregate(records("m", 4, reports))

@@ -13,6 +13,7 @@ from itiguard.durations import FixtureProvider
 from itiguard.model import (
     AirportCode,
     BadPlaceFormatError,
+    FormatError,
     InsufficientStopsError,
     InvalidJsonError,
     InvalidTimeFormatError,
@@ -27,7 +28,7 @@ from itiguard.model import (
     render_itinerary,
 )
 from itiguard.validation import IssueKind, ValidationPolicy, validate
-from support import random_itinerary
+from support import oracle_parse_itinerary, oracle_parse_place, random_itinerary
 
 
 class TestTimestamp:
@@ -181,11 +182,125 @@ class TestParsePlace:
         assert name == "Foo (Bar)"
         assert str(code) == "SYD"
 
-    @pytest.mark.parametrize("raw", ["Sydney", "Sydney (SYDX)", "(SYD)", "Sydney (syd)", 42, None])
+    @pytest.mark.parametrize(
+        "raw",
+        ["Sydney", "Sydney (SYDX)", "(SYD)", "Sydney (syd)", 42, 4.5, True, None, ["Sydney (SYD)"], {"Sydney": "SYD"}],
+    )
     def test_rejects_bad_shapes(self, raw):
         with pytest.raises(BadPlaceFormatError) as exc:
             parse_place(raw, 3)
         assert exc.value.stop_index == 3
+
+
+def outcome(parse, text, expected_stops):
+    """What a parse gives: ("ok", itinerary) or ("error", type, message)."""
+    try:
+        return ("ok", parse(text, expected_stops))
+    except (FormatError, ValueError) as err:
+        return ("error", type(err), str(err))
+
+
+GOOD_PLACES = st.one_of(
+    st.sampled_from(["Sydney (SYD)", "Foo (Bar) (CAI)", "  Frankfurt (FRA)  ", "City " * 20 + "(SYD)"]),
+    st.text(min_size=1, max_size=8).map(lambda name: f"x{name} (CMN)"),
+)
+BAD_PLACES = st.one_of(
+    st.sampled_from(["Sydney", "(SYD)", "Sydney (syd)", "Sydney (SYDX)", "", "  (CAI)", "City " * 20 + "(syd)"]),
+    st.text(max_size=12),
+    st.integers(),
+    st.booleans(),
+    st.lists(st.text(max_size=3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+GOOD_TIMES = st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31)).map(
+    lambda moment: f"{moment.year:04d}-{moment:%m-%d %H:%M}"
+)
+BAD_TIMES = st.one_of(
+    st.sampled_from(
+        ["2025-02-29 10:00", "2025-06-01 24:00", "2025-06-01T10:00", "2025-6-1 10:00", "0000-01-01 00:00"]
+    ),
+    st.text(max_size=17),
+    st.integers(),
+    st.booleans(),
+    st.lists(st.integers(), max_size=2),
+)
+GOOD_STOPS = st.fixed_dictionaries({"place": GOOD_PLACES, "arrival_time": GOOD_TIMES, "departure_time": GOOD_TIMES})
+BAD_VALUES = {"place": BAD_PLACES, "arrival_time": BAD_TIMES, "departure_time": BAD_TIMES}
+
+
+@st.composite
+def broken_stops(draw):
+    """A good stop with one to three fields given a bad value, made null or
+    dropped; or a stop that is not an object."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.one_of(st.integers(), st.text(max_size=3), st.lists(st.integers(), max_size=2)))
+    stop = draw(GOOD_STOPS)
+    for field in draw(st.lists(st.sampled_from(sorted(BAD_VALUES)), min_size=1, max_size=3, unique=True)):
+        how = draw(st.sampled_from(["bad", "bad", "null", "drop"]))
+        if how == "bad":
+            stop[field] = draw(BAD_VALUES[field])
+        elif how == "null":
+            stop[field] = None
+        else:
+            del stop[field]
+    return stop
+
+
+@st.composite
+def documents(draw):
+    """Good stops with up to two of them broken, bare or wrapped."""
+    stops = draw(st.lists(GOOD_STOPS, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        stops[draw(st.integers(0, len(stops) - 1))] = draw(broken_stops())
+    return {"itinerary": stops} if draw(st.booleans()) else stops
+
+
+class TestParseAgainstOracle:
+    """The memoised place parse and the flat stop loop against the
+    field-by-field loop they replaced (tests/support.py)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(documents(), st.sampled_from([None, None, "all", 0, 3]))
+    def test_same_itinerary_or_same_first_error(self, doc, expected_stops):
+        if expected_stops == "all":
+            expected_stops = len(doc["itinerary"] if isinstance(doc, dict) else doc)
+        text = json.dumps(doc)
+        assert outcome(parse_itinerary, text, expected_stops) == outcome(
+            oracle_parse_itinerary, text, expected_stops
+        )
+
+    def test_every_corpus_file_parses_as_the_oracle_does(self, fixtures_dir):
+        for path in sorted((fixtures_dir / "corpus").glob("model-*.json")):
+            data = path.read_bytes()
+            assert parse_itinerary(data, None) == oracle_parse_itinerary(data, None)
+
+    def test_same_bad_place_at_two_indices(self):
+        # The memo holds the rejection; each error still names its own stop.
+        for index in (1, 4, 1):
+            with pytest.raises(BadPlaceFormatError) as exc:
+                parse_place("Nowhere (nope)", index)
+            assert exc.value.stop_index == index
+            assert str(exc.value) == f"stop {index} place 'Nowhere (nope)' does not match 'City Name (IATA)'"
+
+    @pytest.mark.parametrize("suffix", ["(SYD)", "(syd)"])
+    def test_over_long_place_is_parsed_uncached(self, suffix):
+        raw = "Long " * 13 + suffix
+        assert len(raw) > model._PLACE_KEY_LIMIT
+        before = model._place_parts.cache_info().currsize
+        assert outcome(parse_place, raw, 0) == outcome(oracle_parse_place, raw, 0)
+        assert outcome(parse_place, raw, 0) == outcome(oracle_parse_place, raw, 0)
+        assert model._place_parts.cache_info().currsize == before
+
+    def test_place_at_the_limit_is_memoised(self):
+        raw = "x" * (model._PLACE_KEY_LIMIT - 6) + " (SYD)"
+        assert len(raw) == model._PLACE_KEY_LIMIT
+        parse_place(raw, 0)
+        hits = model._place_parts.cache_info().hits
+        assert parse_place(raw, 0) == ("x" * (model._PLACE_KEY_LIMIT - 6), AirportCode("SYD"))
+        assert model._place_parts.cache_info().hits == hits + 1
+
+    def test_place_memo_is_bounded(self):
+        assert model._place_parts.cache_info().maxsize == model._MEMO_SIZE
 
 
 class TestParseItinerary:
