@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import sys
 from datetime import date
@@ -58,6 +57,7 @@ from .model import (
     parse_itinerary,
     render_itinerary,
     shorten,
+    warn,
 )
 from .prompts import GenerationRequest
 from .validation import (
@@ -311,7 +311,7 @@ def cmd_bench(args: argparse.Namespace, config: AppConfig) -> int:
         except Exception as err:
             # An OSError's text repeats the full path; the entry already names the file.
             reason = err.strerror if isinstance(err, OSError) and err.strerror is not None else str(err)
-            print(f"warning: skipping {shorten(entry.file)}: {shorten(reason)}", file=sys.stderr)
+            warn(f"skipping {shorten(entry.file)}: {shorten(reason)}")
     stats = aggregate(records, include_stays=args.include_stays)
     if config.format == "json":
         print(json.dumps([row._asdict() for row in stats], indent=2))
@@ -393,7 +393,6 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; a failure that ends the run is mapped to its exit
     code here and nowhere else, with one 'error:' line on stderr."""
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
         config = resolve_config(args)
     except (OSError, ValueError) as err:

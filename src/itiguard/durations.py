@@ -9,8 +9,8 @@ routes never trigger a second fetch.
 The cache file holds 'ORIGIN DEST minutes' lines and is append-only: each
 fetched route adds one line, the file is never rewritten, and when a route
 appears twice the later line wins. Corrupt lines are never removed, so
-every load warns about them again. A failed write logs one warning and the
-provider carries on from memory alone.
+every load warns about them again. A failed write prints one `warning:`
+line on stderr and the provider carries on from memory alone.
 
 Transit bounds: the minimum feasible door-to-door time for a leg is the
 flight duration plus a fixed airport-logistics buffer (default 4h); the
@@ -19,7 +19,6 @@ maximum reasonable time is twice that minimum.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 import time
@@ -27,9 +26,7 @@ from collections import namedtuple
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Protocol
 
-from .model import AirportCode, InvalidJsonError, load_json, shorten
-
-log = logging.getLogger(__name__)
+from .model import AirportCode, InvalidJsonError, load_json, shorten, warn
 
 MAX_FLIGHT_MINUTES = 48 * 60  # sanity bound, no commercial flight exceeds 48h
 FETCH_ATTEMPTS = 3
@@ -45,12 +42,11 @@ GROUND_OVERHEAD_MINUTES = 30
 class RouteUnavailable(Exception):
     """No duration could be obtained for a route after all attempts."""
 
-    def __init__(self, route: "RoutePair | None", attempts: int, reason: str):
+    def __init__(self, route: RoutePair, attempts: int, reason: str):
         self.route = route
         self.attempts = attempts
         self.reason = reason
-        where = f" for {route}" if route else ""
-        super().__init__(f"no flight duration{where} after {attempts} attempt(s): {reason}")
+        super().__init__(f"no flight duration for {route} after {attempts} attempt(s): {reason}")
 
 
 class TransportError(Exception):
@@ -258,7 +254,6 @@ class RemoteDurationClient:
                 return parse_duration_payload(self._fetch(url, headers))
             except (TransportError, PayloadError) as err:
                 last_reason = str(err)
-                log.debug("fetch %s attempt %d failed: %s", route, attempt, last_reason)
                 if attempt < FETCH_ATTEMPTS:
                     self._sleep(RETRY_DELAY_SECONDS)
         raise RouteUnavailable(route, attempts=FETCH_ATTEMPTS, reason=last_reason)
@@ -280,7 +275,7 @@ def load_cache(path: str | Path) -> dict[RoutePair, FlightDuration]:
             cache[RoutePair(AirportCode(origin), AirportCode(dest))] = FlightDuration(int(minutes))
         except ValueError:
             line = raw.decode("utf-8", "backslashreplace")
-            log.warning("skipping corrupt cache line %s:%d: %r", path, lineno, line)
+            warn(f"skipping corrupt cache line {path}:{lineno}: {shorten(repr(line))}")
     return cache
 
 
@@ -308,8 +303,8 @@ class CachedProvider:
     may append to the same file; load_cache keeps the later of two lines for
     one route. Nothing is ever removed from the file, so a corrupt line
     stays in it and load_cache warns about it on every load. If a write
-    fails, one warning is logged and the file is left alone from then on.
-    The provider holds no lock, so use each one from one thread.
+    fails, it prints one `warning:` line and leaves the file alone from then
+    on. The provider holds no lock, so use each one from one thread.
     """
 
     def __init__(self, inner: DurationProvider, *, path: str | Path | None = None):
@@ -338,7 +333,7 @@ class CachedProvider:
                 self._torn = False
             save_cache({route: duration}, self._path)
         except OSError as err:
-            log.warning("cannot write cache file %s: %s; continuing without it", self._path, err)
+            warn(f"cannot write cache file {self._path}: {err}; continuing without it")
             self._path = None
 
 

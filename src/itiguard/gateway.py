@@ -15,7 +15,6 @@ rule violations are the corrector's job and never cause regeneration.
 from __future__ import annotations
 
 import json
-import logging
 import os
 from pathlib import Path
 from typing import Protocol
@@ -31,8 +30,6 @@ from .model import (
     shorten,
 )
 from .prompts import FeedbackKind, GenerationRequest, build_base_prompt, build_feedback
-
-log = logging.getLogger(__name__)
 
 DEFAULT_MAX_RETRIES = 3
 REQUEST_TIMEOUT_SECONDS = 60.0
@@ -187,7 +184,5 @@ def generate_itinerary(
             last_error = err
             kind, place_label = feedback_for_error(err)
             feedback = build_feedback(kind, request, place_label=place_label)
-            log.debug("attempt %d failed to parse (%s), retrying with %s feedback",
-                      attempt, type(err).__name__, kind.value)
     assert last_error is not None
     raise GenerationFailed(attempts=total_attempts, last_error=last_error)

@@ -12,12 +12,10 @@ proleptic Gregorian calendar. Parsing and formatting split the wire form
 into its date half "YYYY-MM-DD" and its clock half "HH:MM" and look each
 half up in a memo: an lru_cache of at most _MEMO_SIZE (2048) entries per
 direction and half, filled lazily. The dates of one itinerary sit in one
-travel window, so the memos nearly always hit. Only on a miss does the
-integer civil-date arithmetic run (H. Hinnant's days_from_civil /
-civil_from_days, http://howardhinnant.github.io/date_algorithms.html,
-without datetime); a rejected half is memoised as None, so it is rejected
-again. Timestamp.parse and the stop loop of parse_itinerary share the one
-lookup, _wire_minutes.
+travel window, so the memos nearly always hit. Only on a miss does
+datetime.date check and convert the date; a rejected half is memoised as
+None, so it is rejected again. Timestamp.parse and the stop loop of
+parse_itinerary share the one lookup, _wire_minutes.
 
 Places repeat as often as dates do, so parse_place memoises the split of a
 place string the same way: one lru_cache of _MEMO_SIZE entries keyed on the
@@ -33,7 +31,9 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import namedtuple
+from datetime import date
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -44,7 +44,6 @@ _AIRPORT_RE = re.compile(r"[A-Z]{3}")
 # parentheses ("San Francisco (Bay Area)") still parse.
 _PLACE_RE = re.compile(r"\(([A-Z]{3})\)\s*$")
 
-_DAYS_IN_MONTH = (0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 _MINUTES_PER_DAY = 24 * 60
 # Entries per memo: over five years of days, and every clock of a day.
 _MEMO_SIZE = 2048
@@ -62,38 +61,16 @@ def shorten(text: str) -> str:
     return f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"
 
 
-def days_from_civil(year: int, month: int, day: int) -> int:
-    """Days from 1970-01-01 to a proleptic Gregorian date (negative before)."""
-    year -= month <= 2
-    era = year // 400
-    yoe = year - era * 400
-    doy = (153 * (month - 3 if month > 2 else month + 9) + 2) // 5 + day - 1
-    doe = yoe * 365 + yoe // 4 - yoe // 100 + doy
-    return era * 146097 + doe - 719468
+def warn(message: str) -> None:
+    """Print one 'warning:' line on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
-def civil_from_days(days: int) -> tuple[int, int, int]:
-    """Inverse of days_from_civil: (year, month, day)."""
-    days += 719468
-    era = days // 146097
-    doe = days - era * 146097
-    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
-    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
-    mp = (5 * doy + 2) // 153
-    day = doy - (153 * mp + 2) // 5 + 1
-    month = mp + 3 if mp < 10 else mp - 9
-    return yoe + era * 400 + (month <= 2), month, day
-
-
-def _days_in_month(year: int, month: int) -> int:
-    if month == 2 and year % 4 == 0 and (year % 100 != 0 or year % 400 == 0):
-        return 29
-    return _DAYS_IN_MONTH[month]
-
-
+# Day 0 of the minute count is 1970-01-01.
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 # The wire form spells years 0001-9999 only.
-_MIN_MINUTES = days_from_civil(1, 1, 1) * _MINUTES_PER_DAY
-_MAX_MINUTES = days_from_civil(10000, 1, 1) * _MINUTES_PER_DAY - 1
+_MIN_MINUTES = (date.min.toordinal() - _EPOCH_ORDINAL) * _MINUTES_PER_DAY
+_MAX_MINUTES = (date.max.toordinal() - _EPOCH_ORDINAL + 1) * _MINUTES_PER_DAY - 1
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -102,17 +79,16 @@ def _date_days(text: str) -> int | None:
     calendar is wrong (month 13, Feb 30, year 0)."""
     if not _DATE_RE.fullmatch(text):
         return None
-    year, month, day = int(text[0:4]), int(text[5:7]), int(text[8:10])
-    if not (year >= 1 and 1 <= month <= 12 and 1 <= day <= _days_in_month(year, month)):
+    try:
+        return date(int(text[0:4]), int(text[5:7]), int(text[8:10])).toordinal() - _EPOCH_ORDINAL
+    except ValueError:
         return None
-    return days_from_civil(year, month, day)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _date_text(days: int) -> str:
     """Inverse of _date_days, for the years 0001-9999."""
-    year, month, day = civil_from_days(days)
-    return f"{year:04d}-{month:02d}-{day:02d}"
+    return date.fromordinal(days + _EPOCH_ORDINAL).isoformat()
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

@@ -191,7 +191,8 @@ class FeedbackKind(Enum):
 def _normalize_cities(cities) -> tuple[tuple[str, object], ...]:
     out = []
     for entry in cities:
-        pair = tuple(entry)
+        # A two-character string would otherwise pass as a pair.
+        pair = () if isinstance(entry, (str, bytes)) else tuple(entry)
         if len(pair) != 2:
             raise ValueError(f"expected (name, iata) pairs, got {entry!r}")
         out.append(pair)

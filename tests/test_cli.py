@@ -771,7 +771,7 @@ COLD_START_SCRIPT = """
 import contextlib, io, json, sys
 import itiguard, itiguard.cli
 def loaded():
-    return [name in sys.modules for name in ("requests", "dataclasses", "inspect")]
+    return [name in sys.modules for name in ("requests", "dataclasses", "inspect", "logging")]
 results = [[None, *loaded()]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -784,7 +784,7 @@ print(json.dumps(results))
 class TestColdStart:
     """Only --provider live and --endpoint load the HTTP stack: importing the
     package and every offline command leave requests unimported, and
-    dataclasses and inspect with it."""
+    dataclasses and inspect with it. No command loads logging."""
 
     def test_offline_commands_leave_requests_unloaded(self):
         sample = str(FIXTURES / "sample_invalid.json")
@@ -808,4 +808,6 @@ class TestColdStart:
             check=True,
         )
         results = json.loads(result.stdout)
-        assert results == [[None, False, False, False]] + [[code, False, False, False] for _, code in commands]
+        assert results == [[None, False, False, False, False]] + [
+            [code, False, False, False, False] for _, code in commands
+        ]

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
 import shutil
@@ -37,7 +36,7 @@ from itiguard.durations import (
     parse_duration_payload,
     save_cache,
 )
-from itiguard.model import AirportCode
+from itiguard.model import AirportCode, shorten
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -364,23 +363,31 @@ class TestCache:
     def test_missing_file_is_empty(self, tmp_path):
         assert len(load_cache(tmp_path / "nope.txt")) == 0
 
-    def test_corrupt_lines_skipped_with_warning(self, tmp_path, caplog):
+    def test_corrupt_lines_skipped_with_warning(self, tmp_path, capsys):
         path = tmp_path / "cache.txt"
         path.write_text("SYD FRA 1020\ngarbage line\nCAI CMN notanumber\nCAI CMN 60\n")
-        with caplog.at_level(logging.WARNING):
-            cache = load_cache(path)
+        cache = load_cache(path)
         assert len(cache) == 2
-        assert any("skip" in record.message.lower() for record in caplog.records)
+        warnings = warning_lines(capsys)
+        assert len(warnings) == 2
+        assert all("skip" in line.lower() for line in warnings)
 
-    def test_non_utf8_line_skipped_with_warning(self, tmp_path, caplog):
+    def test_non_utf8_line_skipped_with_warning(self, tmp_path, capsys):
         path = tmp_path / "cache.txt"
         path.write_bytes(b"SYD FRA 720\n\xff\xfe\nFRA CAI 300\n")
-        with caplog.at_level(logging.WARNING, logger=CACHE_LOGGER):
-            cache = load_cache(path)
+        cache = load_cache(path)
         assert cache == {route("SYD", "FRA"): FlightDuration(720), route("FRA", "CAI"): FlightDuration(300)}
-        warnings = [r.getMessage() for r in caplog.records if r.name == CACHE_LOGGER]
+        warnings = warning_lines(capsys)
         assert len(warnings) == 1
         assert "skipping corrupt cache line" in warnings[0] and ":2:" in warnings[0]
+
+    def test_long_corrupt_line_is_quoted_short(self, tmp_path, capsys):
+        path = tmp_path / "cache.txt"
+        path.write_text("SYD FRA 720\n" + "x" * 5000 + "\n")
+        assert load_cache(path) == {route("SYD", "FRA"): FlightDuration(720)}
+        quote = shorten(repr("x" * 5000))
+        assert quote.endswith("... (5002 characters)")
+        assert warning_lines(capsys) == [f"skipping corrupt cache line {path}:2: {quote}"]
 
 
 class RouteMinutes:
@@ -394,14 +401,12 @@ class RouteMinutes:
         return FlightDuration(60 + sum(map(ord, str(r))) % 600)
 
 
-CACHE_LOGGER = "itiguard.durations"
-
-
-def write_warnings(caplog) -> list[str]:
+def warning_lines(capsys) -> list[str]:
+    """The 'warning: ' lines written to stderr since the last read, without the prefix."""
     return [
-        record.getMessage()
-        for record in caplog.records
-        if record.name == CACHE_LOGGER and "cannot write cache file" in record.getMessage()
+        line.removeprefix("warning: ")
+        for line in capsys.readouterr().err.splitlines()
+        if line.startswith("warning: ")
     ]
 
 
@@ -462,16 +467,17 @@ class TestAppendOnlyFile:
         CachedProvider(CountingProvider(300), path=path).route_duration(route("SYD", "FRA"))
         assert path.read_bytes() == b"SYD FRA 300\n"
 
-    def test_failed_write_warns_once_and_keeps_serving(self, tmp_path, caplog):
+    def test_failed_write_warns_once_and_keeps_serving(self, tmp_path, capsys):
         path = tmp_path / "missing" / "durations.txt"
         inner = CountingProvider(300)
         provider = CachedProvider(inner, path=path)
         lookups = [route("SYD", "FRA"), route("FRA", "CAI"), route("SYD", "FRA")]
-        with caplog.at_level(logging.WARNING, logger=CACHE_LOGGER):
-            minutes = [provider.route_duration(r).minutes for r in lookups]
+        minutes = [provider.route_duration(r).minutes for r in lookups]
         assert minutes == [300, 300, 300]
         assert inner.calls == 2
-        assert len(write_warnings(caplog)) == 1
+        warnings = warning_lines(capsys)
+        assert len(warnings) == 1
+        assert warnings[0].startswith("cannot write cache file ")
         assert not path.parent.exists()
 
     def test_concurrent_processes_keep_every_route(self, tmp_path):
@@ -533,7 +539,7 @@ class TestCacheFileThroughCli:
     """A cache file that cannot be written leaves stdout and the exit code as without one."""
 
     @pytest.mark.parametrize("command", ["correct", "bench", "generate"])
-    def test_unwritable_cache_file_changes_nothing(self, command, fixtures_dir, tmp_path, capsys, caplog):
+    def test_unwritable_cache_file_changes_nothing(self, command, fixtures_dir, tmp_path, capsys):
         demo = ["--provider", "fixture", "--fixture-file", str(fixtures_dir / "demo_durations.txt")]
         argv = {
             "correct": ["correct", str(fixtures_dir / "sample_invalid.json"), *demo],
@@ -545,14 +551,15 @@ class TestCacheFileThroughCli:
         }[command]
         expected_code = main(argv)
         expected = capsys.readouterr()
-        with caplog.at_level(logging.WARNING, logger=CACHE_LOGGER):
-            code = main([*argv, "--cache-file", str(tmp_path / "missing" / "cache.txt")])
+        code = main([*argv, "--cache-file", str(tmp_path / "missing" / "cache.txt")])
         captured = capsys.readouterr()
         assert code == expected_code == 0
         assert captured.out == expected.out
         assert "Traceback" not in captured.err
         assert "skipping" not in captured.err
-        assert len(write_warnings(caplog)) == 1
+        warnings = [line for line in captured.err.splitlines() if line.startswith("warning: ")]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("warning: cannot write cache file ")
 
 
 ROUTES = [route(a, b) for a in ("SYD", "FRA", "CAI", "CMN") for b in ("SYD", "FRA", "CAI", "CMN") if a != b]

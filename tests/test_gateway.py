@@ -181,6 +181,13 @@ class TestGenerationRequest:
         with pytest.raises(ValueError):
             generic_request(fixed_sequence=POOL[:3] + (("Oslo", "OSL"),))
 
+    @pytest.mark.parametrize("entry", ["AB", b"AB"], ids=["str", "bytes"])
+    def test_string_is_not_a_pair(self, entry):
+        with pytest.raises(ValueError, match="expected \\(name, iata\\) pairs"):
+            GenerationRequest(2, (entry, ("Cairo", "CAI")), WINDOW[0], WINDOW[1])
+        with pytest.raises(ValueError, match="expected \\(name, iata\\) pairs"):
+            generic_request(fixed_sequence=(entry, *POOL[1:4]))
+
     def test_lists_normalized_to_tuples(self):
         request = GenerationRequest(4, [list(c) for c in POOL], WINDOW[0], WINDOW[1])
         assert request.city_pool == POOL

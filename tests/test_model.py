@@ -67,7 +67,15 @@ class TestTimestamp:
             Timestamp.parse(raw)
 
     @pytest.mark.parametrize(
-        "raw", ["2024-13-01 10:00", "2024-02-30 10:00", "2024-03-20 24:00", "0000-01-01 00:00"]
+        "raw",
+        [
+            "2024-13-01 10:00",
+            "2024-02-30 10:00",
+            "2024-03-20 24:00",
+            "0000-01-01 00:00",
+            "1900-02-29 10:00",
+            "2100-02-29 10:00",
+        ],
     )
     def test_parse_rejects_impossible_dates(self, raw):
         # These pass the shape check but not the calendar.
@@ -100,7 +108,9 @@ class TestTimestamp:
             got = None
         assert got == expected
 
-    @pytest.mark.parametrize("text", ["0001-01-01 00:00", "0999-12-31 23:59", "9999-12-31 23:59"])
+    @pytest.mark.parametrize(
+        "text", ["0001-01-01 00:00", "0999-12-31 23:59", "2000-02-29 00:00", "9999-12-31 23:59"]
+    )
     def test_round_trip_at_the_year_range_ends(self, text):
         # Years below 1000 are zero-padded, so they read back.
         ts = Timestamp.parse(text)
