@@ -36,22 +36,18 @@ from .durations import (
     RemoteDurationClient,
 )
 from .gateway import (
+    DEFAULT_MAX_RETRIES,
     GenerationFailed,
     HttpGenerationClient,
     ReplayClient,
     ResponsesExhausted,
     generate_itinerary,
 )
-from .metrics import (
-    CorpusRecord,
-    aggregate,
-    failure_mode_breakdown,
-    load_manifest,
-    render_stats,
-)
+from .metrics import aggregate, failure_mode_breakdown, load_manifest, render_stats
 from .model import (
     AirportCode,
     Itinerary,
+    error_text,
     format_minutes,
     load_json,
     parse_itinerary,
@@ -88,14 +84,21 @@ DEMO_CITY_POOL = (
 )
 
 
+# The --format values of each command that prints a report.
+FORMATS = {"validate": ("table", "json"), "bench": ("table", "csv", "json")}
+
+_DEFAULT_POLICY = ValidationPolicy()
+
+
 class AppConfig(NamedTuple):
-    """Resolved settings shared by all subcommands."""
+    """Resolved settings shared by all subcommands; the policy fields are
+    ValidationPolicy's defaults, in hours."""
 
     provider: str = "great-circle"
-    buffer_hours: float = 4.0
-    min_stay_hours: float = 48.0
-    max_multiplier: float = 2.0
-    strict: bool = False
+    buffer_hours: float = _DEFAULT_POLICY.buffer_minutes / 60
+    min_stay_hours: float = _DEFAULT_POLICY.min_stay_minutes / 60
+    max_multiplier: float = _DEFAULT_POLICY.max_multiplier
+    strict: bool = _DEFAULT_POLICY.strict
     trace: bool = False
     format: str = "table"
     cache_file: str | None = None
@@ -107,7 +110,8 @@ def resolve_config(args: argparse.Namespace) -> AppConfig:
     """Layer config sources: defaults, then config file, then explicit flags.
 
     Flags parsed with default=None count as "not given" and leave the lower
-    layers alone.
+    layers alone. A format the command does not print is refused here,
+    before any input is read.
     """
     config = AppConfig()
     config_path = getattr(args, "config", None)
@@ -127,7 +131,14 @@ def resolve_config(args: argparse.Namespace) -> AppConfig:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    return config._replace(**overrides) if overrides else config
+    config = config._replace(**overrides) if overrides else config
+    formats = FORMATS.get(args.command)
+    if formats and config.format not in formats:
+        raise ValueError(
+            f"{args.command} supports --format {', '.join(formats[:-1])} or {formats[-1]}, "
+            f"not {shorten(repr(config.format))}"
+        )
+    return config
 
 
 def _check_config_type(key: str, value: object, default: object) -> object:
@@ -198,8 +209,6 @@ def _issue_line(issue: Issue, itin: Itinerary) -> str:
 
 
 def cmd_validate(args: argparse.Namespace, config: AppConfig) -> int:
-    if config.format not in ("table", "json"):
-        raise ValueError(f"validate supports --format table or json, not {shorten(repr(config.format))}")
     provider = build_provider(config)
     policy = build_policy(config)
     results = []
@@ -307,11 +316,9 @@ def cmd_bench(args: argparse.Namespace, config: AppConfig) -> int:
         try:
             itinerary = parse_itinerary((root / entry.file).read_bytes(), entry.num_cities)
             report = validate(itinerary, provider, policy)
-            records.append(CorpusRecord(entry.model_tag, entry.num_cities, report))
+            records.append((entry, report))
         except Exception as err:
-            # An OSError's text repeats the full path; the entry already names the file.
-            reason = err.strerror if isinstance(err, OSError) and err.strerror is not None else str(err)
-            warn(f"skipping {shorten(entry.file)}: {shorten(reason)}")
+            warn(f"skipping {shorten(entry.file)}: {shorten(error_text(err))}")
     stats = aggregate(records, include_stays=args.include_stays)
     if config.format == "json":
         print(json.dumps([row._asdict() for row in stats], indent=2))
@@ -352,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate = subparsers.add_parser("validate", parents=[common],
                                        help="check itinerary files against the temporal rules")
     p_validate.add_argument("inputs", nargs="+", help="itinerary JSON file(s)")
-    p_validate.add_argument("--format", choices=["table", "json"], default=None)
+    p_validate.add_argument("--format", choices=FORMATS["validate"], default=None)
 
     p_correct = subparsers.add_parser("correct", parents=[common],
                                       help="repair an itinerary and print the corrected JSON")
@@ -371,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("--replay-dir", help="serve recorded model responses from this directory")
     p_generate.add_argument("--model-tag", default="demo", help="recording subdirectory (default: demo)")
     p_generate.add_argument("--endpoint", help="live generation endpoint URL")
-    p_generate.add_argument("--max-retries", type=int, default=3,
-                            help="format-feedback retries after the first attempt (default: 3)")
+    p_generate.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES,
+                            help="format-feedback retries after the first attempt (default: %(default)s)")
     p_generate.add_argument("--no-correct", action="store_true",
                             help="emit the validated itinerary without repairing it")
     p_generate.add_argument("--trace", action="store_true", default=None,
@@ -381,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = subparsers.add_parser("bench", parents=[common],
                                     help="validate a corpus and print aggregate statistics")
     p_bench.add_argument("manifest", help="corpus manifest JSON")
-    p_bench.add_argument("--format", choices=["table", "csv", "json"], default=None)
+    p_bench.add_argument("--format", choices=FORMATS["bench"], default=None)
     p_bench.add_argument("--include-stays", action="store_true",
                          help="count stay violations in the invalid-segment rate")
     p_bench.add_argument("--breakdown", action="store_true",

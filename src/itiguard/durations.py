@@ -26,7 +26,7 @@ from collections import namedtuple
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Protocol
 
-from .model import AirportCode, InvalidJsonError, load_json, shorten, warn
+from .model import AirportCode, InvalidJsonError, error_text, load_json, shorten, warn
 
 MAX_FLIGHT_MINUTES = 48 * 60  # sanity bound, no commercial flight exceeds 48h
 FETCH_ATTEMPTS = 3
@@ -89,9 +89,7 @@ class TransitBounds(NamedTuple):
     t_max: int
 
     @classmethod
-    def from_flight(
-        cls, flight_minutes: int, buffer_minutes: int, multiplier: float = 2.0
-    ) -> "TransitBounds":
+    def from_flight(cls, flight_minutes: int, buffer_minutes: int, multiplier: float) -> "TransitBounds":
         t_min = flight_minutes + buffer_minutes
         return cls(t_min, int(t_min * multiplier))
 
@@ -333,7 +331,7 @@ class CachedProvider:
                 self._torn = False
             save_cache({route: duration}, self._path)
         except OSError as err:
-            warn(f"cannot write cache file {self._path}: {err}; continuing without it")
+            warn(f"cannot write cache file {self._path}: {error_text(err)}; continuing without it")
             self._path = None
 
 

@@ -1,10 +1,12 @@
 """Corpus-level statistics over validation reports.
 
-Records pair a validation report with the model tag and city count it came
-from; aggregate() folds them into per-(model, cities) rows: the share of
-itineraries with at least one issue, the share of invalid segments, and the
-mean issue count. Segments whose route data could not be resolved are
-excluded from the segment percentage on both sides of the division.
+A corpus manifest names each file's model tag and city count, and
+load_manifest is the one place that checks them. A validated file is an
+(entry, report) pair; aggregate() folds the pairs into per-(model, cities)
+rows: the share of itineraries with at least one issue, the share of
+invalid segments, and the mean issue count. Segments whose route data could
+not be resolved are excluded from the segment percentage on both sides of
+the division.
 
 "Invalid segments" counts transit-kind issues only (overlap, too short, too
 long). Stay violations sit on stops, not segments; pass include_stays=True
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
-from collections import Counter, namedtuple
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -23,17 +25,6 @@ from .model import load_json, shorten
 from .validation import SEGMENT_ISSUE_KINDS, IssueKind, ValidationReport
 
 TABLE_HEADERS = ("Model", "Cities", "Invalid Itin.", "Invalid Seg.", "Avg Issues/Itn.")
-
-
-class CorpusRecord(namedtuple("CorpusRecord", "model_tag num_cities report")):
-    """One validated itinerary's report, tagged with its origin."""
-
-    __slots__ = ()
-
-    def __new__(cls, model_tag: str, num_cities: int, report: ValidationReport):
-        if num_cities < 1:
-            raise ValueError(f"num_cities must be positive, got {num_cities}")
-        return super().__new__(cls, model_tag, num_cities, report)
 
 
 class CorpusStats(NamedTuple):
@@ -85,26 +76,19 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
 _SEGMENT_AND_STAY_KINDS = SEGMENT_ISSUE_KINDS | {IssueKind.STAY_TOO_SHORT}
 
 
-def _issue_counts(report: ValidationReport, include_stays: bool) -> tuple[int, int]:
-    """(all issues, issues that count as invalid segments)."""
-    countable = _SEGMENT_AND_STAY_KINDS if include_stays else SEGMENT_ISSUE_KINDS
-    invalid = sum(1 for issue in report.issues if issue.kind in countable)
-    return len(report.issues), invalid
-
-
 def _stats_for_group(
     model_tag: str, num_cities: int, reports: list[ValidationReport], include_stays: bool
 ) -> CorpusStats:
+    countable = _SEGMENT_AND_STAY_KINDS if include_stays else SEGMENT_ISSUE_KINDS
     total = len(reports)
     issue_total = 0
     segment_issue_total = 0
     invalid_itineraries = 0
     unverifiable_total = 0
     for report in reports:
-        issues, segment_issues = _issue_counts(report, include_stays)
-        issue_total += issues
-        segment_issue_total += segment_issues
-        if issues:
+        issue_total += len(report.issues)
+        segment_issue_total += sum(1 for issue in report.issues if issue.kind in countable)
+        if report.issues:
             invalid_itineraries += 1
         unverifiable_total += len(report.unverifiable_segments)
     slots_per_itinerary = num_cities - 1
@@ -125,27 +109,30 @@ def _stats_for_group(
     )
 
 
-def aggregate(records: list[CorpusRecord], *, include_stays: bool = False) -> list[CorpusStats]:
-    """Fold records into one CorpusStats per (model_tag, num_cities) group.
+def aggregate(
+    records: list[tuple[ManifestEntry, ValidationReport]], *, include_stays: bool = False
+) -> list[CorpusStats]:
+    """Fold (entry, report) pairs into one CorpusStats per (model_tag,
+    num_cities) group.
 
     Groups come back sorted by tag then city count; no records give no
     groups.
     """
     groups: dict[tuple[str, int], list[ValidationReport]] = {}
-    for record in records:
-        groups.setdefault((record.model_tag, record.num_cities), []).append(record.report)
+    for entry, report in records:
+        groups.setdefault((entry.model_tag, entry.num_cities), []).append(report)
     return [
         _stats_for_group(tag, cities, reports, include_stays)
         for (tag, cities), reports in sorted(groups.items())
     ]
 
 
-def _stat_cells(stats: CorpusStats) -> tuple[str, ...]:
+def _stat_cells(stats: CorpusStats, percent: str) -> tuple[str, ...]:
     return (
         stats.model_tag,
         str(stats.num_cities),
-        f"{stats.invalid_itineraries_pct:.2f}%",
-        f"{stats.invalid_segments_pct:.2f}%",
+        f"{stats.invalid_itineraries_pct:.2f}{percent}",
+        f"{stats.invalid_segments_pct:.2f}{percent}",
         f"{stats.avg_issues_per_itinerary:.2f}",
     )
 
@@ -159,20 +146,11 @@ def render_stats(stats: list[CorpusStats], format: str = "table") -> str:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(TABLE_HEADERS)
-        for row in stats:
-            writer.writerow(
-                (
-                    row.model_tag,
-                    row.num_cities,
-                    f"{row.invalid_itineraries_pct:.2f}",
-                    f"{row.invalid_segments_pct:.2f}",
-                    f"{row.avg_issues_per_itinerary:.2f}",
-                )
-            )
+        writer.writerows(_stat_cells(row, "") for row in stats)
         return buffer.getvalue()
     if format != "table":
         raise ValueError(f"unknown format {shorten(repr(format))}, expected 'table' or 'csv'")
-    rows = [TABLE_HEADERS] + [_stat_cells(s) for s in stats]
+    rows = [TABLE_HEADERS] + [_stat_cells(s, "%") for s in stats]
     widths = [max(len(row[col]) for row in rows) for col in range(len(TABLE_HEADERS))]
     lines = []
     for i, row in enumerate(rows):
@@ -182,12 +160,15 @@ def render_stats(stats: list[CorpusStats], format: str = "table") -> str:
     return "\n".join(lines) + "\n"
 
 
-def failure_mode_breakdown(records: list[CorpusRecord]) -> dict[str, Counter]:
-    """Tally issue kinds per model tag; distinguishes under- from
-    over-estimation of travel time across a corpus."""
+def failure_mode_breakdown(
+    records: list[tuple[ManifestEntry, ValidationReport]],
+) -> dict[str, Counter]:
+    """Tally issue kinds per model tag over (entry, report) pairs;
+    distinguishes under- from over-estimation of travel time across a
+    corpus."""
     breakdown: dict[str, Counter] = {}
-    for record in records:
-        counter = breakdown.setdefault(record.model_tag, Counter())
-        for issue in record.report.issues:
+    for entry, report in records:
+        counter = breakdown.setdefault(entry.model_tag, Counter())
+        for issue in report.issues:
             counter[issue.kind] += 1
     return breakdown

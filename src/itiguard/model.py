@@ -66,6 +66,12 @@ def warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
+def error_text(err: Exception) -> str:
+    """An error's text for a message that names the file itself: an
+    OSError's strerror, since its full text repeats the path."""
+    return err.strerror if isinstance(err, OSError) and err.strerror is not None else str(err)
+
+
 # Day 0 of the minute count is 1970-01-01.
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 # The wire form spells years 0001-9999 only.

@@ -1,9 +1,10 @@
 """Prompt construction for itinerary generation.
 
-Two base prompts (free city choice vs. a pre-defined route) plus three
-feedback messages used when a response fails to parse. The exact wording is
-load-bearing: tests pin the rendered text byte-for-byte against golden
-files, so any edit here must update those files deliberately.
+Two base prompts (free city choice vs. a pre-defined route), both built by
+build_base_prompt, plus three feedback messages used when a response fails
+to parse. The exact wording is load-bearing: tests pin the rendered text
+byte-for-byte against golden files, so any edit here must update those
+files deliberately.
 
 Each template is split once, when the module loads, into literal pieces and
 placeholder names (SplitTemplate); a prompt is the pieces joined with the
@@ -260,34 +261,25 @@ def _pairs_str(separator: str, pairs: tuple[tuple[str, AirportCode], ...]) -> st
     return _pairs_memo(separator, pairs)
 
 
-def build_generic_prompt(request: GenerationRequest) -> str:
-    if request.fixed_sequence is not None:
-        raise ValueError("request has a fixed sequence; use build_fixed_sequence_prompt")
-    return GENERIC_PROMPT.substitute(
-        num_destinations=request.num_destinations,
-        cities_str=_pairs_str(", ", request.city_pool),
-        date_start=request.window_start.isoformat(),
-        date_end=request.window_end.isoformat(),
-    )
-
-
-def build_fixed_sequence_prompt(request: GenerationRequest) -> str:
+def build_base_prompt(request: GenerationRequest) -> str:
+    """The first prompt for a request: the pre-defined-route template when it
+    has a fixed_sequence, the free-choice template otherwise."""
+    cities_str = _pairs_str(", ", request.city_pool)
     if request.fixed_sequence is None:
-        raise ValueError("request has no fixed sequence; use build_generic_prompt")
+        return GENERIC_PROMPT.substitute(
+            num_destinations=request.num_destinations,
+            cities_str=cities_str,
+            date_start=request.window_start.isoformat(),
+            date_end=request.window_end.isoformat(),
+        )
     first_name, first_code = request.fixed_sequence[0]
     return FIXED_SEQUENCE_PROMPT.substitute(
         num_destinations=request.num_destinations,
         fixed_route_str=_pairs_str(" -> ", request.fixed_sequence),
-        cities_str=_pairs_str(", ", request.city_pool),
+        cities_str=cities_str,
         example_place=first_name,
         example_iata=str(first_code),
     )
-
-
-def build_base_prompt(request: GenerationRequest) -> str:
-    if request.fixed_sequence is not None:
-        return build_fixed_sequence_prompt(request)
-    return build_generic_prompt(request)
 
 
 def build_feedback(

@@ -13,8 +13,8 @@ from the verdict in non-strict mode; a leg between two identical airports
 is structurally broken and is reported as an issue as well.
 
 Each comparison lives in one place, stay_violation or segment_violation:
-they take int minutes and name the broken rule. check_stay / check_segment
-wrap their answer in an Issue, and the correction pass asks them directly.
+they take int minutes and name the broken rule. check_against_bounds turns
+their answer into an Issue, and the correction pass asks them directly.
 """
 
 from __future__ import annotations
@@ -139,24 +139,6 @@ def segment_violation(travel_time: int, t_min: int, t_max: int) -> IssueKind | N
     return None
 
 
-def check_stay(index: int, stay: int, policy: ValidationPolicy) -> Issue | None:
-    """stay_violation as an Issue for stop index, or None."""
-    kind = stay_violation(stay, policy)
-    if kind is None:
-        return None
-    return Issue(kind, index, observed=stay, required=policy.min_stay_minutes)
-
-
-def check_segment(index: int, travel_time: int, bounds: TransitBounds) -> Issue | None:
-    """segment_violation as an Issue for leg index, or None; the required
-    value is t_max for TRANSIT_TOO_LONG and t_min otherwise."""
-    kind = segment_violation(travel_time, bounds.t_min, bounds.t_max)
-    if kind is None:
-        return None
-    required = bounds.t_max if kind is IssueKind.TRANSIT_TOO_LONG else bounds.t_min
-    return Issue(kind, index, observed=travel_time, required=required)
-
-
 def resolve_segment_bounds(
     itin: Itinerary, provider: DurationProvider, policy: ValidationPolicy
 ) -> list[TransitBounds | None]:
@@ -207,8 +189,9 @@ def check_against_bounds(
     same airports in the same order; no provider is consulted. A None entry
     makes its leg unverifiable, and a ROUTE_DATA_UNAVAILABLE issue when the
     leg joins an airport to itself. Each stop's minutes are read once and
-    compared as ints by check_stay / check_segment, which build an Issue
-    only for a violation.
+    compared as ints by stay_violation / segment_violation; an Issue is
+    built only for a violation, and its required value is t_max for
+    TRANSIT_TOO_LONG and t_min for the other leg kinds.
     """
     stops = itin.stops
     arrivals = [stop.arrival.minutes_since_epoch for stop in stops]
@@ -217,15 +200,18 @@ def check_against_bounds(
     issues: list[Issue] = []
     unverifiable: list[int] = []
     for i in range(len(stops)):
-        issue = check_stay(i, departures[i] - arrivals[i], policy)
-        if issue:
-            issues.append(issue)
+        stay = departures[i] - arrivals[i]
+        kind = stay_violation(stay, policy)
+        if kind is not None:
+            issues.append(Issue(kind, i, stay, policy.min_stay_minutes))
         if i < last:
             leg = bounds[i]
             if leg is not None:
-                issue = check_segment(i, arrivals[i + 1] - departures[i], leg)
-                if issue:
-                    issues.append(issue)
+                travel = arrivals[i + 1] - departures[i]
+                kind = segment_violation(travel, leg.t_min, leg.t_max)
+                if kind is not None:
+                    required = leg.t_max if kind is IssueKind.TRANSIT_TOO_LONG else leg.t_min
+                    issues.append(Issue(kind, i, travel, required))
                 continue
             unverifiable.append(i)
             if stops[i].airport.code == stops[i + 1].airport.code:

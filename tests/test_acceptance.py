@@ -25,7 +25,7 @@ from itiguard.durations import (
     TransportError,
 )
 from itiguard.gateway import GenerationFailed, ScriptedClient, generate_itinerary
-from itiguard.metrics import CorpusRecord, aggregate, load_manifest, render_stats
+from itiguard.metrics import aggregate, load_manifest, render_stats
 from itiguard.model import (
     AirportCode,
     Itinerary,
@@ -40,8 +40,6 @@ from itiguard.prompts import (
     GenerationRequest,
     build_base_prompt,
     build_feedback,
-    build_fixed_sequence_prompt,
-    build_generic_prompt,
 )
 from itiguard.validation import IssueKind, ValidationPolicy, validate
 from support import brute_force_issues, random_itinerary
@@ -199,7 +197,7 @@ def test_criterion_6_corpus_arithmetic(fixtures_dir):
     records = []
     for entry in load_manifest(corpus_dir / "manifest.json"):
         itin = parse_itinerary((corpus_dir / entry.file).read_text(encoding="utf-8"), entry.num_cities)
-        records.append(CorpusRecord(entry.model_tag, entry.num_cities, validate(itin, provider)))
+        records.append((entry, validate(itin, provider)))
     rows = {(r.model_tag, r.num_cities): r for r in aggregate(records)}
     row_a = rows[("model-a", 4)]
     row_b = rows[("model-b", 4)]
@@ -307,8 +305,8 @@ def test_criterion_8_retry_loop_and_prompt_goldens(fixtures_dir, goldens_dir):
         failed_ok = err.attempts == 4
 
     goldens = {
-        "prompt_generic.txt": build_generic_prompt(request),
-        "prompt_fixed_sequence.txt": build_fixed_sequence_prompt(fixed_request),
+        "prompt_generic.txt": build_base_prompt(request),
+        "prompt_fixed_sequence.txt": build_base_prompt(fixed_request),
         "feedback_json_error.txt": build_feedback(FeedbackKind.JSON_ERROR, request),
         "feedback_time_format.txt": build_feedback(
             FeedbackKind.TIME_FORMAT, request, place_label="Cairo (CAI)"

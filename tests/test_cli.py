@@ -13,6 +13,7 @@ import requests
 from itiguard import cli, correction, durations
 from itiguard.cli import main
 from itiguard.model import parse_itinerary
+from itiguard.validation import ValidationPolicy
 from support import CountingProvider
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -627,6 +628,25 @@ class TestConfigResolution:
         code = main(["validate", str(FIXTURES / "sample_invalid.json"), "--provider", "fixture"])
         assert code == 2
         assert "--fixture-file" in capsys.readouterr().err
+
+    def test_default_config_is_the_default_policy(self):
+        assert cli.build_policy(cli.AppConfig()) == ValidationPolicy()
+
+    def test_unsupported_bench_format_exits_before_reading_the_corpus(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"format": "xml"}')
+        parsed = []
+        monkeypatch.setattr(cli, "parse_itinerary", lambda *args: parsed.append(args))
+        corpus = FIXTURES / "corpus"
+        flags = ["--provider", "fixture", "--fixture-file", str(corpus / "durations.txt")]
+        code = main(["bench", str(corpus / "manifest.json"), "--config", str(config), *flags])
+        assert code == 2
+        assert parsed == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: bad configuration: bench supports --format table, csv or json, not 'xml'"
+        ]
 
 
 LONG = "x" * 300

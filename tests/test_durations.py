@@ -67,7 +67,7 @@ class TestFlightDuration:
 
 class TestTransitBounds:
     def test_from_flight(self):
-        bounds = TransitBounds.from_flight(1020, 240)
+        bounds = TransitBounds.from_flight(1020, 240, 2.0)
         assert bounds.t_min == 1260
         assert bounds.t_max == 2520
 
@@ -78,7 +78,7 @@ class TestTransitBounds:
     @given(flight=st.integers(1, 2880), buffer=st.integers(0, 600))
     @settings(max_examples=200)
     def test_window_is_well_formed(self, flight, buffer):
-        bounds = TransitBounds.from_flight(flight, buffer)
+        bounds = TransitBounds.from_flight(flight, buffer, 2.0)
         assert flight <= bounds.t_min <= bounds.t_max
         assert bounds.t_max == 2 * bounds.t_min
 
@@ -120,6 +120,29 @@ class TestGreatCircle:
     def test_haversine_rejects_bad_coords(self):
         with pytest.raises(ValueError):
             haversine_km(91.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "lat,lon,arc", [(90.0, 0.0, 0.5), (-90.0, 0.0, 0.5), (0.0, 180.0, 1.0), (0.0, -180.0, 1.0)]
+    )
+    def test_haversine_accepts_the_coordinate_edges(self, lat, lon, arc):
+        # arc: the distance from (0, 0) as a multiple of half the circumference.
+        for d in (haversine_km(lat, lon, 0.0, 0.0), haversine_km(0.0, 0.0, lat, lon)):
+            assert math.isclose(d, arc * math.pi * 6371.0)
+
+    @pytest.mark.parametrize(
+        "lat,lon",
+        [
+            (math.nextafter(90.0, math.inf), 0.0),
+            (math.nextafter(-90.0, -math.inf), 0.0),
+            (0.0, math.nextafter(180.0, math.inf)),
+            (0.0, math.nextafter(-180.0, -math.inf)),
+        ],
+    )
+    def test_haversine_rejects_the_next_float_past_each_edge(self, lat, lon):
+        with pytest.raises(ValueError, match="invalid coordinates"):
+            haversine_km(lat, lon, 0.0, 0.0)
+        with pytest.raises(ValueError, match="invalid coordinates"):
+            haversine_km(0.0, 0.0, lat, lon)
 
     def test_estimate_short_hop(self):
         # ceil(347.349 km / 800 kmh * 60) + 30 = ceil(26.05) + 30
@@ -479,6 +502,14 @@ class TestAppendOnlyFile:
         assert len(warnings) == 1
         assert warnings[0].startswith("cannot write cache file ")
         assert not path.parent.exists()
+
+    def test_failed_write_warning_names_the_path_once(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "durations.txt"
+        CachedProvider(CountingProvider(300), path=path).route_duration(route("SYD", "FRA"))
+        (warning,) = warning_lines(capsys)
+        assert warning.count(str(path)) == 1
+        assert warning.count("missing") == 1
+        assert warning.endswith("; continuing without it")
 
     def test_concurrent_processes_keep_every_route(self, tmp_path):
         """Writers in separate processes, released together, append to one file."""

@@ -39,8 +39,6 @@ from itiguard.prompts import (
     SplitTemplate,
     build_base_prompt,
     build_feedback,
-    build_fixed_sequence_prompt,
-    build_generic_prompt,
 )
 
 POOL = (
@@ -69,10 +67,10 @@ class TestPromptGoldens:
         return (goldens_dir / name).read_text(encoding="utf-8")
 
     def test_generic_prompt(self, goldens_dir):
-        assert build_generic_prompt(generic_request()) == self.golden(goldens_dir, "prompt_generic.txt")
+        assert build_base_prompt(generic_request()) == self.golden(goldens_dir, "prompt_generic.txt")
 
     def test_fixed_sequence_prompt(self, goldens_dir):
-        assert build_fixed_sequence_prompt(fixed_request()) == self.golden(
+        assert build_base_prompt(fixed_request()) == self.golden(
             goldens_dir, "prompt_fixed_sequence.txt"
         )
 
@@ -130,6 +128,10 @@ class TestSplitTemplate:
         with pytest.raises(KeyError):
             split.substitute(b=1)
 
+    def test_escaped_dollar_after_a_placeholder(self):
+        split = SplitTemplate("$a costs $$5")
+        assert split.substitute(a="x") == Template(split.template).substitute(a="x") == "x costs $5"
+
     def test_invalid_placeholder_rejected_when_split(self):
         with pytest.raises(ValueError):
             SplitTemplate("costs $5")
@@ -138,23 +140,23 @@ class TestSplitTemplate:
 class TestCityListMemo:
     def test_unhashable_code_still_renders(self):
         request = generic_request(city_pool=(("Sydney", ["SYD"]), ("Cairo", {"iata": "CAI"})))
-        assert "\nSydney (['SYD']), Cairo ({'iata': 'CAI'})\n" in build_generic_prompt(request)
+        assert "\nSydney (['SYD']), Cairo ({'iata': 'CAI'})\n" in build_base_prompt(request)
 
     def test_equal_pools_that_print_differently(self):
         # 1 == True and ("x", 1) == ("x", True): a memo keyed on the pool
         # alone would render the second pool as the first.
-        first = build_generic_prompt(generic_request(city_pool=((1, "SYD"),)))
-        second = build_generic_prompt(generic_request(city_pool=((True, "SYD"),)))
+        first = build_base_prompt(generic_request(city_pool=((1, "SYD"),)))
+        second = build_base_prompt(generic_request(city_pool=((True, "SYD"),)))
         assert "\n1 (SYD)\n" in first
         assert "\nTrue (SYD)\n" in second
 
     def test_str_and_airport_code_pools_render_alike(self):
         codes = tuple((name, AirportCode(code)) for name, code in POOL)
-        plain = build_generic_prompt(generic_request())
-        assert build_generic_prompt(generic_request(city_pool=codes)) == plain
-        assert build_fixed_sequence_prompt(
+        plain = build_base_prompt(generic_request())
+        assert build_base_prompt(generic_request(city_pool=codes)) == plain
+        assert build_base_prompt(
             generic_request(city_pool=codes, fixed_sequence=codes)
-        ) == build_fixed_sequence_prompt(fixed_request())
+        ) == build_base_prompt(fixed_request())
 
     def test_memo_is_bounded(self):
         assert prompts._pairs_memo.cache_info().maxsize is not None
@@ -165,6 +167,9 @@ class TestGenerationRequest:
         with pytest.raises(ValueError):
             generic_request(num_destinations=1)
 
+    def test_two_destinations_accepted(self):
+        assert generic_request(num_destinations=2).num_destinations == 2
+
     def test_empty_pool(self):
         with pytest.raises(ValueError):
             generic_request(city_pool=())
@@ -172,6 +177,10 @@ class TestGenerationRequest:
     def test_window_end_before_start(self):
         with pytest.raises(ValueError):
             generic_request(window_start=date(2025, 6, 30), window_end=date(2025, 6, 1))
+
+    def test_one_day_window_accepted(self):
+        request = generic_request(window_start=date(2025, 6, 1), window_end=date(2025, 6, 1))
+        assert request.window_start == request.window_end
 
     def test_sequence_length_must_match(self):
         with pytest.raises(ValueError):
@@ -192,15 +201,11 @@ class TestGenerationRequest:
         request = GenerationRequest(4, [list(c) for c in POOL], WINDOW[0], WINDOW[1])
         assert request.city_pool == POOL
 
-    def test_prompt_builders_reject_wrong_request_shape(self):
-        with pytest.raises(ValueError):
-            build_generic_prompt(fixed_request())
-        with pytest.raises(ValueError):
-            build_fixed_sequence_prompt(generic_request())
-
-    def test_base_prompt_dispatches_on_sequence(self):
-        assert build_base_prompt(generic_request()) == build_generic_prompt(generic_request())
-        assert build_base_prompt(fixed_request()) == build_fixed_sequence_prompt(fixed_request())
+    def test_base_prompt_dispatches_on_sequence(self, goldens_dir):
+        generic = (goldens_dir / "prompt_generic.txt").read_text(encoding="utf-8")
+        fixed = (goldens_dir / "prompt_fixed_sequence.txt").read_text(encoding="utf-8")
+        assert build_base_prompt(generic_request()) == generic
+        assert build_base_prompt(fixed_request()) == fixed
 
 
 class TestFeedbackForError:

@@ -9,7 +9,7 @@ import pytest
 
 from itiguard.metrics import (
     TABLE_HEADERS,
-    CorpusRecord,
+    ManifestEntry,
     aggregate,
     failure_mode_breakdown,
     load_manifest,
@@ -40,8 +40,10 @@ def report(
     return ValidationReport(issues=tuple(issues), unverifiable_segments=tuple(marks))
 
 
-def records(model: str, cities: int, reports: list[ValidationReport]) -> list[CorpusRecord]:
-    return [CorpusRecord(model, cities, r) for r in reports]
+def records(
+    model: str, cities: int, reports: list[ValidationReport]
+) -> list[tuple[ManifestEntry, ValidationReport]]:
+    return [(ManifestEntry(f"{model}-{i}.json", model, cities), r) for i, r in enumerate(reports)]
 
 
 class TestAggregate:
@@ -145,22 +147,22 @@ class TestAggregate:
         rng = random.Random(7)
         recs = []
         for _ in range(200):
-            recs.append(
-                CorpusRecord(
-                    rng.choice(["a", "b"]),
-                    rng.choice([4, 6]),
+            recs += records(
+                rng.choice(["a", "b"]),
+                rng.choice([4, 6]),
+                [
                     report(
                         segment_issues=rng.randint(0, 3),
                         stay_issues=rng.randint(0, 2),
                         unverifiable=rng.randint(0, 1),
-                    ),
-                )
+                    )
+                ],
             )
         rows = aggregate(recs)
         assert sum(r.total for r in rows) == 200
-        assert sum(r.issue_count for r in rows) == sum(len(r.report.issues) for r in recs)
+        assert sum(r.issue_count for r in rows) == sum(len(rep.issues) for _, rep in recs)
         assert sum(r.unverifiable_count for r in rows) == sum(
-            len(r.report.unverifiable_segments) for r in recs
+            len(rep.unverifiable_segments) for _, rep in recs
         )
 
 
@@ -210,16 +212,17 @@ class TestBreakdown:
     def test_recount_matches_flat_scan(self):
         rng = random.Random(11)
         recs = [
-            CorpusRecord(
+            record
+            for _ in range(150)
+            for record in records(
                 rng.choice(["a", "b", "c"]),
                 4,
-                report(segment_issues=rng.randint(0, 4), stay_issues=rng.randint(0, 2)),
+                [report(segment_issues=rng.randint(0, 4), stay_issues=rng.randint(0, 2))],
             )
-            for _ in range(150)
         ]
         breakdown = failure_mode_breakdown(recs)
         total = sum(sum(counter.values()) for counter in breakdown.values())
-        assert total == sum(len(r.report.issues) for r in recs)
+        assert total == sum(len(rep.issues) for _, rep in recs)
 
     def test_no_records(self):
         assert failure_mode_breakdown([]) == {}
@@ -278,12 +281,3 @@ class TestManifest:
         path.write_text(f"[{entry}]")
         with pytest.raises(ValueError, match="manifest entry 0"):
             load_manifest(path)
-
-
-class TestCorpusRecord:
-    def test_rejects_nonpositive_cities(self):
-        with pytest.raises(ValueError):
-            CorpusRecord("m", 0, report())
-
-    def test_accepts_one_city(self):
-        assert CorpusRecord("m", 1, report()).num_cities == 1

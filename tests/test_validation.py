@@ -13,8 +13,7 @@ from itiguard.validation import (
     ProviderError,
     ValidationPolicy,
     ValidationReport,
-    check_segment,
-    check_stay,
+    check_against_bounds,
     segment_violation,
     stay_violation,
     validate,
@@ -24,6 +23,20 @@ from support import brute_force_issues, random_itinerary
 
 def make_stop(code: str, arrival: str, departure: str) -> Stop:
     return Stop(f"City {code}", AirportCode(code), Timestamp.parse(arrival), Timestamp.parse(departure))
+
+
+def checked(
+    stays: list[int], gap: int = 450, bounds: TransitBounds = TransitBounds(300, 600)
+) -> tuple[Issue, ...]:
+    """check_against_bounds on stops with these stays in minutes, each leg
+    taking gap minutes against bounds."""
+    stops, at = [], 0
+    for i, stay in enumerate(stays):
+        code = AirportCode("AAA" if i % 2 else "BBB")
+        stops.append(Stop(f"City {i}", code, Timestamp(at), Timestamp(at + stay)))
+        at += stay + gap
+    report = check_against_bounds(Itinerary(stops), [bounds] * (len(stays) - 1), ValidationPolicy())
+    return report.issues
 
 
 class TestPolicy:
@@ -45,43 +58,57 @@ class TestPolicy:
     def test_zero_buffer_accepted(self):
         assert ValidationPolicy(buffer_minutes=0).buffer_minutes == 0
 
+    def test_one_minute_stay_accepted(self):
+        assert ValidationPolicy(min_stay_minutes=1).min_stay_minutes == 1
+
+    def test_overflow_edge_counts_the_buffer(self):
+        # t_max of the longest flight, (2880 + 240) * multiplier, overflows
+        # just above 5.76e304; without the buffer it would not until 6.24e304.
+        assert ValidationPolicy(buffer_minutes=240, max_multiplier=5.7e304).max_multiplier == 5.7e304
+        with pytest.raises(ValueError, match="not finite or too large"):
+            ValidationPolicy(buffer_minutes=240, max_multiplier=6e304)
+
 
 class TestCheckStay:
+    """The minimum-stay rule as check_against_bounds reports it."""
+
     def test_exactly_minimum_passes(self):
-        assert check_stay(0, 2880, ValidationPolicy()) is None
+        assert checked([2880, 2880]) == ()
 
     def test_one_minute_under_fails(self):
-        issue = check_stay(2, 2879, ValidationPolicy())
+        (issue,) = checked([2880, 2880, 2879])
         assert issue == Issue(IssueKind.STAY_TOO_SHORT, 2, observed=2879, required=2880)
 
     def test_inverted_times_are_a_short_stay(self):
-        issue = check_stay(0, -2880, ValidationPolicy())
+        (issue,) = checked([-2880, 2880])
         assert issue.kind is IssueKind.STAY_TOO_SHORT
         assert issue.observed == -2880
 
 
 class TestCheckSegment:
+    """The three leg rules as check_against_bounds reports them."""
+
     BOUNDS = TransitBounds(t_min=300, t_max=600)
 
     @pytest.mark.parametrize("gap", [300, 600, 450])
     def test_within_bounds_passes(self, gap):
-        assert check_segment(0, gap, self.BOUNDS) is None
+        assert checked([2880, 2880], gap, self.BOUNDS) == ()
 
     def test_under_minimum(self):
-        issue = check_segment(0, 299, self.BOUNDS)
+        (issue,) = checked([2880, 2880], 299, self.BOUNDS)
         assert issue == Issue(IssueKind.TRANSIT_TOO_SHORT, 0, observed=299, required=300)
 
     def test_over_maximum(self):
-        issue = check_segment(0, 601, self.BOUNDS)
+        (issue,) = checked([2880, 2880], 601, self.BOUNDS)
         assert issue == Issue(IssueKind.TRANSIT_TOO_LONG, 0, observed=601, required=600)
 
     def test_negative_is_overlap(self):
-        issue = check_segment(0, -1, self.BOUNDS)
+        (issue,) = checked([2880, 2880], -1, self.BOUNDS)
         assert issue == Issue(IssueKind.OVERLAP, 0, observed=-1, required=300)
 
 
 class TestRuleFunctions:
-    """The int rule functions at their edges, and the Issue builders over them."""
+    """The int rule functions at their edges."""
 
     def test_stay_at_minimum_passes(self):
         policy = ValidationPolicy(min_stay_minutes=2880)
@@ -103,33 +130,6 @@ class TestRuleFunctions:
 
     def test_zero_travel_with_zero_minimum_passes(self):
         assert segment_violation(0, 0, 0) is None
-
-    def test_check_stay_agrees_on_a_grid(self):
-        for min_stay in (1, 60, 2880):
-            policy = ValidationPolicy(min_stay_minutes=min_stay)
-            for stay in range(-2 * min_stay - 2, 2 * min_stay + 3, max(1, min_stay // 7)):
-                kind = stay_violation(stay, policy)
-                issue = check_stay(3, stay, policy)
-                if kind is None:
-                    assert issue is None
-                else:
-                    assert issue == Issue(kind, 3, observed=stay, required=min_stay)
-
-    def test_check_segment_agrees_on_a_grid(self):
-        for t_min, t_max in ((0, 0), (0, 5), (300, 300), (300, 600), (1260, 2520)):
-            bounds = TransitBounds(t_min=t_min, t_max=t_max)
-            for travel in range(-t_max - 3, 2 * t_max + 4, max(1, t_max // 11)):
-                kind = segment_violation(travel, t_min, t_max)
-                issue = check_segment(5, travel, bounds)
-                if kind is None:
-                    assert issue is None
-                    assert 0 <= travel and t_min <= travel <= t_max
-                else:
-                    required = t_max if kind is IssueKind.TRANSIT_TOO_LONG else t_min
-                    assert issue == Issue(kind, 5, observed=travel, required=required)
-            for travel in (t_min - 1, t_min, t_max, t_max + 1):
-                issue = check_segment(5, travel, bounds)
-                assert (issue.kind if issue else None) is segment_violation(travel, t_min, t_max)
 
 
 class TestValidate:
