@@ -343,10 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--fixture-file", help="duration table for --provider fixture")
     common.add_argument("--base-url", help="duration API root for --provider live")
     common.add_argument("--cache-file", help="persistent duration cache")
-    common.add_argument("--buffer-hours", type=float, help="airport buffer added to flight time (default: 4)")
-    common.add_argument("--min-stay-hours", type=float, help="minimum stay per city (default: 48)")
-    common.add_argument("--max-multiplier", type=float,
-                        help="max transit as a multiple of minimum transit (default: 2)")
+    # The flags default to None ("not given"), so %(default)s cannot show
+    # the policy's defaults.
+    common.add_argument("--buffer-hours", type=float, help="airport buffer added to flight time "
+                        f"(default: {_DEFAULT_POLICY.buffer_minutes / 60:g})")
+    common.add_argument("--min-stay-hours", type=float, help="minimum stay per city "
+                        f"(default: {_DEFAULT_POLICY.min_stay_minutes / 60:g})")
+    common.add_argument("--max-multiplier", type=float, help="max transit as a multiple of minimum transit "
+                        f"(default: {_DEFAULT_POLICY.max_multiplier:g})")
     common.add_argument("--strict", action="store_true", default=None,
                         help="treat unresolvable routes as errors instead of skipping them")
 

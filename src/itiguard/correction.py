@@ -11,7 +11,10 @@ breaks which rule is decided by the validator's int rule functions,
 stay_violation / segment_violation; this module only decides how to fix
 it. A Timestamp is built only for an Adjustment's new value, and the stops
 are rebuilt from the adjustments, so an untouched stop or timestamp is
-reused as it is.
+reused as it is. Those Timestamps and Stops, the corrected Itinerary and
+the trace are built unchecked (model._new_tuple), from the pass's own int
+arithmetic on a checked itinerary; each Adjustment still goes through its
+constructor, whose new != old check the pass never fails.
 
 correct_against_bounds() is the pure part: given the per-leg bounds list
 that resolve_segment_bounds returned, it makes the pass and then checks the
@@ -34,7 +37,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .durations import DurationProvider, TransitBounds
-from .model import Itinerary, Stop, Timestamp
+from .model import Itinerary, Stop, Timestamp, _new_tuple
 from .validation import (
     IssueKind,
     ValidationPolicy,
@@ -63,7 +66,7 @@ class Adjustment(namedtuple("Adjustment", "stop_index field old new reason")):
     def __new__(cls, stop_index: int, field: TimeField, old: Timestamp, new: Timestamp, reason: IssueKind):
         if new == old:
             raise ValueError(f"adjustment at stop {stop_index} changes nothing")
-        return super().__new__(cls, stop_index, field, old, new, reason)
+        return tuple.__new__(cls, (stop_index, field, old, new, reason))
 
     def to_dict(self) -> dict:
         return {
@@ -107,7 +110,8 @@ def _adjustment_pass(
         kind = stay_violation(departure - arrival, policy)
         if kind:
             departure = arrival + policy.min_stay_minutes
-            out.append(Adjustment(i, TimeField.DEPARTURE, stop.departure, Timestamp(departure), kind))
+            new = _new_tuple(Timestamp, (departure,))
+            out.append(Adjustment(i, TimeField.DEPARTURE, stop.departure, new, kind))
         if i == last:
             break
         following = stops[i + 1]
@@ -117,7 +121,8 @@ def _adjustment_pass(
             kind = segment_violation(arrival - departure, leg.t_min, leg.t_max)
             if kind:
                 arrival = departure + leg.t_min
-                out.append(Adjustment(i + 1, TimeField.ARRIVAL, following.arrival, Timestamp(arrival), kind))
+                new = _new_tuple(Timestamp, (arrival,))
+                out.append(Adjustment(i + 1, TimeField.ARRIVAL, following.arrival, new, kind))
 
 
 def _rebuild(itin: Itinerary, adjustments: list[Adjustment]) -> Itinerary:
@@ -127,14 +132,13 @@ def _rebuild(itin: Itinerary, adjustments: list[Adjustment]) -> Itinerary:
     departures = [stop.departure for stop in itin.stops]
     for adj in adjustments:
         (arrivals if adj.field is TimeField.ARRIVAL else departures)[adj.stop_index] = adj.new
-    return Itinerary(
-        tuple(
-            stop
-            if stop.arrival is arrival and stop.departure is departure
-            else Stop(stop.place_name, stop.airport, arrival, departure)
-            for stop, arrival, departure in zip(itin.stops, arrivals, departures)
-        )
+    stops = tuple(
+        stop
+        if stop.arrival is arrival and stop.departure is departure
+        else _new_tuple(Stop, (stop.place_name, stop.airport, arrival, departure))
+        for stop, arrival, departure in zip(itin.stops, arrivals, departures)
     )
+    return _new_tuple(Itinerary, (stops,))
 
 
 def correct(
@@ -167,6 +171,6 @@ def correct_against_bounds(
     correctable = [i for i in report.issues if i.kind is not IssueKind.ROUTE_DATA_UNAVAILABLE]
     if correctable:
         raise NonConvergenceError(f"{len(correctable)} issue(s) remain after the pass: {correctable}")
-    trace = CorrectionTrace(tuple(adjustments), report.unverifiable_segments)
+    trace = _new_tuple(CorrectionTrace, (tuple(adjustments), report.unverifiable_segments))
     return candidate, trace
 

@@ -26,7 +26,7 @@ from collections import namedtuple
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Protocol
 
-from .model import AirportCode, InvalidJsonError, error_text, load_json, shorten, warn
+from .model import AirportCode, InvalidJsonError, _new_tuple, error_text, load_json, shorten, warn
 
 MAX_FLIGHT_MINUTES = 48 * 60  # sanity bound, no commercial flight exceeds 48h
 FETCH_ATTEMPTS = 3
@@ -65,7 +65,7 @@ class RoutePair(namedtuple("RoutePair", "origin destination")):
     def __new__(cls, origin: AirportCode, destination: AirportCode):
         if origin == destination:
             raise ValueError(f"route origin and destination are both {origin}")
-        return super().__new__(cls, origin, destination)
+        return tuple.__new__(cls, (origin, destination))
 
     def __str__(self) -> str:
         return f"{self.origin}->{self.destination}"
@@ -79,7 +79,7 @@ class FlightDuration(namedtuple("FlightDuration", "minutes")):
     def __new__(cls, minutes: int):
         if not isinstance(minutes, int) or not 0 < minutes <= MAX_FLIGHT_MINUTES:
             raise ValueError(f"implausible flight duration: {minutes!r} minutes")
-        return super().__new__(cls, minutes)
+        return tuple.__new__(cls, (minutes,))
 
 
 class TransitBounds(NamedTuple):
@@ -90,8 +90,10 @@ class TransitBounds(NamedTuple):
 
     @classmethod
     def from_flight(cls, flight_minutes: int, buffer_minutes: int, multiplier: float) -> "TransitBounds":
+        """The one place the bounds formula lives: t_min = flight + buffer,
+        t_max = int(t_min * multiplier); built unchecked from that arithmetic."""
         t_min = flight_minutes + buffer_minutes
-        return cls(t_min, int(t_min * multiplier))
+        return _new_tuple(cls, (t_min, int(t_min * multiplier)))
 
 
 class DurationProvider(Protocol):

@@ -238,7 +238,7 @@ class GenerationRequest(
             for entry in fixed_sequence:
                 if entry not in pool:
                     raise ValueError(f"fixed_sequence city {entry!r} is not in city_pool")
-        return super().__new__(cls, num_destinations, city_pool, window_start, window_end, fixed_sequence)
+        return tuple.__new__(cls, (num_destinations, city_pool, window_start, window_end, fixed_sequence))
 
 
 # str(code), not {code}: the same text without the format() call an

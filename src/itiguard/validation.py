@@ -15,6 +15,13 @@ is structurally broken and is reported as an issue as well.
 Each comparison lives in one place, stay_violation or segment_violation:
 they take int minutes and name the broken rule. check_against_bounds turns
 their answer into an Issue, and the correction pass asks them directly.
+
+ValidationPolicy holds numbers from flags and config, so its constructor
+checks them. The records built per leg skip their constructors
+(model._new_tuple): resolve_segment_bounds builds a RoutePair right after
+its test that the two codes differ, which is RoutePair's own check, and
+check_against_bounds builds each Issue and the report from its own
+arithmetic on a checked itinerary.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from .durations import (
     RouteUnavailable,
     TransitBounds,
 )
-from .model import Itinerary
+from .model import Itinerary, _new_tuple
 
 
 class IssueKind(Enum):
@@ -95,7 +102,7 @@ class ValidationPolicy(
         # longest flight, which also turns away nan and infinity.
         if not math.isfinite((MAX_FLIGHT_MINUTES + buffer_minutes) * max_multiplier):
             raise ValueError(f"max_multiplier {max_multiplier} is not finite or too large")
-        return super().__new__(cls, min_stay_minutes, buffer_minutes, max_multiplier, strict)
+        return tuple.__new__(cls, (min_stay_minutes, buffer_minutes, max_multiplier, strict))
 
 
 class ValidationReport(NamedTuple):
@@ -147,25 +154,31 @@ def resolve_segment_bounds(
     Entry i is None when leg i cannot be checked: its two airports are the
     same, or the provider has no duration for its route (ProviderError in
     strict mode). Which of the two it was can be read off the itinerary.
+    The provider's route_duration and the policy's numbers are read once
+    per call, and a leg's RoutePair is built unchecked right after the
+    test that its two codes differ.
     """
+    route_duration = provider.route_duration
+    buffer = policy.buffer_minutes
+    multiplier = policy.max_multiplier
+    from_flight = TransitBounds.from_flight
     stops = itin.stops
     bounds: list[TransitBounds | None] = []
-    for i in range(len(stops) - 1):
-        origin = stops[i].airport
-        dest = stops[i + 1].airport
+    origin = stops[0].airport
+    for stop in stops[1:]:
+        dest = stop.airport
         if origin.code == dest.code:
             bounds.append(None)
-            continue
-        try:
-            duration = provider.route_duration(RoutePair(origin, dest))
-        except RouteUnavailable as err:
-            if policy.strict:
-                raise ProviderError(str(err)) from err
-            bounds.append(None)
-            continue
-        bounds.append(
-            TransitBounds.from_flight(duration.minutes, policy.buffer_minutes, policy.max_multiplier)
-        )
+        else:
+            try:
+                duration = route_duration(_new_tuple(RoutePair, (origin, dest)))
+            except RouteUnavailable as err:
+                if policy.strict:
+                    raise ProviderError(str(err)) from err
+                bounds.append(None)
+            else:
+                bounds.append(from_flight(duration.minutes, buffer, multiplier))
+        origin = dest
     return bounds
 
 
@@ -194,26 +207,29 @@ def check_against_bounds(
     TRANSIT_TOO_LONG and t_min for the other leg kinds.
     """
     stops = itin.stops
-    arrivals = [stop.arrival.minutes_since_epoch for stop in stops]
-    departures = [stop.departure.minutes_since_epoch for stop in stops]
-    last = len(stops) - 1
+    min_stay = policy.min_stay_minutes
     issues: list[Issue] = []
     unverifiable: list[int] = []
-    for i in range(len(stops)):
-        stay = departures[i] - arrivals[i]
-        kind = stay_violation(stay, policy)
-        if kind is not None:
-            issues.append(Issue(kind, i, stay, policy.min_stay_minutes))
-        if i < last:
-            leg = bounds[i]
+    previous = None
+    for i, stop in enumerate(stops):
+        arrival = stop.arrival.minutes_since_epoch
+        if previous is not None:
+            # Leg i - 1 ends here; its issue follows stop i - 1's stay issue.
+            leg = bounds[i - 1]
             if leg is not None:
-                travel = arrivals[i + 1] - departures[i]
+                travel = arrival - departure
                 kind = segment_violation(travel, leg.t_min, leg.t_max)
                 if kind is not None:
                     required = leg.t_max if kind is IssueKind.TRANSIT_TOO_LONG else leg.t_min
-                    issues.append(Issue(kind, i, travel, required))
-                continue
-            unverifiable.append(i)
-            if stops[i].airport.code == stops[i + 1].airport.code:
-                issues.append(Issue(IssueKind.ROUTE_DATA_UNAVAILABLE, i))
-    return ValidationReport(issues=tuple(issues), unverifiable_segments=tuple(unverifiable))
+                    issues.append(_new_tuple(Issue, (kind, i - 1, travel, required)))
+            else:
+                unverifiable.append(i - 1)
+                if previous.airport.code == stop.airport.code:
+                    issues.append(_new_tuple(Issue, (IssueKind.ROUTE_DATA_UNAVAILABLE, i - 1, None, None)))
+        departure = stop.departure.minutes_since_epoch
+        stay = departure - arrival
+        kind = stay_violation(stay, policy)
+        if kind is not None:
+            issues.append(_new_tuple(Issue, (kind, i, stay, min_stay)))
+        previous = stop
+    return _new_tuple(ValidationReport, (tuple(issues), tuple(unverifiable)))

@@ -81,14 +81,17 @@ def oracle_parse_itinerary(text: str | bytes, expected_stops: int | None) -> Iti
 
 
 class CountingProvider:
-    """Wraps a provider and counts its route_duration calls."""
+    """Wraps a provider and counts its route_duration calls, keeping each
+    route it was asked for."""
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
+        self.routes = []
 
     def route_duration(self, route):
         self.calls += 1
+        self.routes.append(route)
         return self.inner.route_duration(route)
 
 
@@ -126,6 +129,20 @@ def random_itinerary(
         key = (min(a, b), max(a, b))
         table.setdefault(key, rng.randint(60, 1200))
     return Itinerary(tuple(stops)), FixtureProvider(table), table
+
+
+def random_broken_itinerary(
+    rng: random.Random,
+) -> tuple[Itinerary, dict[tuple[str, str], int]]:
+    """random_itinerary where about 15% of legs join an airport to itself and
+    about 20% of routes are missing from the returned duration table."""
+    itin, _, table = random_itinerary(rng)
+    stops = list(itin.stops)
+    for i in range(1, len(stops)):
+        if rng.random() < 0.15:
+            stops[i] = stops[i]._replace(airport=stops[i - 1].airport)
+    table = {route: minutes for route, minutes in table.items() if rng.random() < 0.8}
+    return Itinerary(tuple(stops)), table
 
 
 def brute_force_issues(

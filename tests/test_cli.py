@@ -404,14 +404,13 @@ class TestBench:
             "unverifiable_count",
         ]
 
-    def test_breakdown(self, capsys):
+    def test_breakdown(self, goldens_dir, capsys):
         code = main(
             ["bench", str(self.CORPUS / "manifest.json"), "--breakdown", *self.corpus_flags()]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "model-a: transit_too_long=27, transit_too_short=36" in out
-        assert "model-b: transit_too_long=119, transit_too_short=115" in out
+        assert out == (goldens_dir / "corpus_bench.txt").read_text(encoding="utf-8")
 
     def test_include_stays_keeps_rates(self, capsys):
         # The corpus has no stay violations, but the denominator widens
@@ -631,6 +630,25 @@ class TestConfigResolution:
 
     def test_default_config_is_the_default_policy(self):
         assert cli.build_policy(cli.AppConfig()) == ValidationPolicy()
+
+    @pytest.mark.parametrize(
+        "policy",
+        [ValidationPolicy(), ValidationPolicy(min_stay_minutes=90, buffer_minutes=45, max_multiplier=2.5)],
+        ids=["default", "patched"],
+    )
+    def test_help_names_the_policy_defaults(self, policy, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_DEFAULT_POLICY", policy)
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--help"])
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        for flag, value in (
+            ("--buffer-hours", policy.buffer_minutes / 60),
+            ("--min-stay-hours", policy.min_stay_minutes / 60),
+            ("--max-multiplier", policy.max_multiplier),
+        ):
+            entry = help_text[help_text.rindex(flag):]
+            assert entry[: entry.index(")") + 1].endswith(f"(default: {value:g})"), entry
 
     def test_unsupported_bench_format_exits_before_reading_the_corpus(self, tmp_path, monkeypatch, capsys):
         config = tmp_path / "config.json"

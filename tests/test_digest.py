@@ -16,9 +16,9 @@ import random
 
 from itiguard.correction import correct
 from itiguard.durations import FixtureProvider
-from itiguard.model import Itinerary, render_itinerary
+from itiguard.model import render_itinerary
 from itiguard.validation import ValidationPolicy, validate
-from support import random_itinerary
+from support import random_broken_itinerary
 
 ITINERARIES = 3000
 POLICIES = (
@@ -32,13 +32,7 @@ def corpus_digest() -> str:
     rng = random.Random(20251018)
     digest = hashlib.sha256()
     for n in range(ITINERARIES):
-        itin, _, table = random_itinerary(rng)
-        stops = list(itin.stops)
-        for i in range(1, len(stops)):
-            if rng.random() < 0.15:
-                stops[i] = stops[i]._replace(airport=stops[i - 1].airport)
-        itin = Itinerary(tuple(stops))
-        table = {route: minutes for route, minutes in table.items() if rng.random() < 0.8}
+        itin, table = random_broken_itinerary(rng)
         provider = FixtureProvider(table)
         policy = POLICIES[n % len(POLICIES)]
         report = validate(itin, provider, policy)

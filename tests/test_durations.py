@@ -94,8 +94,10 @@ class TestFixtureProvider:
 
     def test_miss(self):
         provider = FixtureProvider({})
-        with pytest.raises(RouteUnavailable):
+        with pytest.raises(RouteUnavailable) as exc:
             provider.route_duration(route("SYD", "FRA"))
+        assert exc.value.attempts == 1
+        assert str(exc.value) == "no flight duration for SYD->FRA after 1 attempt(s): no fixture duration for route"
 
     def test_from_file(self, fixtures_dir):
         provider = FixtureProvider.from_file(fixtures_dir / "demo_durations.txt")
@@ -161,8 +163,10 @@ class TestGreatCircle:
 
     def test_provider_unknown_airport(self):
         provider = GreatCircleProvider({"LHR": (51.4706, -0.4619)})
-        with pytest.raises(RouteUnavailable):
+        with pytest.raises(RouteUnavailable) as exc:
             provider.route_duration(route("LHR", "CDG"))
+        assert exc.value.attempts == 1
+        assert str(exc.value) == "no flight duration for LHR->CDG after 1 attempt(s): no coordinates for airport CDG"
 
 
 class TestPayload:
@@ -190,6 +194,8 @@ class TestPayload:
             '{"hours": "2"}',
             '{"hours": 0, "minutes": 0}',
             '{"hours": 50}',
+            pytest.param('{"hours": 1, "minutes": -1}', id="negative-minutes-in-a-positive-total"),
+            pytest.param('{"minutes": 2881}', id="minutes-past-the-limit"),
             pytest.param(b"[" * 100_000, id="too-deep"),
             pytest.param(b'{"hours": ' + b"1" * 5000 + b"}", id="past-digit-limit"),
             pytest.param(b'{"hours": ' + b"9" * 4299 + b"}", id="4299-digit-hours"),
@@ -202,6 +208,10 @@ class TestPayload:
 
     def test_one_minute_in_all_is_accepted(self):
         assert parse_duration_payload('{"hours": 0, "minutes": 1}').minutes == 1
+
+    @pytest.mark.parametrize("body", ['{"hours": 48}', '{"minutes": 2880}', '{"hours": 47, "minutes": 60}'])
+    def test_exactly_the_limit_is_accepted(self, body):
+        assert parse_duration_payload(body).minutes == 2880
 
     def test_fields_in_bounds_but_total_past_the_limit(self):
         # 48 h and 1 min pass their own checks; 2881 minutes in all do not.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from datetime import datetime, timedelta
@@ -412,6 +413,22 @@ class TestParseItinerary:
             assert parse_itinerary(render_itinerary(itin), len(itin)) == itin
 
 
+SYD = AirportCode("SYD")
+
+
+def wire_doc(itin: Itinerary) -> dict:
+    return {
+        "itinerary": [
+            {
+                "place": stop.place,
+                "arrival_time": stop.arrival.text(),
+                "departure_time": stop.departure.text(),
+            }
+            for stop in itin.stops
+        ]
+    }
+
+
 class TestRender:
     def test_canonical_shape(self, sample_invalid, fixtures_dir):
         rendered = render_itinerary(sample_invalid)
@@ -421,7 +438,7 @@ class TestRender:
 
     def test_equals_json_dumps_with_indent(self):
         rng = random.Random(11)
-        names = ["São Paulo", 'The "Big" Apple', "Back\\slash", "Tab\tCity", "東京", "City"]
+        names = ["São Paulo", 'The "Big" Apple', "Back\\slash", "Tab\tCity", "東京", "City", "L" * 70]
         for _ in range(200):
             itin, _, _ = random_itinerary(rng, min_stops=1)
             itin = Itinerary(
@@ -430,17 +447,27 @@ class TestRender:
                     for stop in itin.stops
                 )
             )
-            doc = {
-                "itinerary": [
-                    {
-                        "place": stop.place,
-                        "arrival_time": stop.arrival.text(),
-                        "departure_time": stop.departure.text(),
-                    }
-                    for stop in itin.stops
-                ]
-            }
-            assert render_itinerary(itin) == json.dumps(doc, indent=2)
+            assert render_itinerary(itin) == json.dumps(wire_doc(itin), indent=2)
+
+    # 1 == True == 1.0 and AirportCode("SYD") == ("SYD",), but each prints
+    # differently, so no memo may serve one for another, in either order.
+    @pytest.mark.parametrize(
+        "cases",
+        [
+            *itertools.permutations([(1, SYD, "1 (SYD)"), (True, SYD, "True (SYD)"), (1.0, SYD, "1.0 (SYD)")]),
+            *itertools.permutations([("x", SYD, "x (SYD)"), ("x", ("SYD",), "x (('SYD',))")]),
+        ],
+    )
+    def test_equal_fields_that_print_differently(self, cases):
+        at = Timestamp.parse("2025-06-01 08:00")
+        for name, airport, place in cases:
+            itin = Itinerary((Stop(name, airport, at, at + 60),))
+            rendered = render_itinerary(itin)
+            assert json.loads(rendered)["itinerary"][0]["place"] == place
+            assert rendered == json.dumps(wire_doc(itin), indent=2)
+
+    def test_place_memo_is_bounded(self):
+        assert model._place_json_memo.cache_info().maxsize == model._MEMO_SIZE
 
 
 class TestDerived:
