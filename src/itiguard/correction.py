@@ -11,10 +11,8 @@ breaks which rule is decided by the validator's int rule functions,
 stay_violation / segment_violation; this module only decides how to fix
 it. A Timestamp is built only for an Adjustment's new value, and the stops
 are rebuilt from the adjustments, so an untouched stop or timestamp is
-reused as it is. Those Timestamps and Stops, the corrected Itinerary and
-the trace are built unchecked (model._new_tuple), from the pass's own int
-arithmetic on a checked itinerary; each Adjustment still goes through its
-constructor, whose new != old check the pass never fails.
+reused as it is. Each Adjustment goes through its constructor; the
+other records are built with model._new_tuple.
 
 correct_against_bounds() is the pure part: given the per-leg bounds list
 that resolve_segment_bounds returned, it makes the pass and then checks the
@@ -138,6 +136,7 @@ def _rebuild(itin: Itinerary, adjustments: list[Adjustment]) -> Itinerary:
         else _new_tuple(Stop, (stop.place_name, stop.airport, arrival, departure))
         for stop, arrival, departure in zip(itin.stops, arrivals, departures)
     )
+    # As many stops as itin, which passed Itinerary's check.
     return _new_tuple(Itinerary, (stops,))
 
 

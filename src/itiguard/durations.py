@@ -91,7 +91,7 @@ class TransitBounds(NamedTuple):
     @classmethod
     def from_flight(cls, flight_minutes: int, buffer_minutes: int, multiplier: float) -> "TransitBounds":
         """The one place the bounds formula lives: t_min = flight + buffer,
-        t_max = int(t_min * multiplier); built unchecked from that arithmetic."""
+        t_max = int(t_min * multiplier)."""
         t_min = flight_minutes + buffer_minutes
         return _new_tuple(cls, (t_min, int(t_min * multiplier)))
 

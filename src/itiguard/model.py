@@ -24,15 +24,8 @@ _PLACE_KEY_LIMIT (64) characters is looked up; a longer one is split
 uncached, so the memo never holds a large string from outside.
 
 Records are tuples, built by one rule: a value from outside the package is
-checked where it enters, and the tuple is then built directly. A record
-that checks its values is a namedtuple subclass whose __new__ runs the
-checks and returns tuple.__new__ (_make and _replace skip them). Where the
-caller has just established a record's invariant, _new_tuple builds it with
-no Python-level __new__ frame: Timestamp and Stop in parse_itinerary and in
-the correction pass, RoutePair in resolve_segment_bounds once its two codes
-differ, TransitBounds in TransitBounds.from_flight, Issue and
-ValidationReport in check_against_bounds, and the corrected Itinerary and
-its CorrectionTrace.
+checked where it enters, and the tuple is then built directly (see
+_new_tuple below).
 """
 
 from __future__ import annotations
@@ -135,15 +128,6 @@ def _wire_minutes(text: object) -> int | None:
     return None
 
 
-def _wire_text(minutes: int) -> str:
-    """Inverse of _wire_minutes; raises ValueError outside the years
-    0001-9999 the wire form can spell."""
-    if not _MIN_MINUTES <= minutes <= _MAX_MINUTES:
-        raise ValueError(f"timestamp {minutes} minutes from 1970 is outside years 0001-9999")
-    days, minute_of_day = divmod(minutes, _MINUTES_PER_DAY)
-    return f"{_date_text(days)} {_clock_text(minute_of_day)}"
-
-
 class FormatError(ValueError):
     """An itinerary document violates the JSON wire format."""
 
@@ -208,7 +192,11 @@ class Timestamp(NamedTuple):
 
     def text(self) -> str:
         """Wire form; raises ValueError outside the years 0001-9999 it can spell."""
-        return _wire_text(self.minutes_since_epoch)
+        minutes = self.minutes_since_epoch
+        if not _MIN_MINUTES <= minutes <= _MAX_MINUTES:
+            raise ValueError(f"timestamp {minutes} minutes from 1970 is outside years 0001-9999")
+        days, minute_of_day = divmod(minutes, _MINUTES_PER_DAY)
+        return f"{_date_text(days)} {_clock_text(minute_of_day)}"
 
     def __str__(self) -> str:
         return self.text()
@@ -307,8 +295,11 @@ def parse_place(raw: object, stop_index: int) -> tuple[str, AirportCode]:
     return parts
 
 
-# Builds a NamedTuple that checks nothing without the Python-level __new__
-# its class generates.
+# A record that checks its values is a namedtuple subclass whose __new__ runs
+# the checks and then returns tuple.__new__ (_make and _replace skip them).
+# Where the caller has just established a record's invariant, _new_tuple
+# builds it with no Python-level __new__ frame; a value from outside the
+# package never reaches a record this way before that record's check.
 _new_tuple = tuple.__new__
 
 
@@ -360,41 +351,21 @@ def parse_itinerary(text: str | bytes, expected_stops: int | None) -> Itinerary:
     return Itinerary(tuple(stops))
 
 
-def _place_json(name: str, airport: AirportCode) -> str:
-    """The place field of a stop as a JSON string literal."""
-    return json.dumps(f"{name} ({airport})")
-
-
-_place_json_memo = lru_cache(maxsize=_MEMO_SIZE)(_place_json)
-
-
 def render_itinerary(itin: Itinerary) -> str:
     """Serialize to the canonical wire form (wrapped "itinerary" array, 2-space indent).
 
     The text is written directly and equals json.dumps(doc, indent=2) of the
     wrapped document byte for byte: place goes through json.dumps, so its
-    escaping is the standard encoder's, and timestamps are ASCII digits
-    written by _wire_text, the function Timestamp.text calls.
-
-    The quoted place is memoised on (place_name, airport) only where equal
-    keys give equal text: a str name of at most _PLACE_KEY_LIMIT characters
-    and an AirportCode. Other names can be equal and print differently
-    (1 == True), or be unhashable.
+    escaping is the standard encoder's, and timestamps are ASCII digits.
 
     parse_itinerary(render_itinerary(x), len(x)) == x.
     """
-    parts = []
-    for name, airport, arrival, departure in itin.stops:
-        if type(name) is str and type(airport) is AirportCode and len(name) <= _PLACE_KEY_LIMIT:
-            place = _place_json_memo(name, airport)
-        else:
-            place = _place_json(name, airport)
-        parts.append(
-            f'    {{\n      "place": {place},\n'
-            f'      "arrival_time": "{_wire_text(arrival.minutes_since_epoch)}",\n'
-            f'      "departure_time": "{_wire_text(departure.minutes_since_epoch)}"\n    }}'
-        )
-    stops = ",\n".join(parts)
+    stops = ",\n".join(
+        f'    {{\n      "place": {json.dumps(stop.place)},\n'
+        f'      "arrival_time": "{stop.arrival.text()}",\n'
+        f'      "departure_time": "{stop.departure.text()}"\n    }}'
+        for stop in itin.stops
+    )
     return f'{{\n  "itinerary": [\n{stops}\n  ]\n}}'
 
 

@@ -17,11 +17,7 @@ they take int minutes and name the broken rule. check_against_bounds turns
 their answer into an Issue, and the correction pass asks them directly.
 
 ValidationPolicy holds numbers from flags and config, so its constructor
-checks them. The records built per leg skip their constructors
-(model._new_tuple): resolve_segment_bounds builds a RoutePair right after
-its test that the two codes differ, which is RoutePair's own check, and
-check_against_bounds builds each Issue and the report from its own
-arithmetic on a checked itinerary.
+checks them; the per-leg records are built with model._new_tuple.
 """
 
 from __future__ import annotations
