@@ -9,8 +9,11 @@ routes never trigger a second fetch.
 The cache file holds 'ORIGIN DEST minutes' lines and is append-only: each
 fetched route adds one line, the file is never rewritten, and when a route
 appears twice the later line wins. Corrupt lines are never removed, so
-every load warns about them again. A failed write prints one `warning:`
-line on stderr and the provider carries on from memory alone.
+every load warns about them again. A provider opens the file for writing
+on its first miss and holds that one O_APPEND descriptor until it is
+closed or dropped, so a file deleted or replaced mid-run gets none of that
+run's later lines. A failed write prints one `warning:` line on stderr and
+the provider carries on from memory alone.
 
 Transit bounds: the minimum feasible door-to-door time for a leg is the
 flight duration plus a fixed airport-logistics buffer (default 4h); the
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 import os
 import time
+import weakref
 from collections import namedtuple
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Protocol
@@ -279,17 +283,18 @@ def load_cache(path: str | Path) -> dict[RoutePair, FlightDuration]:
     return cache
 
 
-def save_cache(cache: Mapping[RoutePair, FlightDuration], path: str | Path) -> None:
-    """Append sorted 'ORIGIN DEST minutes' lines to the file in one write,
-    creating it if missing. load_cache keeps the later of two lines for a
-    route, so load(save(c)) agrees with c on every route of c, and equals c
-    when the file was new."""
+def save_cache(cache: Mapping[RoutePair, FlightDuration], fd: int) -> None:
+    """Append sorted 'ORIGIN DEST minutes' lines to the file open as fd, in
+    one write: open it with O_APPEND, so each write lands at the end.
+    load_cache keeps the later of two lines for a route, so load(save(c))
+    agrees with c on every route of c, and equals c when the file was new."""
     lines = sorted(
         f"{route.origin} {route.destination} {duration.minutes}\n"
         for route, duration in cache.items()
     )
-    with open(path, "a", encoding="utf-8") as file:
-        file.write("".join(lines))
+    data = "".join(lines).encode("utf-8")
+    while data:  # a regular file takes it all in one write unless the disk fills
+        data = data[os.write(fd, data):]
 
 
 class CachedProvider:
@@ -297,14 +302,18 @@ class CachedProvider:
 
     A hit never touches the inner provider; a miss fetches once, stores the
     duration in memory and appends its one line to the file through
-    save_cache. The file is never truncated, so a crash loses at most the
-    line being written; a last line found without its newline when the file
-    is loaded is ended before the first append. Providers in other processes
-    may append to the same file; load_cache keeps the later of two lines for
+    save_cache. The file is opened on the first miss, with O_APPEND, and
+    that descriptor is held until close() or until the provider is dropped;
+    a file deleted or replaced meanwhile gets none of the later lines. The
+    file is never truncated, so a crash loses at most the line being
+    written; a last line found without its newline when the file is loaded
+    is ended before the first append. Providers in other processes may
+    append to the same file; load_cache keeps the later of two lines for
     one route. Nothing is ever removed from the file, so a corrupt line
     stays in it and load_cache warns about it on every load. If a write
-    fails, it prints one `warning:` line and leaves the file alone from then
-    on. The provider holds no lock, so use each one from one thread.
+    fails, it prints one `warning:` line, closes the file and leaves it
+    alone from then on. The provider holds no lock, so use each one from
+    one thread.
     """
 
     def __init__(self, inner: DurationProvider, *, path: str | Path | None = None):
@@ -314,6 +323,8 @@ class CachedProvider:
         # A last line without its newline (hand-edited, or torn by a crash)
         # would merge with the first appended line into one corrupt line.
         self._torn = self._path is not None and _ends_mid_line(self._path)
+        self._fd: int | None = None
+        self._closer: weakref.finalize | None = None
 
     def route_duration(self, route: RoutePair) -> FlightDuration:
         duration = self._cache.get(route)
@@ -325,16 +336,25 @@ class CachedProvider:
             self._append(route, duration)
         return duration
 
+    def close(self) -> None:
+        """Close the cache file, if a miss opened it; later misses stay in memory."""
+        if self._closer is not None:
+            self._closer()
+        self._path = None
+
     def _append(self, route: RoutePair, duration: FlightDuration) -> None:
         try:
-            if self._torn:
-                with open(self._path, "a", encoding="utf-8") as file:
-                    file.write("\n")
-                self._torn = False
-            save_cache({route: duration}, self._path)
+            if self._fd is None:
+                # 0o666 is the mode open() creates files with; os.open's default is 0o777.
+                self._fd = os.open(self._path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+                # Closes at garbage collection, or at interpreter exit.
+                self._closer = weakref.finalize(self, os.close, self._fd)
+                if self._torn:
+                    os.write(self._fd, b"\n")
+            save_cache({route: duration}, self._fd)
         except OSError as err:
             warn(f"cannot write cache file {self._path}: {error_text(err)}; continuing without it")
-            self._path = None
+            self.close()
 
 
 def _ends_mid_line(path: Path) -> bool:

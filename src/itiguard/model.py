@@ -36,6 +36,7 @@ import sys
 from collections import namedtuple
 from datetime import date
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
@@ -355,13 +356,14 @@ def render_itinerary(itin: Itinerary) -> str:
     """Serialize to the canonical wire form (wrapped "itinerary" array, 2-space indent).
 
     The text is written directly and equals json.dumps(doc, indent=2) of the
-    wrapped document byte for byte: place goes through json.dumps, so its
-    escaping is the standard encoder's, and timestamps are ASCII digits.
+    wrapped document byte for byte: place goes through the function
+    json.dumps calls for a str, so its escaping is the standard encoder's,
+    and timestamps are ASCII digits.
 
     parse_itinerary(render_itinerary(x), len(x)) == x.
     """
     stops = ",\n".join(
-        f'    {{\n      "place": {json.dumps(stop.place)},\n'
+        f'    {{\n      "place": {encode_basestring_ascii(stop.place)},\n'
         f'      "arrival_time": "{stop.arrival.text()}",\n'
         f'      "departure_time": "{stop.departure.text()}"\n    }}'
         for stop in itin.stops

@@ -126,6 +126,22 @@ class TestValidate:
         assert code == 2
         assert "table or json" in capsys.readouterr().err
 
+    def test_live_provider_without_cache_file_fetches_a_repeated_route_once(self, monkeypatch, capsys):
+        # Both files fly the same three legs; the second file's lookups are memo hits.
+        fetched = []
+
+        def fetch(client, url, headers):
+            fetched.append(url)
+            return b'{"hours": 2, "minutes": 0}'
+
+        monkeypatch.setattr(durations.RemoteDurationClient, "_http_fetch", fetch)
+        files = [str(FIXTURES / "sample_invalid.json"), str(FIXTURES / "sample_corrected.json")]
+        code = main(["validate", *files, "--provider", "live", "--base-url", "http://durations.invalid"])
+        assert code == 1
+        base = "http://durations.invalid"
+        assert fetched == [f"{base}/SYD/FRA", f"{base}/FRA/CAI", f"{base}/CAI/CMN"]
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_default_provider_is_great_circle(self, capsys):
         # No provider flags: distances come from the built-in airport table.
         code = main(["validate", str(FIXTURES / "sample_invalid.json")])
@@ -238,6 +254,17 @@ class TestGenerate:
         assert code == 0
         captured = capsys.readouterr()
         assert "generation: 1 attempt(s); 0 issues found; 0 adjustment(s) applied" in captured.err
+
+    def test_trace_on_a_valid_recording_prints_no_trace(self, tmp_path, capsys):
+        recording = tmp_path / "rec" / "demo" / "4"
+        recording.mkdir(parents=True)
+        valid = (FIXTURES / "sample_corrected.json").read_text(encoding="utf-8")
+        (recording / "001.txt").write_text(valid)
+        code = main(["generate", "--replay-dir", str(tmp_path / "rec"), "--trace", *DEMO_FLAGS])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out == valid
+        assert captured.err == "generation: 1 attempt(s); 0 issues found; 0 adjustment(s) applied\n"
 
     def test_no_correct_emits_raw(self, capsys):
         code = main(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -43,6 +45,21 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def route(a: str, b: str) -> RoutePair:
     return RoutePair(AirportCode(a), AirportCode(b))
+
+
+@contextmanager
+def appending(path: Path):
+    """A descriptor open on path the way CachedProvider opens its cache file."""
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    try:
+        yield fd
+    finally:
+        os.close(fd)
+
+
+def open_fds() -> int:
+    """How many descriptors this process holds open."""
+    return len(os.listdir("/proc/self/fd"))
 
 
 class TestRoutePair:
@@ -371,6 +388,15 @@ class TestCache:
         CachedProvider(inner, path=path).route_duration(route("SYD", "FRA"))
         assert path.read_text() == "SYD FRA 555\n"
 
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path):
+        path = tmp_path / "durations.txt"
+        umask = os.umask(0)
+        try:
+            CachedProvider(CountingProvider(555), path=path).route_duration(route("SYD", "FRA"))
+        finally:
+            os.umask(umask)
+        assert path.stat().st_mode & 0o777 == 0o666
+
     def test_preloaded_file_prevents_fetch(self, tmp_path):
         path = tmp_path / "durations.txt"
         path.write_text("SYD FRA 555\n")
@@ -382,14 +408,16 @@ class TestCache:
     def test_save_load_round_trip(self, tmp_path):
         cache = {route("SYD", "FRA"): FlightDuration(1020), route("CAI", "CMN"): FlightDuration(60)}
         path = tmp_path / "cache.txt"
-        save_cache(cache, path)
+        with appending(path) as fd:
+            save_cache(cache, fd)
         assert path.read_text() == "CAI CMN 60\nSYD FRA 1020\n"
         assert load_cache(path) == cache
 
     def test_save_appends_and_the_later_line_wins(self, tmp_path):
         path = tmp_path / "cache.txt"
         path.write_text("SYD FRA 1020\n")
-        save_cache({route("SYD", "FRA"): FlightDuration(990), route("CAI", "CMN"): FlightDuration(60)}, path)
+        with appending(path) as fd:
+            save_cache({route("SYD", "FRA"): FlightDuration(990), route("CAI", "CMN"): FlightDuration(60)}, fd)
         assert path.read_text() == "SYD FRA 1020\nCAI CMN 60\nSYD FRA 990\n"
         assert load_cache(path) == {route("SYD", "FRA"): FlightDuration(990), route("CAI", "CMN"): FlightDuration(60)}
 
@@ -520,6 +548,69 @@ class TestAppendOnlyFile:
         assert warning.count(str(path)) == 1
         assert warning.count("missing") == 1
         assert warning.endswith("; continuing without it")
+
+    def test_a_failed_write_after_the_open_warns_once_and_closes_the_file(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "durations.txt"
+        inner = CountingProvider(300)
+        provider = CachedProvider(inner, path=path)
+        before = open_fds()
+
+        def disk_full(fd, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(durations.os, "write", disk_full)
+        lookups = [route("SYD", "FRA"), route("FRA", "CAI"), route("SYD", "FRA")]
+        minutes = [provider.route_duration(r).minutes for r in lookups]
+        monkeypatch.undo()
+        assert minutes == [300, 300, 300]
+        assert inner.calls == 2
+        assert warning_lines(capsys) == [
+            f"cannot write cache file {path}: {os.strerror(errno.ENOSPC)}; continuing without it"
+        ]
+        assert open_fds() == before
+        assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize("release", ["close", "del"])
+    def test_a_miss_holds_one_descriptor_until_the_provider_is_released(self, tmp_path, release):
+        path = tmp_path / "durations.txt"
+        before = open_fds()
+        inner = RouteMinutes()
+        provider = CachedProvider(inner, path=path)
+        assert open_fds() == before
+        provider.route_duration(route("SYD", "FRA"))
+        provider.route_duration(route("FRA", "CAI"))
+        assert open_fds() == before + 1
+        if release == "close":
+            provider.close()
+            assert open_fds() == before
+            provider.route_duration(route("CAI", "CMN"))
+            assert inner.fetched[-1] == route("CAI", "CMN")
+        else:
+            del provider
+        assert open_fds() == before
+        assert load_cache(path).keys() == {route("SYD", "FRA"), route("FRA", "CAI")}
+
+    def test_a_provider_that_only_hits_opens_nothing(self, tmp_path):
+        path = tmp_path / "durations.txt"
+        path.write_bytes(b"SYD FRA 555\nFRA CAI 300")
+        before = open_fds()
+        inner = RouteMinutes()
+        provider = CachedProvider(inner, path=path)
+        for r in (route("SYD", "FRA"), route("FRA", "CAI"), route("SYD", "FRA")):
+            provider.route_duration(r)
+        assert inner.fetched == []
+        assert open_fds() == before
+        assert path.read_bytes() == b"SYD FRA 555\nFRA CAI 300"
+
+    def test_a_file_replaced_mid_run_gets_no_later_lines(self, tmp_path):
+        """The provider keeps appending to the file it opened, not to the new one at its path."""
+        path = tmp_path / "durations.txt"
+        provider = CachedProvider(CountingProvider(300), path=path)
+        provider.route_duration(route("SYD", "FRA"))
+        path.unlink()
+        path.write_bytes(b"CAI CMN 60\n")
+        provider.route_duration(route("FRA", "CAI"))
+        assert path.read_bytes() == b"CAI CMN 60\n"
 
     def test_concurrent_processes_keep_every_route(self, tmp_path):
         """Writers in separate processes, released together, append to one file."""

@@ -27,6 +27,7 @@ from itiguard.model import (
     parse_itinerary,
     parse_place,
     render_itinerary,
+    shorten,
 )
 from itiguard.validation import IssueKind, ValidationPolicy, validate
 from support import oracle_parse_itinerary, oracle_parse_place, random_itinerary
@@ -378,6 +379,15 @@ class TestParseItinerary:
         assert exc.value.field == "departure_time"
         assert exc.value.stop_index == 0
 
+    def test_missing_field_text_names_the_stop_only_for_a_stop_field(self):
+        with pytest.raises(MissingFieldError) as top:
+            parse_itinerary('{"stops": []}', 1)
+        assert str(top.value) == "missing field 'itinerary'"
+        doc = json.dumps({"itinerary": [{"place": "Sydney (SYD)", "arrival_time": "2025-06-01 10:00"}]})
+        with pytest.raises(MissingFieldError) as in_stop:
+            parse_itinerary(doc, 1)
+        assert str(in_stop.value) == "missing field 'departure_time' in stop 0"
+
     def test_null_field_is_missing(self):
         doc = json.dumps(
             {"itinerary": [{"place": "Sydney (SYD)", "arrival_time": None, "departure_time": "2025-06-03 10:00"}]}
@@ -495,7 +505,12 @@ class TestDerived:
 
 @pytest.mark.parametrize(
     "minutes,expected",
-    [(1230, "20h 30m"), (0, "0h 0m"), (59, "0h 59m"), (-120, "-2h 0m"), (2880, "48h 0m")],
+    [(1230, "20h 30m"), (0, "0h 0m"), (59, "0h 59m"), (-120, "-2h 0m"), (2880, "48h 0m"), (-1, "-0h 1m")],
 )
 def test_format_minutes(minutes, expected):
     assert format_minutes(minutes) == expected
+
+
+def test_shorten_keeps_80_characters_whole_and_cuts_81():
+    assert shorten("x" * 80) == "x" * 80
+    assert shorten("x" * 81) == "x" * 80 + "... (81 characters)"
