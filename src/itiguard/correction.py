@@ -55,6 +55,14 @@ class TimeField(Enum):
     DEPARTURE = "departure"
 
 
+# The members the pass and the check after it use, read once: on CPython
+# 3.11 EnumType defines __getattr__, so each TimeField.X or IssueKind.X
+# read costs a Python-level call.
+_ARRIVAL = TimeField.ARRIVAL
+_DEPARTURE = TimeField.DEPARTURE
+_ROUTE_DATA_UNAVAILABLE = IssueKind.ROUTE_DATA_UNAVAILABLE
+
+
 class Adjustment(namedtuple("Adjustment", "stop_index field old new reason")):
     """One timestamp change: which stop, which field, old -> new, and the
     rule that forced it."""
@@ -109,7 +117,7 @@ def _adjustment_pass(
         if kind:
             departure = arrival + policy.min_stay_minutes
             new = _new_tuple(Timestamp, (departure,))
-            out.append(Adjustment(i, TimeField.DEPARTURE, stop.departure, new, kind))
+            out.append(Adjustment(i, _DEPARTURE, stop.departure, new, kind))
         if i == last:
             break
         following = stops[i + 1]
@@ -120,7 +128,7 @@ def _adjustment_pass(
             if kind:
                 arrival = departure + leg.t_min
                 new = _new_tuple(Timestamp, (arrival,))
-                out.append(Adjustment(i + 1, TimeField.ARRIVAL, following.arrival, new, kind))
+                out.append(Adjustment(i + 1, _ARRIVAL, following.arrival, new, kind))
 
 
 def _rebuild(itin: Itinerary, adjustments: list[Adjustment]) -> Itinerary:
@@ -129,7 +137,7 @@ def _rebuild(itin: Itinerary, adjustments: list[Adjustment]) -> Itinerary:
     arrivals = [stop.arrival for stop in itin.stops]
     departures = [stop.departure for stop in itin.stops]
     for adj in adjustments:
-        (arrivals if adj.field is TimeField.ARRIVAL else departures)[adj.stop_index] = adj.new
+        (arrivals if adj.field is _ARRIVAL else departures)[adj.stop_index] = adj.new
     stops = tuple(
         stop
         if stop.arrival is arrival and stop.departure is departure
@@ -167,7 +175,7 @@ def correct_against_bounds(
     _adjustment_pass(itin.stops, bounds, policy, adjustments)
     candidate = _rebuild(itin, adjustments)
     report = check_against_bounds(candidate, bounds, policy)
-    correctable = [i for i in report.issues if i.kind is not IssueKind.ROUTE_DATA_UNAVAILABLE]
+    correctable = [i for i in report.issues if i.kind is not _ROUTE_DATA_UNAVAILABLE]
     if correctable:
         raise NonConvergenceError(f"{len(correctable)} issue(s) remain after the pass: {correctable}")
     trace = _new_tuple(CorrectionTrace, (tuple(adjustments), report.unverifiable_segments))

@@ -1,10 +1,14 @@
 """Flight-duration providers and transit-bound derivation.
 
-A provider maps a directed airport pair to a minimum flight duration.
-Implementations: a deterministic fixture table, a great-circle estimator,
-and a remote HTTP client with bounded retries. CachedProvider layers an
-in-memory table plus an optional on-disk file over any of them so repeated
-routes never trigger a second fetch.
+A provider maps a directed airport pair to a minimum flight duration. The
+pair is a plain (origin, destination) tuple of two different AirportCodes,
+which the validator builds for each leg; RoutePair is its checked form for
+routes read from outside (the cache file), and equals and hashes like the
+plain pair, so either one finds the other's cache entry. Implementations:
+a deterministic fixture table, a great-circle estimator, and a remote HTTP
+client with bounded retries. CachedProvider layers an in-memory table plus
+an optional on-disk file over any of them so repeated routes never trigger
+a second fetch.
 
 The cache file holds 'ORIGIN DEST minutes' lines and is append-only: each
 fetched route adds one line, the file is never rewritten, and when a route
@@ -46,11 +50,14 @@ GROUND_OVERHEAD_MINUTES = 30
 class RouteUnavailable(Exception):
     """No duration could be obtained for a route after all attempts."""
 
-    def __init__(self, route: RoutePair, attempts: int, reason: str):
+    def __init__(self, route: tuple[AirportCode, AirportCode], attempts: int, reason: str):
         self.route = route
         self.attempts = attempts
         self.reason = reason
-        super().__init__(f"no flight duration for {route} after {attempts} attempt(s): {reason}")
+        origin, destination = route
+        super().__init__(
+            f"no flight duration for {origin}->{destination} after {attempts} attempt(s): {reason}"
+        )
 
 
 class TransportError(Exception):
@@ -62,7 +69,9 @@ class PayloadError(ValueError):
 
 
 class RoutePair(namedtuple("RoutePair", "origin destination")):
-    """Directed airport pair; same-airport pairs are rejected upstream."""
+    """Directed airport pair from outside, checked: same-airport pairs are
+    rejected. It equals and hashes like the plain (origin, destination)
+    tuple that providers are handed."""
 
     __slots__ = ()
 
@@ -101,8 +110,9 @@ class TransitBounds(NamedTuple):
 
 
 class DurationProvider(Protocol):
-    def route_duration(self, route: RoutePair) -> FlightDuration:
-        """Return the minimum flight duration, or raise RouteUnavailable."""
+    def route_duration(self, route: tuple[AirportCode, AirportCode]) -> FlightDuration:
+        """Return the minimum flight duration of the (origin, destination)
+        pair, two different codes, or raise RouteUnavailable."""
 
 
 class FixtureProvider:
@@ -113,7 +123,7 @@ class FixtureProvider:
 
     def __init__(self, table: Mapping[tuple[str, str], int]):
         # Each entry is validated once here and its FlightDuration served as is.
-        self._table = {(str(o), str(d)): FlightDuration(int(m)) for (o, d), m in table.items()}
+        self._table = {(o, d): FlightDuration(int(m)) for (o, d), m in table.items()}
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FixtureProvider":
@@ -121,19 +131,15 @@ class FixtureProvider:
         cache file, a missing fixture file is an error, not an empty table)."""
         if not Path(path).exists():
             raise ValueError(f"fixture file {path} does not exist")
-        table = {
-            (route.origin.code, route.destination.code): duration.minutes
-            for route, duration in load_cache(path).items()
-        }
-        return cls(table)
+        return cls({route: duration.minutes for route, duration in load_cache(path).items()})
 
-    def route_duration(self, route: RoutePair) -> FlightDuration:
-        origin, destination = route.origin.code, route.destination.code
-        duration = self._table.get((origin, destination))
+    def route_duration(self, route: tuple[AirportCode, AirportCode]) -> FlightDuration:
+        duration = self._table.get(route)
         if duration is None:
+            origin, destination = route
             duration = self._table.get((destination, origin))
-        if duration is None:
-            raise RouteUnavailable(route, attempts=1, reason="no fixture duration for route")
+            if duration is None:
+                raise RouteUnavailable(route, attempts=1, reason="no fixture duration for route")
         return duration
 
 
@@ -165,15 +171,16 @@ class GreatCircleProvider:
     def __init__(self, coords: Mapping[str, tuple[float, float]]):
         self._coords = coords
 
-    def route_duration(self, route: RoutePair) -> FlightDuration:
+    def route_duration(self, route: tuple[AirportCode, AirportCode]) -> FlightDuration:
+        origin, destination = route
         try:
-            origin = self._coords[str(route.origin)]
-            dest = self._coords[str(route.destination)]
+            origin_coords = self._coords[origin]
+            dest_coords = self._coords[destination]
         except KeyError as err:
             raise RouteUnavailable(
                 route, attempts=1, reason=f"no coordinates for airport {err.args[0]}"
             ) from None
-        return estimate_duration_great_circle(origin, dest)
+        return estimate_duration_great_circle(origin_coords, dest_coords)
 
 
 def parse_duration_payload(body: bytes | str) -> FlightDuration:
@@ -249,8 +256,9 @@ class RemoteDurationClient:
             raise TransportError(f"HTTP {response.status_code}")
         return response.content
 
-    def route_duration(self, route: RoutePair) -> FlightDuration:
-        url = f"{self._base_url}/{route.origin}/{route.destination}"
+    def route_duration(self, route: tuple[AirportCode, AirportCode]) -> FlightDuration:
+        origin, destination = route
+        url = f"{self._base_url}/{origin}/{destination}"
         headers = {"X-Api-Key": self._api_key} if self._api_key else {}
         last_reason = "no attempts made"
         for attempt in range(1, FETCH_ATTEMPTS + 1):
@@ -266,7 +274,8 @@ class RemoteDurationClient:
 def load_cache(path: str | Path) -> dict[RoutePair, FlightDuration]:
     """Load a route -> duration map from 'ORIGIN DEST minutes' lines; a
     missing file is an empty map, corrupt lines (including lines that are
-    not UTF-8) are skipped with a warning, never fatal."""
+    not UTF-8) are skipped with a warning, never fatal. A line whose two
+    codes are one airport is corrupt too, as RoutePair rejects it."""
     cache: dict[RoutePair, FlightDuration] = {}
     path = Path(path)
     if not path.exists():
@@ -283,14 +292,14 @@ def load_cache(path: str | Path) -> dict[RoutePair, FlightDuration]:
     return cache
 
 
-def save_cache(cache: Mapping[RoutePair, FlightDuration], fd: int) -> None:
+def save_cache(cache: Mapping[tuple[AirportCode, AirportCode], FlightDuration], fd: int) -> None:
     """Append sorted 'ORIGIN DEST minutes' lines to the file open as fd, in
     one write: open it with O_APPEND, so each write lands at the end.
     load_cache keeps the later of two lines for a route, so load(save(c))
     agrees with c on every route of c, and equals c when the file was new."""
     lines = sorted(
-        f"{route.origin} {route.destination} {duration.minutes}\n"
-        for route, duration in cache.items()
+        f"{origin} {destination} {duration.minutes}\n"
+        for (origin, destination), duration in cache.items()
     )
     data = "".join(lines).encode("utf-8")
     while data:  # a regular file takes it all in one write unless the disk fills
@@ -326,7 +335,7 @@ class CachedProvider:
         self._fd: int | None = None
         self._closer: weakref.finalize | None = None
 
-    def route_duration(self, route: RoutePair) -> FlightDuration:
+    def route_duration(self, route: tuple[AirportCode, AirportCode]) -> FlightDuration:
         duration = self._cache.get(route)
         if duration is not None:
             return duration
@@ -342,7 +351,7 @@ class CachedProvider:
             self._closer()
         self._path = None
 
-    def _append(self, route: RoutePair, duration: FlightDuration) -> None:
+    def _append(self, route: tuple[AirportCode, AirportCode], duration: FlightDuration) -> None:
         try:
             if self._fd is None:
                 # 0o666 is the mode open() creates files with; os.open's default is 0o777.

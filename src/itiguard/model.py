@@ -23,9 +23,9 @@ raw string, a rejected place memoised as None. Only a str of at most
 _PLACE_KEY_LIMIT (64) characters is looked up; a longer one is split
 uncached, so the memo never holds a large string from outside.
 
-Records are tuples, built by one rule: a value from outside the package is
-checked where it enters, and the tuple is then built directly (see
-_new_tuple below).
+Records are tuples and airport codes are strs, built by one rule: a value
+from outside the package is checked where it enters, and the tuple is then
+built directly (see _new_tuple below).
 """
 
 from __future__ import annotations
@@ -213,18 +213,19 @@ class Timestamp(NamedTuple):
         return self.minutes_since_epoch - other.minutes_since_epoch
 
 
-class AirportCode(namedtuple("AirportCode", "code")):
-    """Three-letter uppercase IATA airport code."""
+class AirportCode(str):
+    """Three-letter uppercase IATA airport code: a str that passed the check,
+    so it equals, hashes and prints as its code."""
 
     __slots__ = ()
 
     def __new__(cls, code: str):
         if not isinstance(code, str) or not _AIRPORT_RE.fullmatch(code):
             raise ValueError(f"invalid IATA airport code: {code!r}")
-        return tuple.__new__(cls, (code,))
+        return str.__new__(cls, code)
 
-    def __str__(self) -> str:
-        return self.code
+    def __repr__(self) -> str:
+        return f"AirportCode(code={str.__repr__(self)})"
 
 
 class Stop(NamedTuple):
@@ -297,7 +298,9 @@ def parse_place(raw: object, stop_index: int) -> tuple[str, AirportCode]:
 
 
 # A record that checks its values is a namedtuple subclass whose __new__ runs
-# the checks and then returns tuple.__new__ (_make and _replace skip them).
+# the checks and then returns tuple.__new__ (_make and _replace skip them);
+# AirportCode, the one checked value that is not a record, is a str subclass
+# built the same way through str.__new__.
 # Where the caller has just established a record's invariant, _new_tuple
 # builds it with no Python-level __new__ frame; a value from outside the
 # package never reaches a record this way before that record's check.

@@ -17,7 +17,9 @@ they take int minutes and name the broken rule. check_against_bounds turns
 their answer into an Issue, and the correction pass asks them directly.
 
 ValidationPolicy holds numbers from flags and config, so its constructor
-checks them; the per-leg records are built with model._new_tuple.
+checks them; the per-leg records are built with model._new_tuple, and each
+leg's route is handed to the provider as a plain (origin, destination)
+pair of codes.
 """
 
 from __future__ import annotations
@@ -27,14 +29,12 @@ from collections import namedtuple
 from enum import Enum
 from typing import NamedTuple
 
-from .durations import (
-    MAX_FLIGHT_MINUTES,
-    DurationProvider,
-    RoutePair,
-    RouteUnavailable,
-    TransitBounds,
-)
-from .model import Itinerary, _new_tuple
+from .durations import MAX_FLIGHT_MINUTES, DurationProvider, RouteUnavailable, TransitBounds
+from .model import _MAX_MINUTES, _MIN_MINUTES, Itinerary, _new_tuple
+
+# The longest span the wire form can spell: no two timestamps it can write
+# lie further apart, so a longer minimum stay or buffer could never be met.
+_MAX_POLICY_MINUTES = _MAX_MINUTES - _MIN_MINUTES
 
 
 class IssueKind(Enum):
@@ -49,6 +49,15 @@ class IssueKind(Enum):
 SEGMENT_ISSUE_KINDS = frozenset(
     {IssueKind.OVERLAP, IssueKind.TRANSIT_TOO_SHORT, IssueKind.TRANSIT_TOO_LONG}
 )
+
+# The members the per-stop loops return or compare with `is`, read once:
+# on CPython 3.11 EnumType defines __getattr__, so each IssueKind.X read
+# costs a Python-level call.
+_OVERLAP = IssueKind.OVERLAP
+_TRANSIT_TOO_SHORT = IssueKind.TRANSIT_TOO_SHORT
+_TRANSIT_TOO_LONG = IssueKind.TRANSIT_TOO_LONG
+_STAY_TOO_SHORT = IssueKind.STAY_TOO_SHORT
+_ROUTE_DATA_UNAVAILABLE = IssueKind.ROUTE_DATA_UNAVAILABLE
 
 
 class ProviderError(Exception):
@@ -90,8 +99,12 @@ class ValidationPolicy(
     ):
         if min_stay_minutes <= 0:
             raise ValueError("min_stay must be positive")
+        if min_stay_minutes > _MAX_POLICY_MINUTES:
+            raise ValueError(f"min_stay must be <= {_MAX_POLICY_MINUTES}")
         if buffer_minutes < 0:
             raise ValueError("buffer must be >= 0")
+        if buffer_minutes > _MAX_POLICY_MINUTES:
+            raise ValueError(f"buffer must be <= {_MAX_POLICY_MINUTES}")
         if max_multiplier <= 1:
             raise ValueError("max_multiplier must be > 1")
         # t_max is int(t_min * max_multiplier); it must stay finite for the
@@ -125,7 +138,7 @@ def stay_violation(stay: int, policy: ValidationPolicy) -> IssueKind | None:
     """The minimum-stay rule on a stay of departure minus arrival in minutes:
     STAY_TOO_SHORT below policy.min_stay_minutes, None from it on. A
     negative stay (inverted times) is subsumed here."""
-    return IssueKind.STAY_TOO_SHORT if stay < policy.min_stay_minutes else None
+    return _STAY_TOO_SHORT if stay < policy.min_stay_minutes else None
 
 
 def segment_violation(travel_time: int, t_min: int, t_max: int) -> IssueKind | None:
@@ -134,11 +147,11 @@ def segment_violation(travel_time: int, t_min: int, t_max: int) -> IssueKind | N
     order: a negative time is OVERLAP before it is TRANSIT_TOO_SHORT.
     Times from t_min to t_max inclusive pass (None)."""
     if travel_time < 0:
-        return IssueKind.OVERLAP
+        return _OVERLAP
     if travel_time < t_min:
-        return IssueKind.TRANSIT_TOO_SHORT
+        return _TRANSIT_TOO_SHORT
     if travel_time > t_max:
-        return IssueKind.TRANSIT_TOO_LONG
+        return _TRANSIT_TOO_LONG
     return None
 
 
@@ -151,8 +164,8 @@ def resolve_segment_bounds(
     same, or the provider has no duration for its route (ProviderError in
     strict mode). Which of the two it was can be read off the itinerary.
     The provider's route_duration and the policy's numbers are read once
-    per call, and a leg's RoutePair is built unchecked right after the
-    test that its two codes differ.
+    per call, and a leg's route goes to the provider as the plain pair
+    (origin, destination) right after the test that its two codes differ.
     """
     route_duration = provider.route_duration
     buffer = policy.buffer_minutes
@@ -163,11 +176,11 @@ def resolve_segment_bounds(
     origin = stops[0].airport
     for stop in stops[1:]:
         dest = stop.airport
-        if origin.code == dest.code:
+        if origin == dest:
             bounds.append(None)
         else:
             try:
-                duration = route_duration(_new_tuple(RoutePair, (origin, dest)))
+                duration = route_duration((origin, dest))
             except RouteUnavailable as err:
                 if policy.strict:
                     raise ProviderError(str(err)) from err
@@ -216,12 +229,12 @@ def check_against_bounds(
                 travel = arrival - departure
                 kind = segment_violation(travel, leg.t_min, leg.t_max)
                 if kind is not None:
-                    required = leg.t_max if kind is IssueKind.TRANSIT_TOO_LONG else leg.t_min
+                    required = leg.t_max if kind is _TRANSIT_TOO_LONG else leg.t_min
                     issues.append(_new_tuple(Issue, (kind, i - 1, travel, required)))
             else:
                 unverifiable.append(i - 1)
-                if previous.airport.code == stop.airport.code:
-                    issues.append(_new_tuple(Issue, (IssueKind.ROUTE_DATA_UNAVAILABLE, i - 1, None, None)))
+                if previous.airport == stop.airport:
+                    issues.append(_new_tuple(Issue, (_ROUTE_DATA_UNAVAILABLE, i - 1, None, None)))
         departure = stop.departure.minutes_since_epoch
         stay = departure - arrival
         kind = stay_violation(stay, policy)

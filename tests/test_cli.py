@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from datetime import date
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -60,6 +61,18 @@ def pair_flags(pair_durations: Path) -> list[str]:
 
 
 class TestValidate:
+    @pytest.mark.parametrize(
+        "flags, golden", [([], "validate_sample.txt"), (["--format", "json"], "validate_sample.json")]
+    )
+    def test_report_matches_golden(self, flags, golden, goldens_dir, monkeypatch, capsys):
+        # Run from the repository root, so the file name in the report is relative.
+        monkeypatch.chdir(FIXTURES.parent)
+        code = main(["validate", "fixtures/sample_invalid.json", *flags, *DEMO_FLAGS])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == (goldens_dir / golden).read_text(encoding="utf-8")
+        assert captured.err == ""
+
     def test_invalid_file_exits_1(self, capsys):
         code = main(["validate", str(FIXTURES / "sample_invalid.json"), *DEMO_FLAGS])
         assert code == 1
@@ -188,7 +201,9 @@ class TestCorrect:
             ]
         )
         assert code == 2
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: no flight duration for AAA->BBB after 1 attempt(s): no fixture duration for route\n"
+        )
 
     def test_missing_input_exits_2(self, capsys):
         assert main(["correct", "no_such.json", *DEMO_FLAGS]) == 2
@@ -243,6 +258,24 @@ class TestGenerate:
         captured = capsys.readouterr()
         assert captured.out == (FIXTURES / "sample_corrected.json").read_text(encoding="utf-8")
         assert "generation: 1 attempt(s); 3 issues found; 4 adjustment(s) applied" in captured.err
+
+    @pytest.mark.parametrize(
+        "route", [[], ["--route", "Sydney:SYD,Frankfurt:FRA,Cairo:CAI,Casablanca:CMN"]], ids=["free", "route"]
+    )
+    def test_trace_matches_golden(self, route, goldens_dir, capsys):
+        code = main(["generate", "--replay-dir", str(FIXTURES / "replay"), "--trace", *route, *DEMO_FLAGS])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out == (FIXTURES / "sample_corrected.json").read_text(encoding="utf-8")
+        # The same four adjustments correct makes on sample_invalid.json.
+        assert captured.err == (
+            "generation: 1 attempt(s); 3 issues found; 4 adjustment(s) applied\n"
+            + (goldens_dir / "sample_trace.json").read_text(encoding="utf-8")
+        )
+
+    def test_default_window_is_june_2025(self):
+        args = cli.build_parser().parse_args(["generate"])
+        assert (args.window_start, args.window_end) == (date(2025, 6, 1), date(2025, 6, 30))
 
     def test_valid_recording_reports_zero_issues(self, tmp_path, capsys):
         recording = tmp_path / "rec" / "demo" / "4"
@@ -430,6 +463,13 @@ class TestBench:
             "segment_issue_count",
             "unverifiable_count",
         ]
+
+    def test_json_matches_golden(self, goldens_dir, capsys):
+        code = main(
+            ["bench", str(self.CORPUS / "manifest.json"), "--format", "json", *self.corpus_flags()]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == (goldens_dir / "corpus_bench.json").read_text(encoding="utf-8")
 
     def test_breakdown(self, goldens_dir, capsys):
         code = main(
@@ -644,6 +684,31 @@ class TestConfigResolution:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "flag, key, message",
+        [
+            ("--buffer-hours", "buffer_hours", "buffer must be <= 5258964959"),
+            ("--min-stay-hours", "min_stay_hours", "min_stay must be <= 5258964959"),
+        ],
+        ids=["buffer", "min-stay"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "correct"])
+    def test_policy_span_the_wire_form_cannot_spell_exits_2(
+        self, tmp_path, command, flag, key, message, source, capsys
+    ):
+        if source == "flag":
+            flags = [flag, "1e300"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({key: 1e300}))
+            flags = ["--config", str(config)]
+        code = main([command, str(FIXTURES / "sample_invalid.json"), *flags, *DEMO_FLAGS])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_non_object_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -382,6 +382,16 @@ class TestCache:
         provider.route_duration(route("FRA", "SYD"))
         assert inner.calls == 2
 
+    @pytest.mark.parametrize("first_checked", [True, False], ids=["route-pair-first", "plain-pair-first"])
+    def test_a_route_pair_and_the_equal_plain_pair_share_one_entry(self, first_checked):
+        inner = CountingProvider()
+        provider = CachedProvider(inner)
+        checked, plain = route("SYD", "FRA"), (AirportCode("SYD"), AirportCode("FRA"))
+        assert checked == plain and hash(checked) == hash(plain)
+        for key in (checked, plain) if first_checked else (plain, checked):
+            assert provider.route_duration(key).minutes == 300
+        assert inner.calls == 1
+
     def test_persists_to_file(self, tmp_path):
         path = tmp_path / "durations.txt"
         inner = CountingProvider(555)
@@ -403,6 +413,8 @@ class TestCache:
         inner = CountingProvider()
         provider = CachedProvider(inner, path=path)
         assert provider.route_duration(route("SYD", "FRA")).minutes == 555
+        # The loaded entry serves the plain pair the validator hands over too.
+        assert provider.route_duration((AirportCode("SYD"), AirportCode("FRA"))).minutes == 555
         assert inner.calls == 0
 
     def test_save_load_round_trip(self, tmp_path):
@@ -432,6 +444,12 @@ class TestCache:
         warnings = warning_lines(capsys)
         assert len(warnings) == 2
         assert all("skip" in line.lower() for line in warnings)
+
+    def test_same_airport_line_skipped_with_warning(self, tmp_path, capsys):
+        path = tmp_path / "cache.txt"
+        path.write_text("SYD SYD 100\nSYD FRA 720\n")
+        assert load_cache(path) == {route("SYD", "FRA"): FlightDuration(720)}
+        assert warning_lines(capsys) == [f"skipping corrupt cache line {path}:1: 'SYD SYD 100'"]
 
     def test_non_utf8_line_skipped_with_warning(self, tmp_path, capsys):
         path = tmp_path / "cache.txt"

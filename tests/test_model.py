@@ -184,6 +184,16 @@ class TestAirportCode:
         with pytest.raises(ValueError):
             AirportCode(raw)
 
+    def test_is_a_str_that_equals_its_code(self):
+        code = AirportCode("SYD")
+        assert isinstance(code, str)
+        assert code == "SYD" and hash(code) == hash("SYD")
+        assert code != ("SYD",)
+        assert {("SYD", "FRA"): 1}[(code, AirportCode("FRA"))] == 1
+        assert type(str(code)) is str and f"{code}->x" == "SYD->x"
+        assert json.dumps({"airport": code}) == '{"airport": "SYD"}'
+        assert repr(code) == "AirportCode(code='SYD')"
+
 
 class TestParsePlace:
     def test_simple(self):
@@ -459,8 +469,8 @@ class TestRender:
             )
             assert render_itinerary(itin) == json.dumps(wire_doc(itin), indent=2)
 
-    # 1 == True == 1.0 and AirportCode("SYD") == ("SYD",), but each prints
-    # differently, in either order.
+    # 1 == True == 1.0, but each prints differently, in either order; so do
+    # an AirportCode and a tuple in its place.
     @pytest.mark.parametrize(
         "cases",
         [

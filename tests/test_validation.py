@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from itiguard import model
 from itiguard.correction import correct
 from itiguard.durations import FixtureProvider, TransitBounds
 from itiguard.model import AirportCode, Itinerary, Stop, Timestamp
@@ -60,6 +61,16 @@ class TestPolicy:
 
     def test_one_minute_stay_accepted(self):
         assert ValidationPolicy(min_stay_minutes=1).min_stay_minutes == 1
+
+    @pytest.mark.parametrize("field, name", [("min_stay_minutes", "min_stay"), ("buffer_minutes", "buffer")])
+    def test_a_span_past_what_the_wire_form_spells_is_refused(self, field, name):
+        # From 0001-01-01 00:00 to 9999-12-31 23:59.
+        span = model._MAX_MINUTES - model._MIN_MINUTES
+        assert span == 5_258_964_959
+        assert getattr(ValidationPolicy(**{field: span}), field) == span
+        with pytest.raises(ValueError) as exc:
+            ValidationPolicy(**{field: span + 1})
+        assert str(exc.value) == f"{name} must be <= 5258964959"
 
     def test_overflow_edge_counts_the_buffer(self):
         # t_max of the longest flight, (2880 + 240) * multiplier, overflows
