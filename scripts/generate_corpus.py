@@ -53,10 +53,11 @@ GROUPS = [
 def build_itinerary(rng: random.Random, durations: dict, bad_segments: int) -> Itinerary:
     cities = rng.sample(CITIES, STOPS)
     bad_indices = set(rng.sample(range(STOPS - 1), bad_segments))
-    arrival = Timestamp.parse("2025-06-01 06:00") + rng.randint(0, 20) * 1440 + rng.randint(0, 23) * 60
+    start = Timestamp.parse("2025-06-01 06:00")
+    arrival = Timestamp(start + rng.randint(0, 20) * 1440 + rng.randint(0, 23) * 60)
     stops = []
     for i, (name, code) in enumerate(cities):
-        departure = arrival + STAY_MINUTES
+        departure = Timestamp(arrival + STAY_MINUTES)
         stops.append(Stop(name, AirportCode(code), arrival, departure))
         if i < STOPS - 1:
             key = frozenset((code, cities[i + 1][1]))
@@ -67,7 +68,7 @@ def build_itinerary(rng: random.Random, durations: dict, bad_segments: int) -> I
                 gap = t_min - 60
             else:
                 gap = 2 * t_min + 60
-            arrival = departure + gap
+            arrival = Timestamp(departure + gap)
     return Itinerary(tuple(stops))
 
 

@@ -6,13 +6,13 @@ outgoing leg is checked against its transit bounds using that updated
 departure. A leg that is too short, overlapping, or too long gets its
 arrival pinned to departure + t_min, which satisfies both bounds. Because
 each stop's arrival is final before its stay is examined, a single pass
-leaves no violations. The pass runs on int minutes, and which stop or leg
-breaks which rule is decided by the validator's int rule functions,
-stay_violation / segment_violation; this module only decides how to fix
-it. A Timestamp is built only for an Adjustment's new value, and the stops
-are rebuilt from the adjustments, so an untouched stop or timestamp is
-reused as it is. Each Adjustment goes through its constructor; the
-other records are built with model._new_tuple.
+leaves no violations. Timestamps are ints, so the pass subtracts them as
+they are, and which stop or leg breaks which rule is decided by the
+validator's int rule functions, stay_violation / segment_violation; this
+module only decides how to fix it. The pass builds the corrected stops as
+it goes: a Timestamp is built only for an Adjustment's new value, and an
+untouched stop or timestamp is reused as it is. Each Adjustment goes
+through its constructor; the other records are built with model._new_tuple.
 
 correct_against_bounds() is the pure part: given the per-leg bounds list
 that resolve_segment_bounds returned, it makes the pass and then checks the
@@ -105,47 +105,34 @@ def _adjustment_pass(
     bounds: list[TransitBounds | None],
     policy: ValidationPolicy,
     out: list[Adjustment],
-) -> None:
-    """The forward pass, on int minutes: appends to out every change it
-    makes. The pass changes each field at most once, so an adjustment's old
-    value is always the stop's own timestamp."""
-    last = len(stops) - 1
-    arrival = stops[0].arrival.minutes_since_epoch
+) -> tuple[Stop, ...]:
+    """The forward pass: appends to out every change it makes and returns
+    the corrected stops. The pass changes each field at most once, so an
+    adjustment's old value is always the stop's own timestamp, and a stop
+    whose two timestamps it left alone is reused as it is."""
+    corrected = []
+    departure = None
     for i, stop in enumerate(stops):
-        departure = stop.departure.minutes_since_epoch
+        arrival = stop.arrival
+        if i:
+            # Leg i - 1 ends here, after stop i - 1's departure is final.
+            leg = bounds[i - 1]
+            if leg is not None:
+                kind = segment_violation(arrival - departure, leg.t_min, leg.t_max)
+                if kind:
+                    arrival = Timestamp(departure + leg.t_min)
+                    out.append(Adjustment(i, _ARRIVAL, stop.arrival, arrival, kind))
+        departure = stop.departure
         kind = stay_violation(departure - arrival, policy)
         if kind:
-            departure = arrival + policy.min_stay_minutes
-            new = _new_tuple(Timestamp, (departure,))
-            out.append(Adjustment(i, _DEPARTURE, stop.departure, new, kind))
-        if i == last:
-            break
-        following = stops[i + 1]
-        arrival = following.arrival.minutes_since_epoch
-        leg = bounds[i]
-        if leg is not None:
-            kind = segment_violation(arrival - departure, leg.t_min, leg.t_max)
-            if kind:
-                arrival = departure + leg.t_min
-                new = _new_tuple(Timestamp, (arrival,))
-                out.append(Adjustment(i + 1, _ARRIVAL, following.arrival, new, kind))
-
-
-def _rebuild(itin: Itinerary, adjustments: list[Adjustment]) -> Itinerary:
-    """itin with each adjustment's new timestamp in place; a stop that no
-    adjustment touched is reused as it is."""
-    arrivals = [stop.arrival for stop in itin.stops]
-    departures = [stop.departure for stop in itin.stops]
-    for adj in adjustments:
-        (arrivals if adj.field is _ARRIVAL else departures)[adj.stop_index] = adj.new
-    stops = tuple(
-        stop
-        if stop.arrival is arrival and stop.departure is departure
-        else _new_tuple(Stop, (stop.place_name, stop.airport, arrival, departure))
-        for stop, arrival, departure in zip(itin.stops, arrivals, departures)
-    )
-    # As many stops as itin, which passed Itinerary's check.
-    return _new_tuple(Itinerary, (stops,))
+            departure = Timestamp(arrival + policy.min_stay_minutes)
+            out.append(Adjustment(i, _DEPARTURE, stop.departure, departure, kind))
+        corrected.append(
+            stop
+            if arrival is stop.arrival and departure is stop.departure
+            else _new_tuple(Stop, (stop.place_name, stop.airport, arrival, departure))
+        )
+    return tuple(corrected)
 
 
 def correct(
@@ -172,8 +159,9 @@ def correct_against_bounds(
     that check finds an issue the pass should have fixed.
     """
     adjustments: list[Adjustment] = []
-    _adjustment_pass(itin.stops, bounds, policy, adjustments)
-    candidate = _rebuild(itin, adjustments)
+    stops = _adjustment_pass(itin.stops, bounds, policy, adjustments)
+    # As many stops as itin, which passed Itinerary's check.
+    candidate = _new_tuple(Itinerary, (stops,))
     report = check_against_bounds(candidate, bounds, policy)
     correctable = [i for i in report.issues if i.kind is not _ROUTE_DATA_UNAVAILABLE]
     if correctable:

@@ -23,9 +23,9 @@ raw string, a rejected place memoised as None. Only a str of at most
 _PLACE_KEY_LIMIT (64) characters is looked up; a longer one is split
 uncached, so the memo never holds a large string from outside.
 
-Records are tuples and airport codes are strs, built by one rule: a value
-from outside the package is checked where it enters, and the tuple is then
-built directly (see _new_tuple below).
+Records are tuples, timestamps are ints and airport codes are strs, built
+by one rule: a value from outside the package is checked where it enters,
+and the record is then built directly (see _new_tuple below).
 """
 
 from __future__ import annotations
@@ -175,14 +175,11 @@ class BadPlaceFormatError(FormatError):
         super().__init__(f"stop {stop_index} place {shorten(repr(raw))} does not match 'City Name (IATA)'")
 
 
-class Timestamp(NamedTuple):
-    """A UTC instant at minute resolution.
+class Timestamp(int):
+    """A UTC instant at minute resolution: an int counting minutes since
+    1970, so two timestamps subtract to a signed int duration."""
 
-    Subtracting two timestamps yields a signed duration in minutes; adding an
-    int number of minutes yields a new timestamp.
-    """
-
-    minutes_since_epoch: int
+    __slots__ = ()
 
     @classmethod
     def parse(cls, text: str) -> "Timestamp":
@@ -193,24 +190,13 @@ class Timestamp(NamedTuple):
 
     def text(self) -> str:
         """Wire form; raises ValueError outside the years 0001-9999 it can spell."""
-        minutes = self.minutes_since_epoch
-        if not _MIN_MINUTES <= minutes <= _MAX_MINUTES:
-            raise ValueError(f"timestamp {minutes} minutes from 1970 is outside years 0001-9999")
-        days, minute_of_day = divmod(minutes, _MINUTES_PER_DAY)
+        if not _MIN_MINUTES <= self <= _MAX_MINUTES:
+            raise ValueError(f"timestamp {self:d} minutes from 1970 is outside years 0001-9999")
+        days, minute_of_day = divmod(self, _MINUTES_PER_DAY)
         return f"{_date_text(days)} {_clock_text(minute_of_day)}"
 
     def __str__(self) -> str:
         return self.text()
-
-    def __add__(self, minutes: int) -> "Timestamp":
-        if not isinstance(minutes, int):
-            return NotImplemented
-        return Timestamp(self.minutes_since_epoch + minutes)
-
-    def __sub__(self, other: "Timestamp") -> int:
-        if not isinstance(other, Timestamp):
-            return NotImplemented
-        return self.minutes_since_epoch - other.minutes_since_epoch
 
 
 class AirportCode(str):
@@ -300,7 +286,9 @@ def parse_place(raw: object, stop_index: int) -> tuple[str, AirportCode]:
 # A record that checks its values is a namedtuple subclass whose __new__ runs
 # the checks and then returns tuple.__new__ (_make and _replace skip them);
 # AirportCode, the one checked value that is not a record, is a str subclass
-# built the same way through str.__new__.
+# built the same way through str.__new__. Timestamp is an int subclass with
+# no check of its own: Timestamp.parse checks the wire text, and
+# Timestamp(minutes) wraps minutes the package computed.
 # Where the caller has just established a record's invariant, _new_tuple
 # builds it with no Python-level __new__ frame; a value from outside the
 # package never reaches a record this way before that record's check.
@@ -350,7 +338,7 @@ def parse_itinerary(text: str | bytes, expected_stops: int | None) -> Itinerary:
             minutes = _wire_minutes(raw)
             if minutes is None:
                 raise InvalidTimeFormatError(raw if isinstance(raw, str) else repr(raw), place_label=place)
-            times.append(_new_tuple(Timestamp, (minutes,)))
+            times.append(Timestamp(minutes))
         stops.append(_new_tuple(Stop, (name, airport, times[0], times[1])))
     return Itinerary(tuple(stops))
 

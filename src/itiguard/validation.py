@@ -210,9 +210,9 @@ def check_against_bounds(
     bounds is what resolve_segment_bounds returned for an itinerary with the
     same airports in the same order; no provider is consulted. A None entry
     makes its leg unverifiable, and a ROUTE_DATA_UNAVAILABLE issue when the
-    leg joins an airport to itself. Each stop's minutes are read once and
-    compared as ints by stay_violation / segment_violation; an Issue is
-    built only for a violation, and its required value is t_max for
+    leg joins an airport to itself. Timestamps subtract to int minutes,
+    which stay_violation / segment_violation compare; an Issue is built
+    only for a violation, and its required value is t_max for
     TRANSIT_TOO_LONG and t_min for the other leg kinds.
     """
     stops = itin.stops
@@ -221,7 +221,7 @@ def check_against_bounds(
     unverifiable: list[int] = []
     previous = None
     for i, stop in enumerate(stops):
-        arrival = stop.arrival.minutes_since_epoch
+        arrival = stop.arrival
         if previous is not None:
             # Leg i - 1 ends here; its issue follows stop i - 1's stay issue.
             leg = bounds[i - 1]
@@ -235,7 +235,7 @@ def check_against_bounds(
                 unverifiable.append(i - 1)
                 if previous.airport == stop.airport:
                     issues.append(_new_tuple(Issue, (_ROUTE_DATA_UNAVAILABLE, i - 1, None, None)))
-        departure = stop.departure.minutes_since_epoch
+        departure = stop.departure
         stay = departure - arrival
         kind = stay_violation(stay, policy)
         if kind is not None:

@@ -121,8 +121,8 @@ def random_itinerary(
     codes = random_airport_codes(rng, n)
     stops = []
     for code in codes:
-        arrival = BASE + rng.randint(0, WINDOW_MINUTES)
-        departure = BASE + rng.randint(0, WINDOW_MINUTES)
+        arrival = Timestamp(BASE + rng.randint(0, WINDOW_MINUTES))
+        departure = Timestamp(BASE + rng.randint(0, WINDOW_MINUTES))
         stops.append(Stop(f"City {code}", AirportCode(code), arrival, departure))
     table: dict[tuple[str, str], int] = {}
     for a, b in zip(codes, codes[1:]):

@@ -337,9 +337,9 @@ def test_criterion_9_latency():
     arrival = Timestamp.parse("2025-06-01 08:00")
     for i, code in enumerate(codes):
         # Stays of one day and one-hour hops: plenty to correct.
-        departure = arrival + 24 * 60
+        departure = Timestamp(arrival + 24 * 60)
         stops.append(Stop(f"City {i}", AirportCode(code), arrival, departure))
-        arrival = departure + 60
+        arrival = Timestamp(departure + 60)
     itin = Itinerary(tuple(stops))
 
     best = float("inf")

@@ -236,7 +236,7 @@ class TestCorrect:
         assert '"0999-06-' in out
 
     def test_issue_left_by_the_pass_exits_3(self, monkeypatch, capsys):
-        monkeypatch.setattr(correction, "_adjustment_pass", lambda *args: None)
+        monkeypatch.setattr(correction, "_adjustment_pass", lambda stops, *rest: stops)
         code = main(["correct", str(FIXTURES / "sample_invalid.json"), *DEMO_FLAGS])
         assert code == 3
         captured = capsys.readouterr()
@@ -324,7 +324,7 @@ class TestGenerate:
         assert [provider.calls for provider in providers] == [3]
 
     def test_issue_left_by_the_pass_exits_3(self, monkeypatch, capsys):
-        monkeypatch.setattr(correction, "_adjustment_pass", lambda *args: None)
+        monkeypatch.setattr(correction, "_adjustment_pass", lambda stops, *rest: stops)
         code = main(["generate", "--replay-dir", str(FIXTURES / "replay"), *DEMO_FLAGS])
         assert code == 3
         captured = capsys.readouterr()

@@ -125,7 +125,7 @@ class TestOnePass:
             assert counting.calls == len(itin) - 1
 
     def test_issue_left_by_the_pass_raises(self, sample_invalid, demo_provider, monkeypatch):
-        monkeypatch.setattr(correction, "_adjustment_pass", lambda *args: None)
+        monkeypatch.setattr(correction, "_adjustment_pass", lambda stops, *rest: stops)
         with pytest.raises(NonConvergenceError, match="3 issue"):
             correct(sample_invalid, demo_provider)
 

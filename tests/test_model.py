@@ -105,7 +105,7 @@ class TestTimestamp:
         except ValueError:
             expected = None
         try:
-            got = Timestamp.parse(text).minutes_since_epoch
+            got = Timestamp.parse(text)
         except InvalidTimeFormatError:
             got = None
         assert got == expected
@@ -140,7 +140,7 @@ class TestTimestamp:
         day = datetime(1900, 1, 1, 13, 7)
         while day.year <= 2100:
             expected = (day - epoch) // timedelta(minutes=1)
-            assert Timestamp.parse(day.strftime("%Y-%m-%d %H:%M")).minutes_since_epoch == expected
+            assert Timestamp.parse(day.strftime("%Y-%m-%d %H:%M")) == expected
             day += timedelta(days=1)
 
     @pytest.mark.parametrize("raw", ["2025-02-29 10:00", "2025-06-31 10:00", "2025-06-01 24:00"])
@@ -153,7 +153,7 @@ class TestTimestamp:
     def test_memos_are_bounded(self):
         start = Timestamp.parse("2000-01-01 00:00")
         for day in range(model._MEMO_SIZE + 100):
-            Timestamp.parse((start + day * 24 * 60 + day % 1440).text())
+            Timestamp.parse(Timestamp(start + day * 24 * 60 + day % 1440).text())
         # More distinct dates than a memo holds: the date memos stay full.
         for memo in (model._date_days, model._date_text):
             assert memo.cache_info().currsize == model._MEMO_SIZE
@@ -164,8 +164,14 @@ class TestTimestamp:
         a = Timestamp.parse("2025-06-01 10:00")
         b = Timestamp.parse("2025-06-02 11:30")
         assert b - a == 25 * 60 + 30
-        assert a + (25 * 60 + 30) == b
+        assert type(b - a) is int and type(a + 1) is int
+        assert Timestamp(a + (25 * 60 + 30)) == b
+        assert type(Timestamp(a + 90)) is Timestamp
         assert a - b == -(25 * 60 + 30)
+        # A timestamp is its minute count since 1970 and prints in wire form.
+        assert Timestamp.parse("1970-01-02 00:01") == 24 * 60 + 1
+        assert Timestamp.parse("1969-12-31 23:59") == -1
+        assert str(b) == f"{b}" == "2025-06-02 11:30"
 
     def test_ordering(self):
         a = Timestamp.parse("2025-06-01 10:00")
@@ -463,7 +469,12 @@ class TestRender:
             itin, _, _ = random_itinerary(rng, min_stops=1)
             itin = Itinerary(
                 tuple(
-                    Stop(rng.choice(names), stop.airport, stop.arrival + rng.randint(-10**9, 10**9), stop.departure)
+                    Stop(
+                        rng.choice(names),
+                        stop.airport,
+                        Timestamp(stop.arrival + rng.randint(-10**9, 10**9)),
+                        stop.departure,
+                    )
                     for stop in itin.stops
                 )
             )
@@ -481,7 +492,7 @@ class TestRender:
     def test_equal_fields_that_print_differently(self, cases):
         at = Timestamp.parse("2025-06-01 08:00")
         for name, airport, place in cases:
-            itin = Itinerary((Stop(name, airport, at, at + 60),))
+            itin = Itinerary((Stop(name, airport, at, Timestamp(at + 60)),))
             rendered = render_itinerary(itin)
             assert json.loads(rendered)["itinerary"][0]["place"] == place
             assert rendered == json.dumps(wire_doc(itin), indent=2)

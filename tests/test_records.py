@@ -182,3 +182,23 @@ def test_reports_traces_and_corrections_hold_exact_records():
         assert parsed == fixed
     assert kinds == set(IssueKind)
     assert adjusted > 0
+
+
+def test_correction_reuses_what_it_leaves_alone():
+    reused = rebuilt = 0
+    for itin, table, policy in broken_cases():
+        fixed, trace = correct(itin, FixtureProvider(table), policy)
+        new = {(adj.stop_index, adj.field): adj.new for adj in trace.adjustments}
+        assert len(fixed.stops) == len(itin.stops)
+        for i, (before, after) in enumerate(zip(itin.stops, fixed.stops)):
+            if not any(key[0] == i for key in new):
+                reused += 1
+                assert after is before
+                continue
+            rebuilt += 1
+            assert after.place_name is before.place_name and after.airport is before.airport
+            # A field no adjustment names is the input's own timestamp.
+            for field in TimeField:
+                value = getattr(after, field.value)
+                assert value is new.get((i, field), getattr(before, field.value))
+    assert min(reused, rebuilt) > 100, (reused, rebuilt)
