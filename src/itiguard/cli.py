@@ -21,9 +21,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from datetime import date
-from pathlib import Path
 from typing import NamedTuple
 
 from .airports import AIRPORT_COORDS
@@ -51,6 +51,7 @@ from .model import (
     format_minutes,
     load_json,
     parse_itinerary,
+    read_file,
     render_itinerary,
     shorten,
     warn,
@@ -116,7 +117,7 @@ def resolve_config(args: argparse.Namespace) -> AppConfig:
     config = AppConfig()
     config_path = getattr(args, "config", None)
     if config_path:
-        data = load_json(Path(config_path).read_bytes())
+        data = load_json(read_file(config_path))
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
         defaults = AppConfig._field_defaults
@@ -215,7 +216,7 @@ def cmd_validate(args: argparse.Namespace, config: AppConfig) -> int:
     had_error = False
     for path in args.inputs:
         try:
-            itinerary = parse_itinerary(Path(path).read_bytes(), None)
+            itinerary = parse_itinerary(read_file(path), None)
             report = validate(itinerary, provider, policy)
         except (OSError, ValueError, ProviderError) as err:
             print(f"{path}: error: {err}", file=sys.stderr)
@@ -246,7 +247,7 @@ def cmd_validate(args: argparse.Namespace, config: AppConfig) -> int:
 def cmd_correct(args: argparse.Namespace, config: AppConfig) -> int:
     provider = build_provider(config)
     policy = build_policy(config)
-    itinerary = parse_itinerary(Path(args.input).read_bytes(), None)
+    itinerary = parse_itinerary(read_file(args.input), None)
     corrected, trace = correct(itinerary, provider, policy)
     print(render_itinerary(corrected))
     if config.trace:
@@ -310,13 +311,18 @@ def cmd_bench(args: argparse.Namespace, config: AppConfig) -> int:
     provider = build_provider(config)
     policy = build_policy(config)
     entries = load_manifest(args.manifest)
-    root = Path(args.manifest).parent
+    # "." for a manifest in the working directory, so an empty file name
+    # still names a directory, as Path(".") / "" does.
+    root = os.path.dirname(args.manifest) or "."
     records = []
     for entry in entries:
         try:
-            itinerary = parse_itinerary((root / entry.file).read_bytes(), entry.num_cities)
+            itinerary = parse_itinerary(read_file(os.path.join(root, entry.file)), entry.num_cities)
             report = validate(itinerary, provider, policy)
             records.append((entry, report))
+        except ProviderError as err:
+            # Strict mode: a route without a duration ends the run, as in validate.
+            raise ProviderError(f"{shorten(entry.file)}: {err}") from None
         except Exception as err:
             warn(f"skipping {shorten(entry.file)}: {shorten(error_text(err))}")
     stats = aggregate(records, include_stays=args.include_stays)

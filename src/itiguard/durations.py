@@ -34,7 +34,16 @@ from collections import namedtuple
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Protocol
 
-from .model import AirportCode, InvalidJsonError, _new_tuple, error_text, load_json, shorten, warn
+from .model import (
+    AirportCode,
+    InvalidJsonError,
+    _new_tuple,
+    error_text,
+    load_json,
+    read_file,
+    shorten,
+    warn,
+)
 
 MAX_FLIGHT_MINUTES = 48 * 60  # sanity bound, no commercial flight exceeds 48h
 FETCH_ATTEMPTS = 3
@@ -280,7 +289,7 @@ def load_cache(path: str | Path) -> dict[RoutePair, FlightDuration]:
     path = Path(path)
     if not path.exists():
         return cache
-    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+    for lineno, raw in enumerate(read_file(path).splitlines(), start=1):
         if not raw.strip():
             continue
         try:

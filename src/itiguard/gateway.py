@@ -27,6 +27,7 @@ from .model import (
     Itinerary,
     load_json,
     parse_itinerary,
+    read_file,
     shorten,
 )
 from .prompts import FeedbackKind, GenerationRequest, build_base_prompt, build_feedback
@@ -95,7 +96,7 @@ class ReplayClient:
             raise ResponsesExhausted(f"replay exhausted after {len(self._files)} responses: {self._directory}")
         path = self._files[self._cursor]
         self._cursor += 1
-        return path.read_bytes()
+        return read_file(path)
 
 
 class HttpGenerationClient:

@@ -21,7 +21,7 @@ from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
-from .model import load_json, shorten
+from .model import load_json, read_file, shorten
 from .validation import SEGMENT_ISSUE_KINDS, IssueKind, ValidationReport
 
 TABLE_HEADERS = ("Model", "Cities", "Invalid Itin.", "Invalid Seg.", "Avg Issues/Itn.")
@@ -52,7 +52,7 @@ class ManifestEntry(NamedTuple):
 def load_manifest(path: str | Path) -> list[ManifestEntry]:
     """Read a corpus manifest: a JSON array of {file, model_tag, num_cities},
     with num_cities a JSON integer of at least 1."""
-    raw = load_json(Path(path).read_bytes())
+    raw = load_json(read_file(path))
     if not isinstance(raw, list):
         raise ValueError(f"manifest must be a JSON array, got {type(raw).__name__}")
     entries = []

@@ -26,11 +26,15 @@ uncached, so the memo never holds a large string from outside.
 Records are tuples, timestamps are ints and airport codes are strs, built
 by one rule: a value from outside the package is checked where it enters,
 and the record is then built directly (see _new_tuple below).
+
+Every whole input file the package reads (itinerary, manifest, config,
+duration table, cache, recorded response) comes through read_file.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from collections import namedtuple
@@ -53,6 +57,9 @@ _MEMO_SIZE = 2048
 _PLACE_KEY_LIMIT = 64
 
 QUOTE_LIMIT = 80
+# Bytes asked of each os.read in read_file (64 KiB); a longer file takes
+# more reads.
+_READ_CHUNK = 65536
 
 
 def shorten(text: str) -> str:
@@ -138,10 +145,13 @@ class InvalidJsonError(FormatError):
 
 
 class InvalidTimeFormatError(FormatError):
-    """A timestamp deviates from 'YYYY-MM-DD HH:MM' (24-hour, zero-padded, UTC)."""
+    """A timestamp deviates from 'YYYY-MM-DD HH:MM' (24-hour, zero-padded, UTC).
 
-    def __init__(self, raw: str, place_label: str | None = None):
-        self.raw = raw
+    raw is the offending value as the document spelled it: a str as is,
+    anything else as its repr."""
+
+    def __init__(self, raw: object, place_label: str | None = None):
+        self.raw = raw = raw if isinstance(raw, str) else repr(raw)
         self.place_label = place_label
         where = f" for {shorten(place_label)}" if place_label else ""
         super().__init__(f"invalid time format{where}: {shorten(repr(raw))}")
@@ -185,7 +195,7 @@ class Timestamp(int):
     def parse(cls, text: str) -> "Timestamp":
         minutes = _wire_minutes(text)
         if minutes is None:
-            raise InvalidTimeFormatError(text if isinstance(text, str) else repr(text))
+            raise InvalidTimeFormatError(text)
         return cls(minutes)
 
     def text(self) -> str:
@@ -245,6 +255,30 @@ class Itinerary(namedtuple("Itinerary", "stops")):
 
     def __len__(self) -> int:
         return len(self.stops)
+
+
+def read_file(path: str | os.PathLike[str]) -> bytes:
+    """The whole content of the file at path, through one raw descriptor:
+    os.open, os.read until it returns b"", os.close in a finally.
+
+    Path.read_bytes goes through io.open, which builds a FileIO and a
+    BufferedReader and makes four more system calls per file: an fstat and
+    an isatty ioctl to choose the buffering, another fstat and an lseek in
+    readall. An OSError names path as its filename, so its text is
+    pathlib's: a directory opens fine and fails only at the read, whose
+    EISDIR carries no filename of its own.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+    except OSError as err:
+        err.filename = os.fspath(path)
+        raise
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
 
 
 def load_json(text: str | bytes) -> object:
@@ -333,13 +367,15 @@ def parse_itinerary(text: str | bytes, expected_stops: int | None) -> Itinerary:
         if departure is None:
             raise MissingFieldError("departure_time", i)
         name, airport = parse_place(place, i)
-        times = []
-        for raw in (arrival, departure):
-            minutes = _wire_minutes(raw)
-            if minutes is None:
-                raise InvalidTimeFormatError(raw if isinstance(raw, str) else repr(raw), place_label=place)
-            times.append(Timestamp(minutes))
-        stops.append(_new_tuple(Stop, (name, airport, times[0], times[1])))
+        arrival_minutes = _wire_minutes(arrival)
+        if arrival_minutes is None:
+            raise InvalidTimeFormatError(arrival, place_label=place)
+        departure_minutes = _wire_minutes(departure)
+        if departure_minutes is None:
+            raise InvalidTimeFormatError(departure, place_label=place)
+        stops.append(
+            _new_tuple(Stop, (name, airport, Timestamp(arrival_minutes), Timestamp(departure_minutes)))
+        )
     return Itinerary(tuple(stops))
 
 

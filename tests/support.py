@@ -10,6 +10,7 @@ lookups inlined: one uncached parse_place and one Timestamp.parse per field.
 
 from __future__ import annotations
 
+import os
 import random
 import re
 import string
@@ -29,6 +30,11 @@ BASE = Timestamp.parse("2025-06-01 00:00")
 WINDOW_MINUTES = 30 * 24 * 60
 
 GOLDEN_TABLE = {("SYD", "FRA"): 1020, ("FRA", "CAI"): 60, ("CAI", "CMN"): 60}
+
+
+def open_fds() -> int:
+    """How many descriptors this process holds open."""
+    return len(os.listdir("/proc/self/fd"))
 
 
 _ORACLE_PLACE_RE = re.compile(r"\(([A-Z]{3})\)\s*$")

@@ -584,6 +584,45 @@ class TestBench:
         # characters plus a length note.
         assert len(line) < 240
 
+    def test_manifest_entry_naming_a_directory_is_skipped(self, tmp_path, capsys):
+        (tmp_path / "sub").mkdir()
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"file": "sub", "model_tag": "m", "num_cities": 2}]))
+        code = main(["bench", str(manifest), *DEMO_FLAGS])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == "warning: skipping sub: Is a directory\n"
+
+    @pytest.mark.parametrize("relative", [True, False], ids=["relative", "absolute"])
+    def test_empty_file_name_names_the_manifest_directory(self, tmp_path, relative, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"file": "", "model_tag": "m", "num_cities": 2}]))
+        code = main(["bench", "manifest.json" if relative else str(manifest), *DEMO_FLAGS])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == "warning: skipping : Is a directory\n"
+
+    def test_strict_route_without_a_duration_ends_the_run_naming_file_and_route(self, tmp_path, capsys):
+        # The first three routes of the corpus table miss a route of the
+        # first file, and of every other one.
+        durations = (self.CORPUS / "durations.txt").read_text(encoding="utf-8")
+        short = tmp_path / "short.txt"
+        short.write_text("".join(durations.splitlines(keepends=True)[:3]), encoding="utf-8")
+        argv = ["bench", str(self.CORPUS / "manifest.json"), "--provider", "fixture", "--fixture-file", str(short)]
+        assert main([*argv, "--strict"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: model-a-000.json: no flight duration for JFK->HND after 1 attempt(s): "
+            "no fixture duration for route\n"
+        )
+        # Without --strict the same routes are unverifiable, not a reason to skip.
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "model-a" in captured.out
+
     @pytest.mark.parametrize("format", ["json", "csv"])
     def test_breakdown_needs_table_format(self, format, capsys):
         manifest = str(self.CORPUS / "manifest.json")
@@ -845,6 +884,27 @@ class TestNonUtf8Input:
         assert "error: " in line
         assert "not valid JSON" in line
         assert "Traceback" not in captured.err
+
+
+class TestDirectoryAsInput:
+    """A directory where an input file belongs exits 2 with the text of
+    pathlib's read error."""
+
+    @pytest.mark.parametrize("source", ["validate", "correct", "config"])
+    def test_exits_2_with_one_is_a_directory_line(self, tmp_path, source, capsys):
+        d = str(tmp_path)
+        argv, err = {
+            "validate": (["validate", d], f"{d}: error: [Errno 21] Is a directory: '{d}'\n"),
+            "correct": (["correct", d], f"error: [Errno 21] Is a directory: '{d}'\n"),
+            "config": (
+                ["validate", str(FIXTURES / "sample_invalid.json"), "--config", d],
+                f"error: bad configuration: [Errno 21] Is a directory: '{d}'\n",
+            ),
+        }[source]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
 
 
 class TestDurationFiles:

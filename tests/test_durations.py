@@ -39,6 +39,7 @@ from itiguard.durations import (
     save_cache,
 )
 from itiguard.model import AirportCode, shorten
+from support import open_fds
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -55,11 +56,6 @@ def appending(path: Path):
         yield fd
     finally:
         os.close(fd)
-
-
-def open_fds() -> int:
-    """How many descriptors this process holds open."""
-    return len(os.listdir("/proc/self/fd"))
 
 
 class TestRoutePair:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import errno
 import itertools
 import json
+import os
 import random
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,11 +29,12 @@ from itiguard.model import (
     load_json,
     parse_itinerary,
     parse_place,
+    read_file,
     render_itinerary,
     shorten,
 )
 from itiguard.validation import IssueKind, ValidationPolicy, validate
-from support import oracle_parse_itinerary, oracle_parse_place, random_itinerary
+from support import open_fds, oracle_parse_itinerary, oracle_parse_place, random_itinerary
 
 
 class TestTimestamp:
@@ -535,3 +539,54 @@ def test_format_minutes(minutes, expected):
 def test_shorten_keeps_80_characters_whole_and_cuts_81():
     assert shorten("x" * 80) == "x" * 80
     assert shorten("x" * 81) == "x" * 80 + "... (81 characters)"
+
+
+class TestReadFile:
+    def pathlib_error(self, path) -> OSError:
+        with pytest.raises(OSError) as info:
+            Path(path).read_bytes()
+        return info.value
+
+    def test_a_file_longer_than_one_read_comes_back_whole(self, tmp_path):
+        path = tmp_path / "long.bin"
+        data = bytes(range(256)) * (3 * model._READ_CHUNK // 256) + b"tail"
+        path.write_bytes(data)
+        assert read_file(path) == data
+        assert read_file(str(path)) == data
+
+    def test_an_empty_file_is_empty_bytes(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_bytes(b"")
+        assert read_file(path) == b""
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_an_error_has_the_text_and_type_of_pathlibs(self, tmp_path, kind):
+        path = tmp_path / "missing.json" if kind == "missing" else tmp_path
+        expected = self.pathlib_error(path)
+        for given in (path, str(path)):
+            with pytest.raises(OSError) as info:
+                read_file(given)
+            assert type(info.value) is type(expected)
+            assert str(info.value) == str(expected)
+            assert info.value.filename == str(path)
+
+    def test_no_descriptor_is_left_open(self, tmp_path, monkeypatch):
+        path = tmp_path / "trip.json"
+        path.write_bytes(b"[]")
+        before = open_fds()
+        read_file(path)
+        assert open_fds() == before
+        for bad in (tmp_path / "missing.json", tmp_path):
+            with pytest.raises(OSError):
+                read_file(bad)
+            assert open_fds() == before
+
+        def failing_read(fd, size):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(model.os, "read", failing_read)
+        with pytest.raises(OSError) as info:
+            read_file(path)
+        monkeypatch.undo()
+        assert open_fds() == before
+        assert str(info.value) == f"[Errno {errno.EIO}] {os.strerror(errno.EIO)}: {str(path)!r}"
