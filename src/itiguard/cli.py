@@ -212,12 +212,13 @@ def _issue_line(issue: Issue, itin: Itinerary) -> str:
 def cmd_validate(args: argparse.Namespace, config: AppConfig) -> int:
     provider = build_provider(config)
     policy = build_policy(config)
+    known: dict = {}  # each route's bounds, resolved once for all the files
     results = []
     had_error = False
     for path in args.inputs:
         try:
             itinerary = parse_itinerary(read_file(path), None)
-            report = validate(itinerary, provider, policy)
+            report = validate(itinerary, provider, policy, known)
         except (OSError, ValueError, ProviderError) as err:
             print(f"{path}: error: {err}", file=sys.stderr)
             had_error = True
@@ -314,11 +315,12 @@ def cmd_bench(args: argparse.Namespace, config: AppConfig) -> int:
     # "." for a manifest in the working directory, so an empty file name
     # still names a directory, as Path(".") / "" does.
     root = os.path.dirname(args.manifest) or "."
+    known: dict = {}  # each route's bounds, resolved once for the whole corpus
     records = []
     for entry in entries:
         try:
             itinerary = parse_itinerary(read_file(os.path.join(root, entry.file)), entry.num_cities)
-            report = validate(itinerary, provider, policy)
+            report = validate(itinerary, provider, policy, known)
             records.append((entry, report))
         except ProviderError as err:
             # Strict mode: a route without a duration ends the run, as in validate.

@@ -26,6 +26,7 @@ maximum reasonable time is twice that minimum.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import time
@@ -137,10 +138,15 @@ class FixtureProvider:
     @classmethod
     def from_file(cls, path: str | Path) -> "FixtureProvider":
         """Load the table from a duration file, which must exist (unlike a
-        cache file, a missing fixture file is an error, not an empty table)."""
-        if not Path(path).exists():
+        cache file, a missing fixture file is an error, not an empty table).
+        The file is opened once, and the durations _parse_cache has checked
+        are served as they are."""
+        data = _read_existing(path)
+        if data is None:
             raise ValueError(f"fixture file {path} does not exist")
-        return cls({route: duration.minutes for route, duration in load_cache(path).items()})
+        provider = object.__new__(cls)
+        provider._table = _parse_cache(data, path)
+        return provider
 
     def route_duration(self, route: tuple[AirportCode, AirportCode]) -> FlightDuration:
         duration = self._table.get(route)
@@ -280,16 +286,37 @@ class RemoteDurationClient:
         raise RouteUnavailable(route, attempts=FETCH_ATTEMPTS, reason=last_reason)
 
 
+# What Path.exists() takes for "no such file": the path, or a directory on
+# it, is missing, or a symlink on it loops.
+_MISSING_ERRNOS = frozenset({errno.ENOENT, errno.ENOTDIR, errno.ELOOP})
+
+
+def _read_existing(path: str | Path) -> bytes | None:
+    """The bytes of the file at path through read_file, or None when there
+    is no such file; any other OSError (a directory, no permission) is
+    raised."""
+    try:
+        return read_file(path)
+    except OSError as err:
+        if err.errno in _MISSING_ERRNOS:
+            return None
+        raise
+
+
 def load_cache(path: str | Path) -> dict[RoutePair, FlightDuration]:
-    """Load a route -> duration map from 'ORIGIN DEST minutes' lines; a
-    missing file is an empty map, corrupt lines (including lines that are
-    not UTF-8) are skipped with a warning, never fatal. A line whose two
+    """Load a route -> duration map from the file at path through
+    _parse_cache; a missing file is an empty map."""
+    data = _read_existing(path)
+    return {} if data is None else _parse_cache(data, path)
+
+
+def _parse_cache(data: bytes, path: str | Path) -> dict[RoutePair, FlightDuration]:
+    """The route -> duration map of the 'ORIGIN DEST minutes' lines in data,
+    read from path; corrupt lines (including lines that are not UTF-8) are
+    skipped with a warning that names path, never fatal. A line whose two
     codes are one airport is corrupt too, as RoutePair rejects it."""
     cache: dict[RoutePair, FlightDuration] = {}
-    path = Path(path)
-    if not path.exists():
-        return cache
-    for lineno, raw in enumerate(read_file(path).splitlines(), start=1):
+    for lineno, raw in enumerate(data.splitlines(), start=1):
         if not raw.strip():
             continue
         try:
@@ -297,7 +324,7 @@ def load_cache(path: str | Path) -> dict[RoutePair, FlightDuration]:
             cache[RoutePair(AirportCode(origin), AirportCode(dest))] = FlightDuration(int(minutes))
         except ValueError:
             line = raw.decode("utf-8", "backslashreplace")
-            warn(f"skipping corrupt cache line {path}:{lineno}: {shorten(repr(line))}")
+            warn(f"skipping corrupt cache line {Path(path)}:{lineno}: {shorten(repr(line))}")
     return cache
 
 
@@ -337,10 +364,11 @@ class CachedProvider:
     def __init__(self, inner: DurationProvider, *, path: str | Path | None = None):
         self._inner = inner
         self._path = Path(path) if path else None
-        self._cache = load_cache(self._path) if self._path is not None else {}
+        data = _read_existing(self._path) if self._path is not None else None
+        self._cache = _parse_cache(data, self._path) if data else {}
         # A last line without its newline (hand-edited, or torn by a crash)
         # would merge with the first appended line into one corrupt line.
-        self._torn = self._path is not None and _ends_mid_line(self._path)
+        self._torn = bool(data) and data[-1:] != b"\n"
         self._fd: int | None = None
         self._closer: weakref.finalize | None = None
 
@@ -374,11 +402,3 @@ class CachedProvider:
             warn(f"cannot write cache file {self._path}: {error_text(err)}; continuing without it")
             self.close()
 
-
-def _ends_mid_line(path: Path) -> bool:
-    """True when the file is non-empty and its last byte is not a newline."""
-    if not path.exists() or path.stat().st_size == 0:
-        return False
-    with open(path, "rb") as file:
-        file.seek(-1, os.SEEK_END)
-        return file.read(1) != b"\n"

@@ -21,7 +21,7 @@ from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
-from .model import load_json, read_file, shorten
+from .model import _new_tuple, load_json, read_file, shorten
 from .validation import SEGMENT_ISSUE_KINDS, IssueKind, ValidationReport
 
 TABLE_HEADERS = ("Model", "Cities", "Invalid Itin.", "Invalid Seg.", "Avg Issues/Itn.")
@@ -69,7 +69,7 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
             raise ValueError(f"manifest entry {i} has a num_cities below 1")
         if not isinstance(file, str) or not isinstance(model_tag, str):
             raise ValueError(f"manifest entry {i} needs strings for file and model_tag")
-        entries.append(ManifestEntry(file, model_tag, num_cities))
+        entries.append(_new_tuple(ManifestEntry, (file, model_tag, num_cities)))
     return entries
 
 
@@ -86,10 +86,13 @@ def _stats_for_group(
     invalid_itineraries = 0
     unverifiable_total = 0
     for report in reports:
-        issue_total += len(report.issues)
-        segment_issue_total += sum(1 for issue in report.issues if issue.kind in countable)
-        if report.issues:
+        issues = report.issues
+        if issues:
             invalid_itineraries += 1
+            issue_total += len(issues)
+            for issue in issues:
+                if issue.kind in countable:
+                    segment_issue_total += 1
         unverifiable_total += len(report.unverifiable_segments)
     slots_per_itinerary = num_cities - 1
     if include_stays:

@@ -20,6 +20,13 @@ ValidationPolicy holds numbers from flags and config, so its constructor
 checks them; the per-leg records are built with model._new_tuple, and each
 leg's route is handed to the provider as a plain (origin, destination)
 pair of codes.
+
+A caller that validates many itineraries with one provider and one policy
+(bench, validate over several files) may pass validate() and
+resolve_segment_bounds() a dict of its own as known: each route is then
+resolved once per run, to its TransitBounds or, in non-strict mode, to None
+when the provider has no duration for it, and later legs on that route read
+the entry back without asking the provider again.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .durations import MAX_FLIGHT_MINUTES, DurationProvider, RouteUnavailable, TransitBounds
-from .model import _MAX_MINUTES, _MIN_MINUTES, Itinerary, _new_tuple
+from .model import _MAX_MINUTES, _MIN_MINUTES, AirportCode, Itinerary, _new_tuple
 
 # The longest span the wire form can spell: no two timestamps it can write
 # lie further apart, so a longer minimum stay or buffer could never be met.
@@ -43,6 +50,10 @@ class IssueKind(Enum):
     TRANSIT_TOO_LONG = "transit_too_long"
     STAY_TOO_SHORT = "stay_too_short"
     ROUTE_DATA_UNAVAILABLE = "route_data_unavailable"
+
+    # Members are singletons and compare by identity, so they may hash by it
+    # too: object.__hash__ runs in C, where Enum's hashes the name in Python.
+    __hash__ = object.__hash__
 
 
 # Kinds that mark a flight leg (not a stay) as invalid.
@@ -58,6 +69,9 @@ _TRANSIT_TOO_SHORT = IssueKind.TRANSIT_TOO_SHORT
 _TRANSIT_TOO_LONG = IssueKind.TRANSIT_TOO_LONG
 _STAY_TOO_SHORT = IssueKind.STAY_TOO_SHORT
 _ROUTE_DATA_UNAVAILABLE = IssueKind.ROUTE_DATA_UNAVAILABLE
+
+# known.get's default for a route not resolved yet; None is a resolved entry.
+_UNKNOWN = object()
 
 
 class ProviderError(Exception):
@@ -156,7 +170,10 @@ def segment_violation(travel_time: int, t_min: int, t_max: int) -> IssueKind | N
 
 
 def resolve_segment_bounds(
-    itin: Itinerary, provider: DurationProvider, policy: ValidationPolicy
+    itin: Itinerary,
+    provider: DurationProvider,
+    policy: ValidationPolicy,
+    known: dict[tuple[AirportCode, AirportCode], TransitBounds | None] | None = None,
 ) -> list[TransitBounds | None]:
     """Resolve each leg's transit bounds, one entry per leg.
 
@@ -166,6 +183,11 @@ def resolve_segment_bounds(
     The provider's route_duration and the policy's numbers are read once
     per call, and a leg's route goes to the provider as the plain pair
     (origin, destination) right after the test that its two codes differ.
+
+    known, when given, is the caller's memo for one provider and one
+    policy, kept across calls: a route found in it is not resolved again,
+    and each route resolved here is stored in it with its entry, None for a
+    route without a duration. A ProviderError stores nothing.
     """
     route_duration = provider.route_duration
     buffer = policy.buffer_minutes
@@ -179,27 +201,44 @@ def resolve_segment_bounds(
         if origin == dest:
             bounds.append(None)
         else:
+            route = (origin, dest)
+            if known is not None:
+                entry = known.get(route, _UNKNOWN)
+                if entry is not _UNKNOWN:
+                    bounds.append(entry)
+                    origin = dest
+                    continue
             try:
-                duration = route_duration((origin, dest))
+                duration = route_duration(route)
             except RouteUnavailable as err:
                 if policy.strict:
                     raise ProviderError(str(err)) from err
-                bounds.append(None)
+                entry = None
             else:
-                bounds.append(from_flight(duration.minutes, buffer, multiplier))
+                entry = from_flight(duration.minutes, buffer, multiplier)
+            if known is not None:
+                known[route] = entry
+            bounds.append(entry)
         origin = dest
     return bounds
 
 
 def validate(
-    itin: Itinerary, provider: DurationProvider, policy: ValidationPolicy = ValidationPolicy()
+    itin: Itinerary,
+    provider: DurationProvider,
+    policy: ValidationPolicy = ValidationPolicy(),
+    known: dict[tuple[AirportCode, AirportCode], TransitBounds | None] | None = None,
 ) -> ValidationReport:
     """Apply every rule to every stop and leg, in itinerary order.
 
     n stops produce n stay checks and n-1 segment checks; the verdict is
-    valid iff no issue was found.
+    valid iff no issue was found. known is resolve_segment_bounds' per-run
+    memo, for a caller that validates many itineraries with one provider
+    and one policy.
     """
-    return check_against_bounds(itin, resolve_segment_bounds(itin, provider, policy), policy)
+    return check_against_bounds(
+        itin, resolve_segment_bounds(itin, provider, policy, known), policy
+    )
 
 
 def check_against_bounds(

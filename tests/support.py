@@ -151,6 +151,45 @@ def random_broken_itinerary(
     return Itinerary(tuple(stops)), table
 
 
+def random_corpus(
+    rng: random.Random, files: int, *, pool: int = 6
+) -> tuple[list[Itinerary], dict[tuple[str, str], int]]:
+    """files itineraries of 2-8 stops over one pool of pool airports, so
+    routes repeat from file to file, plus a duration table keyed by sorted
+    pair that misses about 20% of the pool's routes. About 15% of legs join
+    an airport to itself; timestamps are uniform as in random_itinerary."""
+    codes: set[str] = set()
+    while len(codes) < pool:
+        codes.add("".join(rng.choice(string.ascii_uppercase) for _ in range(3)))
+    ordered = sorted(codes)
+    table = {
+        (a, b): rng.randint(60, 1200)
+        for i, a in enumerate(ordered)
+        for b in ordered[i + 1:]
+        if rng.random() < 0.8
+    }
+    itineraries = []
+    for _ in range(files):
+        stop_codes = [rng.choice(ordered)]
+        for _ in range(rng.randint(1, 7)):
+            previous = stop_codes[-1]
+            if rng.random() < 0.15:
+                stop_codes.append(previous)
+            else:
+                stop_codes.append(rng.choice([code for code in ordered if code != previous]))
+        stops = [
+            Stop(
+                f"City {code}",
+                AirportCode(code),
+                Timestamp(BASE + rng.randint(0, WINDOW_MINUTES)),
+                Timestamp(BASE + rng.randint(0, WINDOW_MINUTES)),
+            )
+            for code in stop_codes
+        ]
+        itineraries.append(Itinerary(tuple(stops)))
+    return itineraries, table
+
+
 def brute_force_issues(
     itin: Itinerary, table: dict[tuple[str, str], int], policy: ValidationPolicy
 ) -> list[Issue]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from datetime import date
@@ -13,9 +14,11 @@ import requests
 
 from itiguard import cli, correction, durations
 from itiguard.cli import main
-from itiguard.model import parse_itinerary
-from itiguard.validation import ValidationPolicy
-from support import CountingProvider
+from itiguard.durations import FixtureProvider
+from itiguard.metrics import ManifestEntry, aggregate
+from itiguard.model import parse_itinerary, render_itinerary
+from itiguard.validation import ValidationPolicy, validate
+from support import CountingProvider, random_corpus
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 DEMO_FLAGS = ["--provider", "fixture", "--fixture-file", str(FIXTURES / "demo_durations.txt")]
@@ -159,6 +162,46 @@ class TestValidate:
         # No provider flags: distances come from the built-in airport table.
         code = main(["validate", str(FIXTURES / "sample_invalid.json")])
         assert code == 1
+
+    def test_files_sharing_routes_ask_the_provider_once_per_route(self, monkeypatch, capsys):
+        # The two samples fly the same three legs.
+        providers = counted_providers(monkeypatch)
+        files = [str(FIXTURES / "sample_invalid.json"), str(FIXTURES / "sample_corrected.json")]
+        assert main(["validate", *files, *DEMO_FLAGS]) == 1
+        [provider] = providers
+        assert provider.routes == [("SYD", "FRA"), ("FRA", "CAI"), ("CAI", "CMN")]
+        assert capsys.readouterr().out.splitlines()[0].endswith("INVALID (3 issue(s))")
+
+    def test_live_route_without_a_duration_is_fetched_once_per_run(self, tmp_path, monkeypatch, capsys):
+        # Three files fly the same dead FRA->CAI leg: one round of attempts
+        # for the run, and every file still lists the leg as unverifiable.
+        fetched, slept = [], []
+
+        def fetch(client, url, headers):
+            fetched.append(url)
+            if url.endswith("/FRA/CAI"):
+                raise durations.TransportError("HTTP 503")
+            return b'{"hours": 2, "minutes": 0}'
+
+        monkeypatch.setattr(durations.RemoteDurationClient, "_http_fetch", fetch)
+        no_wait = dict(durations.RemoteDurationClient.__init__.__kwdefaults__, sleep=slept.append)
+        monkeypatch.setattr(durations.RemoteDurationClient.__init__, "__kwdefaults__", no_wait)
+        sample = (FIXTURES / "sample_invalid.json").read_bytes()
+        files = []
+        for name in ("a.json", "b.json", "c.json"):
+            (tmp_path / name).write_bytes(sample)
+            files.append(str(tmp_path / name))
+        code = main(["validate", *files, "--provider", "live", "--base-url", "http://durations.invalid"])
+        assert code == 1
+        assert [url for url in fetched if url.endswith("/FRA/CAI")] == (
+            ["http://durations.invalid/FRA/CAI"] * durations.FETCH_ATTEMPTS
+        )
+        assert len(fetched) == durations.FETCH_ATTEMPTS + 2
+        assert len(slept) == durations.FETCH_ATTEMPTS - 1
+        captured = capsys.readouterr()
+        verdicts = [line for line in captured.out.splitlines() if not line.startswith(" ")]
+        assert verdicts == [f"{path}: INVALID (1 issue(s)), 1 unverifiable segment(s)" for path in files]
+        assert captured.err == ""
 
 
 class TestCorrect:
@@ -417,11 +460,60 @@ class TestGenerate:
         assert "Name:IATA" in capsys.readouterr().err
 
 
+def counted_providers(monkeypatch) -> list[CountingProvider]:
+    """Make cli.build_provider wrap each provider it builds in a
+    CountingProvider, and return the list they are collected in."""
+    providers = []
+    build = cli.build_provider
+
+    def build_counted(config):
+        providers.append(CountingProvider(build(config)))
+        return providers[-1]
+
+    monkeypatch.setattr(cli, "build_provider", build_counted)
+    return providers
+
+
 class TestBench:
     CORPUS = FIXTURES / "corpus"
 
     def corpus_flags(self) -> list[str]:
         return ["--provider", "fixture", "--fixture-file", str(self.CORPUS / "durations.txt")]
+
+    def test_each_route_is_resolved_once_per_run(self, goldens_dir, monkeypatch, capsys):
+        # 600 legs over 56 directed routes: one lookup per route, not per leg.
+        providers = counted_providers(monkeypatch)
+        code = main(["bench", str(self.CORPUS / "manifest.json"), "--breakdown", *self.corpus_flags()])
+        assert code == 0
+        assert capsys.readouterr().out == (goldens_dir / "corpus_bench.txt").read_text(encoding="utf-8")
+        [provider] = providers
+        assert provider.calls == 56
+        assert len(set(provider.routes)) == 56
+
+    @pytest.mark.parametrize("include_stays", [False, True], ids=["transits", "with-stays"])
+    def test_json_equals_aggregate_over_validation_without_a_memo(self, tmp_path, include_stays, capsys):
+        # Routes repeat across files, about 20% have no duration, and some
+        # legs join an airport to itself.
+        itineraries, table = random_corpus(random.Random(5150), 150)
+        durations_file = tmp_path / "durations.txt"
+        durations_file.write_text("".join(f"{a} {b} {m}\n" for (a, b), m in table.items()), encoding="utf-8")
+        provider = FixtureProvider(table)
+        policy = ValidationPolicy()
+        manifest, records = [], []
+        for i, itin in enumerate(itineraries):
+            entry = ManifestEntry(f"f{i:03d}.json", f"model-{i % 3}", len(itin.stops))
+            (tmp_path / entry.file).write_text(render_itinerary(itin), encoding="utf-8")
+            manifest.append(entry._asdict())
+            records.append((entry, validate(itin, provider, policy)))
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        argv = ["bench", str(tmp_path / "manifest.json"), "--format", "json",
+                "--provider", "fixture", "--fixture-file", str(durations_file)]
+        assert main(argv + ["--include-stays"] * include_stays) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        expected = aggregate(records, include_stays=include_stays)
+        assert json.loads(captured.out) == [row._asdict() for row in expected]
+        assert sum(row.unverifiable_count for row in expected) > 0
 
     def test_bundled_corpus_table(self, capsys):
         code = main(["bench", str(self.CORPUS / "manifest.json"), *self.corpus_flags()])

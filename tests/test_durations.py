@@ -48,6 +48,26 @@ def route(a: str, b: str) -> RoutePair:
     return RoutePair(AirportCode(a), AirportCode(b))
 
 
+def opens_of(path: Path, action) -> int:
+    """How many 'open' audit events for path action() raises: one per
+    open() or os.open() of it."""
+    opened = []
+    active = [True]
+
+    def hook(event, args):
+        # Audit hooks cannot be removed, so this one goes quiet afterwards.
+        if active and event == "open" and isinstance(args[0], (str, os.PathLike)):
+            if os.fspath(args[0]) == str(path):
+                opened.append(args[0])
+
+    sys.addaudithook(hook)
+    try:
+        action()
+    finally:
+        active.clear()
+    return len(opened)
+
+
 @contextmanager
 def appending(path: Path):
     """A descriptor open on path the way CachedProvider opens its cache file."""
@@ -116,6 +136,29 @@ class TestFixtureProvider:
         provider = FixtureProvider.from_file(fixtures_dir / "demo_durations.txt")
         assert provider.route_duration(route("SYD", "FRA")).minutes == 1020
         assert provider.route_duration(route("CMN", "CAI")).minutes == 60
+
+    def test_from_file_reads_its_file_once_and_checks_each_line_once(self, fixtures_dir, monkeypatch):
+        path = fixtures_dir / "corpus" / "durations.txt"
+        stats, built = [], []
+        stat, new = os.stat, FlightDuration.__new__
+
+        def counted_stat(p, *args, **kwargs):
+            stats.append(os.fspath(p))
+            return stat(p, *args, **kwargs)
+
+        def counted_new(cls, minutes):
+            built.append(minutes)
+            return new(cls, minutes)
+
+        monkeypatch.setattr(os, "stat", counted_stat)
+        monkeypatch.setattr(FlightDuration, "__new__", counted_new)
+        providers = []
+        assert opens_of(path, lambda: providers.append(FixtureProvider.from_file(path))) == 1
+        assert stats.count(str(path)) <= 1
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(built) == len(lines)
+        origin, destination, minutes = lines[0].split()
+        assert providers[0].route_duration(route(destination, origin)) == FlightDuration(int(minutes))
 
     def test_from_missing_file_raises(self, tmp_path):
         # Unlike a cache file, a fixture file the user named must exist.
@@ -535,6 +578,16 @@ class TestAppendOnlyFile:
         }
         provider.route_duration(route("CAI", "CMN"))
         assert path.read_text(encoding="utf-8") == "SYD FRA 555\nFRA CAI 300\nCAI CMN 300\n"
+
+    def test_building_over_an_existing_file_opens_it_once(self, tmp_path):
+        # The torn-line test reads the bytes the load read, not the file again.
+        path = tmp_path / "durations.txt"
+        path.write_bytes(b"SYD FRA 555\nFRA CAI 300")
+        assert opens_of(path, lambda: CachedProvider(RouteMinutes(), path=path)) == 1
+        provider = CachedProvider(RouteMinutes(), path=path)
+        provider.route_duration(route("CAI", "CMN"))
+        provider.close()
+        assert path.read_bytes().startswith(b"SYD FRA 555\nFRA CAI 300\nCAI CMN ")
 
     def test_existing_empty_file_gets_no_leading_newline(self, tmp_path):
         path = tmp_path / "durations.txt"

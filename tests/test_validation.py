@@ -6,7 +6,7 @@ import pytest
 
 from itiguard import model
 from itiguard.correction import correct
-from itiguard.durations import FixtureProvider, TransitBounds
+from itiguard.durations import FixtureProvider, FlightDuration, RouteUnavailable, TransitBounds
 from itiguard.model import AirportCode, Itinerary, Stop, Timestamp
 from itiguard.validation import (
     Issue,
@@ -19,7 +19,7 @@ from itiguard.validation import (
     stay_violation,
     validate,
 )
-from support import brute_force_issues, random_itinerary
+from support import CountingProvider, brute_force_issues, random_corpus, random_itinerary
 
 
 def make_stop(code: str, arrival: str, departure: str) -> Stop:
@@ -245,6 +245,94 @@ class TestValidate:
         lax = ValidationPolicy(min_stay_minutes=18 * 60)
         kinds = [issue.kind for issue in validate(sample_invalid, demo_provider, lax).issues]
         assert IssueKind.STAY_TOO_SHORT not in kinds
+
+
+class DirectedProvider:
+    """Durations per directed route: (A, B) and (B, A) may differ, and a
+    route missing from the table is unavailable."""
+
+    def __init__(self, table: dict[tuple[str, str], int]):
+        self.table = table
+
+    def route_duration(self, route):
+        minutes = self.table.get(route)
+        if minutes is None:
+            raise RouteUnavailable(route, attempts=1, reason="not in the table")
+        return FlightDuration(minutes)
+
+
+class TestKnownRoutes:
+    """validate(..., known): the caller's per-run memo of each route's bounds."""
+
+    def test_shared_memo_gives_the_reports_of_fresh_resolution(self):
+        rng = random.Random(2718)
+        itineraries, _ = random_corpus(rng, 200)
+        codes = sorted({str(stop.airport) for itin in itineraries for stop in itin.stops})
+        table = {(a, b): rng.randint(60, 1200) for a in codes for b in codes if a != b and rng.random() < 0.8}
+        policy = ValidationPolicy(buffer_minutes=90, max_multiplier=1.5)
+        counting = CountingProvider(DirectedProvider(table))
+        known: dict = {}
+        for itin in itineraries:
+            assert validate(itin, counting, policy, known) == validate(itin, DirectedProvider(table), policy)
+        routes = {
+            (a.airport, b.airport)
+            for itin in itineraries
+            for a, b in zip(itin.stops, itin.stops[1:])
+            if a.airport != b.airport
+        }
+        # Each directed route was asked for once, those without a duration too.
+        assert sorted(counting.routes) == sorted(routes)
+        assert known == {
+            route: TransitBounds.from_flight(table[route], 90, 1.5) if route in table else None
+            for route in routes
+        }
+
+    def test_a_known_entry_is_used_without_asking_the_provider(self):
+        itin = Itinerary(
+            (
+                make_stop("SYD", "2025-06-01 10:00", "2025-06-03 10:00"),
+                make_stop("FRA", "2025-06-03 20:00", "2025-06-05 20:00"),
+                make_stop("CAI", "2025-06-06 08:00", "2025-06-08 08:00"),
+            )
+        )
+        counting = CountingProvider(FixtureProvider({("SYD", "FRA"): 60, ("FRA", "CAI"): 60}))
+        known = {("SYD", "FRA"): TransitBounds(700, 800), ("FRA", "CAI"): None}
+        report = validate(itin, counting, ValidationPolicy(), known)
+        assert counting.calls == 0
+        assert report.issues == (Issue(IssueKind.TRANSIT_TOO_SHORT, 0, observed=600, required=700),)
+        assert report.unverifiable_segments == (1,)
+
+    def test_strict_miss_raises_and_stores_nothing_for_its_route(self):
+        itin = Itinerary(
+            (
+                make_stop("SYD", "2025-06-01 10:00", "2025-06-03 10:00"),
+                make_stop("FRA", "2025-06-03 20:00", "2025-06-05 20:00"),
+                make_stop("CAI", "2025-06-06 08:00", "2025-06-08 08:00"),
+            )
+        )
+        known: dict = {}
+        with pytest.raises(ProviderError):
+            validate(itin, FixtureProvider({("SYD", "FRA"): 60}), ValidationPolicy(strict=True), known)
+        assert known == {("SYD", "FRA"): TransitBounds(300, 600)}
+
+    def test_same_airport_legs_are_not_stored(self):
+        itin = Itinerary(
+            (
+                make_stop("SYD", "2025-06-01 10:00", "2025-06-03 10:00"),
+                make_stop("SYD", "2025-06-03 20:00", "2025-06-05 20:00"),
+            )
+        )
+        known: dict = {}
+        report = validate(itin, FixtureProvider({}), ValidationPolicy(), known)
+        assert [issue.kind for issue in report.issues] == [IssueKind.ROUTE_DATA_UNAVAILABLE]
+        assert known == {}
+
+
+def test_issue_kinds_hash_by_identity():
+    # Members are singletons, so identity is their equality; Enum's own
+    # __hash__ would hash the name in Python on every set or dict test.
+    assert IssueKind.__hash__ is object.__hash__
+    assert {kind: kind.value for kind in IssueKind}[IssueKind.OVERLAP] == "overlap"
 
 
 def test_empty_report_is_valid():
