@@ -14,12 +14,13 @@ it goes: a Timestamp is built only for an Adjustment's new value, and an
 untouched stop or timestamp is reused as it is. Each Adjustment goes
 through its constructor; the other records are built with model._new_tuple.
 
-correct_against_bounds() is the pure part: given the per-leg bounds list
-that resolve_segment_bounds returned, it makes the pass and then checks the
-result once against those same bounds; any issue left over is reported as
-NonConvergenceError, a logic bug rather than bad input. correct() resolves
-the bounds through a provider and hands them to it, so a caller that has
-already resolved them (to validate first) never asks the provider twice.
+correct_against_bounds() is the pure part: given the per-leg list of
+(t_min, t_max) pairs that resolve_segment_bounds returned, it makes the
+pass and then checks the result once against those same bounds; any issue
+left over is reported as NonConvergenceError, a logic bug rather than bad
+input. correct() resolves the bounds through a provider and hands them to
+it, so a caller that has already resolved them (to validate first) never
+asks the provider twice.
 
 The first stop's arrival anchors the schedule and is never moved; city order
 is never changed. Legs whose bounds entry is None are skipped and recorded
@@ -34,7 +35,7 @@ from collections import namedtuple
 from enum import Enum
 from typing import NamedTuple
 
-from .durations import DurationProvider, TransitBounds
+from .durations import DurationProvider
 from .model import Itinerary, Stop, Timestamp, _new_tuple
 from .validation import (
     IssueKind,
@@ -102,7 +103,7 @@ class CorrectionTrace(NamedTuple):
 
 def _adjustment_pass(
     stops: tuple[Stop, ...],
-    bounds: list[TransitBounds | None],
+    bounds: list[tuple[int, int] | None],
     policy: ValidationPolicy,
     out: list[Adjustment],
 ) -> tuple[Stop, ...]:
@@ -118,9 +119,10 @@ def _adjustment_pass(
             # Leg i - 1 ends here, after stop i - 1's departure is final.
             leg = bounds[i - 1]
             if leg is not None:
-                kind = segment_violation(arrival - departure, leg.t_min, leg.t_max)
+                t_min, t_max = leg
+                kind = segment_violation(arrival - departure, t_min, t_max)
                 if kind:
-                    arrival = Timestamp(departure + leg.t_min)
+                    arrival = Timestamp(departure + t_min)
                     out.append(Adjustment(i, _ARRIVAL, stop.arrival, arrival, kind))
         departure = stop.departure
         kind = stay_violation(departure - arrival, policy)
@@ -149,7 +151,7 @@ def correct(
 
 
 def correct_against_bounds(
-    itin: Itinerary, bounds: list[TransitBounds | None], policy: ValidationPolicy
+    itin: Itinerary, bounds: list[tuple[int, int] | None], policy: ValidationPolicy
 ) -> tuple[Itinerary, CorrectionTrace]:
     """correct() against bounds already resolved for itin's legs.
 

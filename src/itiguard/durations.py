@@ -1,4 +1,4 @@
-"""Flight-duration providers and transit-bound derivation.
+"""Flight-duration providers.
 
 A provider maps a directed airport pair to a minimum flight duration. The
 pair is a plain (origin, destination) tuple of two different AirportCodes,
@@ -18,10 +18,6 @@ on its first miss and holds that one O_APPEND descriptor until it is
 closed or dropped, so a file deleted or replaced mid-run gets none of that
 run's later lines. A failed write prints one `warning:` line on stderr and
 the provider carries on from memory alone.
-
-Transit bounds: the minimum feasible door-to-door time for a leg is the
-flight duration plus a fixed airport-logistics buffer (default 4h); the
-maximum reasonable time is twice that minimum.
 """
 
 from __future__ import annotations
@@ -33,12 +29,11 @@ import time
 import weakref
 from collections import namedtuple
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Protocol
+from typing import Callable, Mapping, Protocol
 
 from .model import (
     AirportCode,
     InvalidJsonError,
-    _new_tuple,
     error_text,
     load_json,
     read_file,
@@ -103,20 +98,6 @@ class FlightDuration(namedtuple("FlightDuration", "minutes")):
         if not isinstance(minutes, int) or not 0 < minutes <= MAX_FLIGHT_MINUTES:
             raise ValueError(f"implausible flight duration: {minutes!r} minutes")
         return tuple.__new__(cls, (minutes,))
-
-
-class TransitBounds(NamedTuple):
-    """Allowed [t_min, t_max] window for a leg's travel time, in minutes."""
-
-    t_min: int
-    t_max: int
-
-    @classmethod
-    def from_flight(cls, flight_minutes: int, buffer_minutes: int, multiplier: float) -> "TransitBounds":
-        """The one place the bounds formula lives: t_min = flight + buffer,
-        t_max = int(t_min * multiplier)."""
-        t_min = flight_minutes + buffer_minutes
-        return _new_tuple(cls, (t_min, int(t_min * multiplier)))
 
 
 class DurationProvider(Protocol):

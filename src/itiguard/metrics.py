@@ -171,7 +171,9 @@ def failure_mode_breakdown(
     corpus."""
     breakdown: dict[str, Counter] = {}
     for entry, report in records:
-        counter = breakdown.setdefault(entry.model_tag, Counter())
+        counter = breakdown.get(entry.model_tag)
+        if counter is None:
+            counter = breakdown[entry.model_tag] = Counter()
         for issue in report.issues:
             counter[issue.kind] += 1
     return breakdown

@@ -21,12 +21,19 @@ checks them; the per-leg records are built with model._new_tuple, and each
 leg's route is handed to the provider as a plain (origin, destination)
 pair of codes.
 
+Transit bounds: a leg's window is a plain (t_min, t_max) pair of int
+minutes. t_min = flight + buffer is the minimum feasible door-to-door time,
+the flight duration plus a fixed airport-logistics buffer (default 4h), and
+t_max = int(t_min * multiplier) is the maximum reasonable time (default
+twice t_min). resolve_segment_bounds is the one place this formula lives.
+
 A caller that validates many itineraries with one provider and one policy
 (bench, validate over several files) may pass validate() and
 resolve_segment_bounds() a dict of its own as known: each route is then
-resolved once per run, to its TransitBounds or, in non-strict mode, to None
-when the provider has no duration for it, and later legs on that route read
-the entry back without asking the provider again.
+resolved once per run, to its (t_min, t_max) pair or to its failure (None
+in non-strict mode, the ProviderError in strict mode) when the provider has
+no duration for it, and later legs on that route read the entry back
+without asking the provider again.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from collections import namedtuple
 from enum import Enum
 from typing import NamedTuple
 
-from .durations import MAX_FLIGHT_MINUTES, DurationProvider, RouteUnavailable, TransitBounds
+from .durations import MAX_FLIGHT_MINUTES, DurationProvider, RouteUnavailable
 from .model import _MAX_MINUTES, _MIN_MINUTES, AirportCode, Itinerary, _new_tuple
 
 # The longest span the wire form can spell: no two timestamps it can write
@@ -173,9 +180,9 @@ def resolve_segment_bounds(
     itin: Itinerary,
     provider: DurationProvider,
     policy: ValidationPolicy,
-    known: dict[tuple[AirportCode, AirportCode], TransitBounds | None] | None = None,
-) -> list[TransitBounds | None]:
-    """Resolve each leg's transit bounds, one entry per leg.
+    known: dict[tuple[AirportCode, AirportCode], tuple[int, int] | ProviderError | None] | None = None,
+) -> list[tuple[int, int] | None]:
+    """Resolve each leg's transit bounds, one (t_min, t_max) entry per leg.
 
     Entry i is None when leg i cannot be checked: its two airports are the
     same, or the provider has no duration for its route (ProviderError in
@@ -187,14 +194,14 @@ def resolve_segment_bounds(
     known, when given, is the caller's memo for one provider and one
     policy, kept across calls: a route found in it is not resolved again,
     and each route resolved here is stored in it with its entry, None for a
-    route without a duration. A ProviderError stores nothing.
+    route without a duration. In strict mode that route's ProviderError is
+    stored instead, and each later leg on it raises a copy of that error.
     """
     route_duration = provider.route_duration
     buffer = policy.buffer_minutes
     multiplier = policy.max_multiplier
-    from_flight = TransitBounds.from_flight
     stops = itin.stops
-    bounds: list[TransitBounds | None] = []
+    bounds: list[tuple[int, int] | None] = []
     origin = stops[0].airport
     for stop in stops[1:]:
         dest = stop.airport
@@ -205,6 +212,8 @@ def resolve_segment_bounds(
             if known is not None:
                 entry = known.get(route, _UNKNOWN)
                 if entry is not _UNKNOWN:
+                    if type(entry) is ProviderError:
+                        raise ProviderError(*entry.args) from entry.__cause__
                     bounds.append(entry)
                     origin = dest
                     continue
@@ -212,10 +221,14 @@ def resolve_segment_bounds(
                 duration = route_duration(route)
             except RouteUnavailable as err:
                 if policy.strict:
-                    raise ProviderError(str(err)) from err
+                    failure = ProviderError(str(err))
+                    if known is not None:
+                        known[route] = failure
+                    raise failure from err
                 entry = None
             else:
-                entry = from_flight(duration.minutes, buffer, multiplier)
+                t_min = duration.minutes + buffer
+                entry = (t_min, int(t_min * multiplier))
             if known is not None:
                 known[route] = entry
             bounds.append(entry)
@@ -227,7 +240,7 @@ def validate(
     itin: Itinerary,
     provider: DurationProvider,
     policy: ValidationPolicy = ValidationPolicy(),
-    known: dict[tuple[AirportCode, AirportCode], TransitBounds | None] | None = None,
+    known: dict[tuple[AirportCode, AirportCode], tuple[int, int] | ProviderError | None] | None = None,
 ) -> ValidationReport:
     """Apply every rule to every stop and leg, in itinerary order.
 
@@ -242,7 +255,7 @@ def validate(
 
 
 def check_against_bounds(
-    itin: Itinerary, bounds: list[TransitBounds | None], policy: ValidationPolicy
+    itin: Itinerary, bounds: list[tuple[int, int] | None], policy: ValidationPolicy
 ) -> ValidationReport:
     """The rules of validate() against bounds already resolved for itin's legs.
 
@@ -265,10 +278,11 @@ def check_against_bounds(
             # Leg i - 1 ends here; its issue follows stop i - 1's stay issue.
             leg = bounds[i - 1]
             if leg is not None:
+                t_min, t_max = leg
                 travel = arrival - departure
-                kind = segment_violation(travel, leg.t_min, leg.t_max)
+                kind = segment_violation(travel, t_min, t_max)
                 if kind is not None:
-                    required = leg.t_max if kind is _TRANSIT_TOO_LONG else leg.t_min
+                    required = t_max if kind is _TRANSIT_TOO_LONG else t_min
                     issues.append(_new_tuple(Issue, (kind, i - 1, travel, required)))
             else:
                 unverifiable.append(i - 1)

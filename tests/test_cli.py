@@ -172,9 +172,11 @@ class TestValidate:
         assert provider.routes == [("SYD", "FRA"), ("FRA", "CAI"), ("CAI", "CMN")]
         assert capsys.readouterr().out.splitlines()[0].endswith("INVALID (3 issue(s))")
 
-    def test_live_route_without_a_duration_is_fetched_once_per_run(self, tmp_path, monkeypatch, capsys):
-        # Three files fly the same dead FRA->CAI leg: one round of attempts
-        # for the run, and every file still lists the leg as unverifiable.
+    @staticmethod
+    def validate_over_a_dead_route(tmp_path, monkeypatch, *flags):
+        """Run validate with the live provider on three copies of the
+        invalid sample, whose FRA->CAI leg fails every fetch. Returns the
+        exit code, the files, the fetched URLs and the retry waits."""
         fetched, slept = [], []
 
         def fetch(client, url, headers):
@@ -191,17 +193,37 @@ class TestValidate:
         for name in ("a.json", "b.json", "c.json"):
             (tmp_path / name).write_bytes(sample)
             files.append(str(tmp_path / name))
-        code = main(["validate", *files, "--provider", "live", "--base-url", "http://durations.invalid"])
-        assert code == 1
+        code = main(["validate", *files, "--provider", "live", "--base-url", "http://durations.invalid", *flags])
         assert [url for url in fetched if url.endswith("/FRA/CAI")] == (
             ["http://durations.invalid/FRA/CAI"] * durations.FETCH_ATTEMPTS
         )
-        assert len(fetched) == durations.FETCH_ATTEMPTS + 2
         assert len(slept) == durations.FETCH_ATTEMPTS - 1
+        return code, files, fetched
+
+    def test_live_route_without_a_duration_is_fetched_once_per_run(self, tmp_path, monkeypatch, capsys):
+        # Three files fly the same dead FRA->CAI leg: one round of attempts
+        # for the run, and every file still lists the leg as unverifiable.
+        code, files, fetched = self.validate_over_a_dead_route(tmp_path, monkeypatch)
+        assert code == 1
+        assert len(fetched) == durations.FETCH_ATTEMPTS + 2
         captured = capsys.readouterr()
         verdicts = [line for line in captured.out.splitlines() if not line.startswith(" ")]
         assert verdicts == [f"{path}: INVALID (1 issue(s)), 1 unverifiable segment(s)" for path in files]
         assert captured.err == ""
+
+    def test_strict_live_route_without_a_duration_is_fetched_once_per_run(self, tmp_path, monkeypatch, capsys):
+        # Strict mode: the first file's failure is remembered, so the later
+        # files print the same error line without another round of attempts.
+        code, files, fetched = self.validate_over_a_dead_route(tmp_path, monkeypatch, "--strict")
+        assert code == 2
+        # SYD->FRA once, then FRA->CAI's attempts; CAI->CMN is never reached.
+        assert len(fetched) == durations.FETCH_ATTEMPTS + 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert [line.partition(": error: ")[0] for line in lines] == files
+        [message] = {line.partition(": error: ")[2] for line in lines}
+        assert message.startswith(f"no flight duration for FRA->CAI after {durations.FETCH_ATTEMPTS} attempt(s)")
 
 
 class TestCorrect:
@@ -570,6 +592,16 @@ class TestBench:
         assert code == 0
         out = capsys.readouterr().out
         assert out == (goldens_dir / "corpus_bench.txt").read_text(encoding="utf-8")
+
+    def test_breakdown_under_a_non_default_policy(self, goldens_dir, capsys):
+        # A 2.5h buffer and a 1.5x multiplier move both bounds of every leg.
+        policy = ["--buffer-hours", "2.5", "--max-multiplier", "1.5"]
+        code = main(
+            ["bench", str(self.CORPUS / "manifest.json"), "--breakdown", *self.corpus_flags(), *policy]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out == (goldens_dir / "corpus_bench_policy.txt").read_text(encoding="utf-8")
 
     def test_include_stays_keeps_rates(self, capsys):
         # The corpus has no stay violations, but the denominator widens

@@ -30,7 +30,6 @@ from itiguard.durations import (
     RemoteDurationClient,
     RoutePair,
     RouteUnavailable,
-    TransitBounds,
     TransportError,
     estimate_duration_great_circle,
     haversine_km,
@@ -96,24 +95,6 @@ class TestFlightDuration:
     def test_bounds_inclusive(self):
         assert FlightDuration(1).minutes == 1
         assert FlightDuration(2880).minutes == 2880
-
-
-class TestTransitBounds:
-    def test_from_flight(self):
-        bounds = TransitBounds.from_flight(1020, 240, 2.0)
-        assert bounds.t_min == 1260
-        assert bounds.t_max == 2520
-
-    def test_multiplier_truncates(self):
-        bounds = TransitBounds.from_flight(100, 0, multiplier=1.5)
-        assert (bounds.t_min, bounds.t_max) == (100, 150)
-
-    @given(flight=st.integers(1, 2880), buffer=st.integers(0, 600))
-    @settings(max_examples=200)
-    def test_window_is_well_formed(self, flight, buffer):
-        bounds = TransitBounds.from_flight(flight, buffer, 2.0)
-        assert flight <= bounds.t_min <= bounds.t_max
-        assert bounds.t_max == 2 * bounds.t_min
 
 
 class TestFixtureProvider:

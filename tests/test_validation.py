@@ -3,10 +3,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itiguard import model
 from itiguard.correction import correct
-from itiguard.durations import FixtureProvider, FlightDuration, RouteUnavailable, TransitBounds
+from itiguard.durations import FixtureProvider, FlightDuration, RouteUnavailable
 from itiguard.model import AirportCode, Itinerary, Stop, Timestamp
 from itiguard.validation import (
     Issue,
@@ -15,6 +17,7 @@ from itiguard.validation import (
     ValidationPolicy,
     ValidationReport,
     check_against_bounds,
+    resolve_segment_bounds,
     segment_violation,
     stay_violation,
     validate,
@@ -27,7 +30,7 @@ def make_stop(code: str, arrival: str, departure: str) -> Stop:
 
 
 def checked(
-    stays: list[int], gap: int = 450, bounds: TransitBounds = TransitBounds(300, 600)
+    stays: list[int], gap: int = 450, bounds: tuple[int, int] = (300, 600)
 ) -> tuple[Issue, ...]:
     """check_against_bounds on stops with these stays in minutes, each leg
     taking gap minutes against bounds."""
@@ -99,7 +102,7 @@ class TestCheckStay:
 class TestCheckSegment:
     """The three leg rules as check_against_bounds reports them."""
 
-    BOUNDS = TransitBounds(t_min=300, t_max=600)
+    BOUNDS = (300, 600)  # (t_min, t_max)
 
     @pytest.mark.parametrize("gap", [300, 600, 450])
     def test_within_bounds_passes(self, gap):
@@ -116,6 +119,37 @@ class TestCheckSegment:
     def test_negative_is_overlap(self):
         (issue,) = checked([2880, 2880], -1, self.BOUNDS)
         assert issue == Issue(IssueKind.OVERLAP, 0, observed=-1, required=300)
+
+
+class TestTransitBounds:
+    """The bounds formula, t_min = flight + buffer and t_max =
+    int(t_min * multiplier), as resolve_segment_bounds applies it."""
+
+    @staticmethod
+    def resolved(flight: int, buffer: int, multiplier: float) -> tuple[int, int]:
+        itin = Itinerary(
+            (
+                make_stop("SYD", "2025-06-01 10:00", "2025-06-03 10:00"),
+                make_stop("FRA", "2025-06-04 10:00", "2025-06-06 10:00"),
+            )
+        )
+        policy = ValidationPolicy(buffer_minutes=buffer, max_multiplier=multiplier)
+        (leg,) = resolve_segment_bounds(itin, FixtureProvider({("SYD", "FRA"): flight}), policy)
+        assert type(leg) is tuple
+        return leg
+
+    def test_flight_plus_buffer_and_twice_that(self):
+        assert self.resolved(1020, 240, 2.0) == (1260, 2520)
+
+    def test_multiplier_truncates(self):
+        assert self.resolved(100, 0, 1.5) == (100, 150)
+
+    @given(flight=st.integers(1, 2880), buffer=st.integers(0, 600))
+    @settings(max_examples=200)
+    def test_window_is_well_formed(self, flight, buffer):
+        t_min, t_max = self.resolved(flight, buffer, 2.0)
+        assert flight <= t_min <= t_max
+        assert t_max == 2 * t_min
 
 
 class TestRuleFunctions:
@@ -283,7 +317,7 @@ class TestKnownRoutes:
         # Each directed route was asked for once, those without a duration too.
         assert sorted(counting.routes) == sorted(routes)
         assert known == {
-            route: TransitBounds.from_flight(table[route], 90, 1.5) if route in table else None
+            route: (table[route] + 90, int((table[route] + 90) * 1.5)) if route in table else None
             for route in routes
         }
 
@@ -296,13 +330,13 @@ class TestKnownRoutes:
             )
         )
         counting = CountingProvider(FixtureProvider({("SYD", "FRA"): 60, ("FRA", "CAI"): 60}))
-        known = {("SYD", "FRA"): TransitBounds(700, 800), ("FRA", "CAI"): None}
+        known = {("SYD", "FRA"): (700, 800), ("FRA", "CAI"): None}
         report = validate(itin, counting, ValidationPolicy(), known)
         assert counting.calls == 0
         assert report.issues == (Issue(IssueKind.TRANSIT_TOO_SHORT, 0, observed=600, required=700),)
         assert report.unverifiable_segments == (1,)
 
-    def test_strict_miss_raises_and_stores_nothing_for_its_route(self):
+    def test_strict_miss_raises_and_stores_its_error_for_its_route(self):
         itin = Itinerary(
             (
                 make_stop("SYD", "2025-06-01 10:00", "2025-06-03 10:00"),
@@ -310,10 +344,22 @@ class TestKnownRoutes:
                 make_stop("CAI", "2025-06-06 08:00", "2025-06-08 08:00"),
             )
         )
+        strict = ValidationPolicy(strict=True)
         known: dict = {}
-        with pytest.raises(ProviderError):
-            validate(itin, FixtureProvider({("SYD", "FRA"): 60}), ValidationPolicy(strict=True), known)
-        assert known == {("SYD", "FRA"): TransitBounds(300, 600)}
+        with pytest.raises(ProviderError) as first:
+            validate(itin, FixtureProvider({("SYD", "FRA"): 60}), strict, known)
+        failure = known.pop(("FRA", "CAI"))
+        assert type(failure) is ProviderError and str(failure) == str(first.value)
+        assert known == {("SYD", "FRA"): (300, 600)}
+        # A later leg on the dead route raises the same error without a lookup.
+        known[("FRA", "CAI")] = failure
+        counting = CountingProvider(FixtureProvider({("SYD", "FRA"): 60, ("FRA", "CAI"): 60}))
+        with pytest.raises(ProviderError) as again:
+            validate(itin, counting, strict, known)
+        assert counting.calls == 0
+        assert again.value is not failure
+        assert str(again.value) == str(failure)
+        assert type(again.value.__cause__) is RouteUnavailable
 
     def test_same_airport_legs_are_not_stored(self):
         itin = Itinerary(
