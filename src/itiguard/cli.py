@@ -270,9 +270,7 @@ def _parse_city_list(raw: str) -> tuple[tuple[str, AirportCode], ...]:
 def cmd_generate(args: argparse.Namespace, config: AppConfig) -> int:
     provider = build_provider(config)
     policy = build_policy(config)
-    city_pool = _parse_city_list(args.cities) if args.cities else tuple(
-        (name, AirportCode(code)) for name, code in DEMO_CITY_POOL
-    )
+    city_pool = _parse_city_list(args.cities) if args.cities else DEMO_CITY_POOL
     sequence = _parse_city_list(args.route) if args.route else None
     request = GenerationRequest(
         num_destinations=len(sequence) if sequence else args.destinations,

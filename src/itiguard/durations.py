@@ -247,7 +247,7 @@ class RemoteDurationClient:
         try:
             response = requests.get(url, headers=dict(headers), timeout=FETCH_TIMEOUT_SECONDS)
         except requests.RequestException as err:
-            raise TransportError(str(err)) from err
+            raise TransportError(shorten(str(err))) from err
         if not 200 <= response.status_code < 300:
             raise TransportError(f"HTTP {response.status_code}")
         return response.content

@@ -134,7 +134,7 @@ class HttpGenerationClient:
             )
             response.raise_for_status()
         except requests.RequestException as err:
-            raise ValueError(f"generation endpoint request failed: {err}") from err
+            raise ValueError(f"generation endpoint request failed: {shorten(str(err))}") from err
         try:
             body = load_json(response.content)
         except InvalidJsonError as err:

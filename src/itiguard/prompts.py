@@ -9,9 +9,10 @@ files deliberately.
 Each template is split once, when the module loads, into literal pieces and
 placeholder names (SplitTemplate); a prompt is the pieces joined with the
 values in between, the text string.Template.substitute gives without
-scanning the template again. The city list and the route of a request are
-memoised on the pool in a small lru_cache, where the pool's names and codes
-are plain enough that equal pools give equal text.
+scanning the template again. A request checks its pools when it is built:
+every name is a str and every code an AirportCode, so equal pools give
+equal text, and the city list and the route are memoised on the pool in a
+small lru_cache.
 
 Note the templates intentionally disagree with the validator in two places:
 they ask the model for a 1 hour transit buffer (the validator enforces 4)
@@ -189,13 +190,21 @@ class FeedbackKind(Enum):
     INSUFFICIENT_STOPS = "insufficient_stops"
 
 
-def _normalize_cities(cities) -> tuple[tuple[str, object], ...]:
+def _checked_cities(cities) -> tuple[tuple[str, AirportCode], ...]:
+    """cities as (name, code) pairs of a str and an AirportCode. An entry
+    that already is one is kept as the same object, since tuple() of a
+    tuple returns it."""
     out = []
     for entry in cities:
         # A two-character string would otherwise pass as a pair.
         pair = () if isinstance(entry, (str, bytes)) else tuple(entry)
         if len(pair) != 2:
             raise ValueError(f"expected (name, iata) pairs, got {entry!r}")
+        name, code = pair
+        if type(name) is not str:
+            raise ValueError(f"city name must be a str, got {name!r}")
+        if type(code) is not AirportCode:
+            pair = (name, AirportCode(code))
         out.append(pair)
     return tuple(out)
 
@@ -207,7 +216,9 @@ class GenerationRequest(
 
     fixed_sequence pins both the cities and their order; when it is None the
     model picks freely from city_pool. Every sequence entry must come from
-    the pool.
+    the pool. Each entry of either is a (name, code) pair whose name is a
+    str and whose code is a valid IATA code; a code that is not yet an
+    AirportCode is made one.
     """
 
     __slots__ = ()
@@ -220,9 +231,9 @@ class GenerationRequest(
         window_end: date,
         fixed_sequence: tuple[tuple[str, AirportCode], ...] | None = None,
     ):
-        city_pool = _normalize_cities(city_pool)
+        city_pool = _checked_cities(city_pool)
         if fixed_sequence is not None:
-            fixed_sequence = _normalize_cities(fixed_sequence)
+            fixed_sequence = _checked_cities(fixed_sequence)
         if num_destinations < 2:
             raise ValueError(f"an itinerary needs at least 2 destinations, got {num_destinations}")
         if not city_pool:
@@ -241,24 +252,9 @@ class GenerationRequest(
         return tuple.__new__(cls, (num_destinations, city_pool, window_start, window_end, fixed_sequence))
 
 
-# str(code), not {code}: the same text without the format() call an
-# f-string makes for an object that is not a str.
-def _pairs_text(separator: str, pairs: tuple[tuple[str, AirportCode], ...]) -> str:
-    return separator.join(f"{name} ({str(code)})" for name, code in pairs)
-
-
-_pairs_memo = lru_cache(maxsize=16)(_pairs_text)
-_PLAIN_CODE_TYPES = (str, AirportCode)
-
-
+@lru_cache(maxsize=16)
 def _pairs_str(separator: str, pairs: tuple[tuple[str, AirportCode], ...]) -> str:
-    """_pairs_text, memoised only where equal pairs give equal text: every
-    name a str and every code a str or an AirportCode. Other values can be
-    equal and print differently (1 == True), or be unhashable."""
-    for name, code in pairs:
-        if type(name) is not str or type(code) not in _PLAIN_CODE_TYPES:
-            return _pairs_text(separator, pairs)
-    return _pairs_memo(separator, pairs)
+    return separator.join(f"{name} ({code})" for name, code in pairs)
 
 
 def build_base_prompt(request: GenerationRequest) -> str:

@@ -30,10 +30,11 @@ twice t_min). resolve_segment_bounds is the one place this formula lives.
 A caller that validates many itineraries with one provider and one policy
 (bench, validate over several files) may pass validate() and
 resolve_segment_bounds() a dict of its own as known: each route is then
-resolved once per run, to its (t_min, t_max) pair or to its failure (None
-in non-strict mode, the ProviderError in strict mode) when the provider has
-no duration for it, and later legs on that route read the entry back
-without asking the provider again.
+resolved once per run, and the dict keeps what the provider said, the
+route's (t_min, t_max) pair or the RouteUnavailable it raised. A later leg
+on that route reads its entry back without asking the provider again, and
+a stored failure is read as a new one is: a ProviderError in strict mode,
+an unverifiable leg otherwise.
 """
 
 from __future__ import annotations
@@ -76,10 +77,6 @@ _TRANSIT_TOO_SHORT = IssueKind.TRANSIT_TOO_SHORT
 _TRANSIT_TOO_LONG = IssueKind.TRANSIT_TOO_LONG
 _STAY_TOO_SHORT = IssueKind.STAY_TOO_SHORT
 _ROUTE_DATA_UNAVAILABLE = IssueKind.ROUTE_DATA_UNAVAILABLE
-
-# known.get's default for a route not resolved yet; None is a resolved entry.
-_UNKNOWN = object()
-
 
 class ProviderError(Exception):
     """Strict mode: a route duration could not be resolved."""
@@ -180,7 +177,7 @@ def resolve_segment_bounds(
     itin: Itinerary,
     provider: DurationProvider,
     policy: ValidationPolicy,
-    known: dict[tuple[AirportCode, AirportCode], tuple[int, int] | ProviderError | None] | None = None,
+    known: dict[tuple[AirportCode, AirportCode], tuple[int, int] | RouteUnavailable] | None = None,
 ) -> list[tuple[int, int] | None]:
     """Resolve each leg's transit bounds, one (t_min, t_max) entry per leg.
 
@@ -192,10 +189,11 @@ def resolve_segment_bounds(
     (origin, destination) right after the test that its two codes differ.
 
     known, when given, is the caller's memo for one provider and one
-    policy, kept across calls: a route found in it is not resolved again,
-    and each route resolved here is stored in it with its entry, None for a
-    route without a duration. In strict mode that route's ProviderError is
-    stored instead, and each later leg on it raises a copy of that error.
+    policy, kept across calls. It maps each route resolved so far to what
+    the provider said, its (t_min, t_max) pair or its RouteUnavailable, and
+    never to None, so a route it lacks is resolved here and stored. A new
+    and a stored failure take the same path: strict mode raises a
+    ProviderError with the failure's text, caused by it.
     """
     route_duration = provider.route_duration
     buffer = policy.buffer_minutes
@@ -209,28 +207,21 @@ def resolve_segment_bounds(
             bounds.append(None)
         else:
             route = (origin, dest)
-            if known is not None:
-                entry = known.get(route, _UNKNOWN)
-                if entry is not _UNKNOWN:
-                    if type(entry) is ProviderError:
-                        raise ProviderError(*entry.args) from entry.__cause__
-                    bounds.append(entry)
-                    origin = dest
-                    continue
-            try:
-                duration = route_duration(route)
-            except RouteUnavailable as err:
+            entry = None if known is None else known.get(route)
+            if entry is None:
+                try:
+                    duration = route_duration(route)
+                except RouteUnavailable as err:
+                    entry = err
+                else:
+                    t_min = duration.minutes + buffer
+                    entry = (t_min, int(t_min * multiplier))
+                if known is not None:
+                    known[route] = entry
+            if type(entry) is not tuple:
                 if policy.strict:
-                    failure = ProviderError(str(err))
-                    if known is not None:
-                        known[route] = failure
-                    raise failure from err
+                    raise ProviderError(str(entry)) from entry
                 entry = None
-            else:
-                t_min = duration.minutes + buffer
-                entry = (t_min, int(t_min * multiplier))
-            if known is not None:
-                known[route] = entry
             bounds.append(entry)
         origin = dest
     return bounds
@@ -240,7 +231,7 @@ def validate(
     itin: Itinerary,
     provider: DurationProvider,
     policy: ValidationPolicy = ValidationPolicy(),
-    known: dict[tuple[AirportCode, AirportCode], tuple[int, int] | ProviderError | None] | None = None,
+    known: dict[tuple[AirportCode, AirportCode], tuple[int, int] | RouteUnavailable] | None = None,
 ) -> ValidationReport:
     """Apply every rule to every stop and leg, in itinerary order.
 

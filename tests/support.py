@@ -26,6 +26,14 @@ from itiguard.model import (
 )
 from itiguard.validation import Issue, IssueKind, ValidationPolicy
 
+# What requests says when nothing listens on the port: far longer than an
+# error line should quote.
+REFUSED = (
+    "HTTPConnectionPool(host='127.0.0.1', port=9): Max retries exceeded with url: {path} "
+    "(Caused by NewConnectionError('<urllib3.connection.HTTPConnection object at "
+    "0x7f3a5c2b1d50>: Failed to establish a new connection: [Errno 111] Connection refused'))"
+)
+
 BASE = Timestamp.parse("2025-06-01 00:00")
 WINDOW_MINUTES = 30 * 24 * 60
 

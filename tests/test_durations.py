@@ -37,8 +37,8 @@ from itiguard.durations import (
     parse_duration_payload,
     save_cache,
 )
-from itiguard.model import AirportCode, shorten
-from support import open_fds
+from itiguard.model import QUOTE_LIMIT, AirportCode, shorten
+from support import REFUSED, open_fds
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -363,6 +363,18 @@ class TestRemoteClient:
         client = RemoteDurationClient("https://api.test", sleep=lambda s: None)
         with pytest.raises(RouteUnavailable, match="HTTP 503" if failure == "status" else "refused"):
             client.route_duration(route("SYD", "FRA"))
+
+    def test_default_fetch_quotes_a_long_transport_error_shortened(self, monkeypatch):
+        text = REFUSED.format(path="/SYD/FRA")
+
+        def get(url, **kwargs):
+            raise requests.ConnectionError(text)
+
+        monkeypatch.setattr(requests, "get", get)
+        client = RemoteDurationClient("http://127.0.0.1:9", sleep=lambda s: None)
+        with pytest.raises(RouteUnavailable) as exc:
+            client.route_duration(route("SYD", "FRA"))
+        assert exc.value.reason == f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"
 
     @pytest.mark.parametrize("status,ok", [(199, False), (200, True), (299, True), (300, False)])
     def test_default_fetch_accepts_exactly_the_2xx_statuses(self, monkeypatch, status, ok):

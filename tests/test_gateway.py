@@ -21,6 +21,7 @@ from itiguard.gateway import (
     generate_itinerary,
 )
 from itiguard.model import (
+    QUOTE_LIMIT,
     AirportCode,
     BadPlaceFormatError,
     InsufficientStopsError,
@@ -40,6 +41,7 @@ from itiguard.prompts import (
     build_base_prompt,
     build_feedback,
 )
+from support import REFUSED
 
 POOL = (
     ("Sydney", "SYD"),
@@ -138,17 +140,23 @@ class TestSplitTemplate:
 
 
 class TestCityListMemo:
-    def test_unhashable_code_still_renders(self):
-        request = generic_request(city_pool=(("Sydney", ["SYD"]), ("Cairo", {"iata": "CAI"})))
-        assert "\nSydney (['SYD']), Cairo ({'iata': 'CAI'})\n" in build_base_prompt(request)
-
-    def test_equal_pools_that_print_differently(self):
-        # 1 == True and ("x", 1) == ("x", True): a memo keyed on the pool
-        # alone would render the second pool as the first.
-        first = build_base_prompt(generic_request(city_pool=((1, "SYD"),)))
-        second = build_base_prompt(generic_request(city_pool=((True, "SYD"),)))
-        assert "\n1 (SYD)\n" in first
-        assert "\nTrue (SYD)\n" in second
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ((1, "SYD"), "city name must be a str"),
+            ((True, "SYD"), "city name must be a str"),
+            (("Sydney", ["SYD"]), "invalid IATA airport code"),
+            (("Sydney", "syd"), "invalid IATA airport code"),
+        ],
+        ids=["int-name", "bool-name", "list-code", "lowercase-code"],
+    )
+    def test_unchecked_entry_is_rejected(self, entry, message):
+        # Every pool the memo sees holds str names and AirportCodes, so equal
+        # pools print alike: 1 == True, but neither is a city name.
+        with pytest.raises(ValueError, match=message):
+            generic_request(city_pool=(entry, *POOL[1:]))
+        with pytest.raises(ValueError, match=message):
+            generic_request(fixed_sequence=(entry, *POOL[1:]))
 
     def test_str_and_airport_code_pools_render_alike(self):
         codes = tuple((name, AirportCode(code)) for name, code in POOL)
@@ -159,7 +167,13 @@ class TestCityListMemo:
         ) == build_base_prompt(fixed_request())
 
     def test_memo_is_bounded(self):
-        assert prompts._pairs_memo.cache_info().maxsize is not None
+        assert prompts._pairs_str.cache_info().maxsize is not None
+
+    def test_checked_entries_are_kept_as_the_same_objects(self):
+        codes = tuple((name, AirportCode(code)) for name, code in POOL)
+        request = generic_request(city_pool=codes, fixed_sequence=codes)
+        for pool in (request.city_pool, request.fixed_sequence):
+            assert all(kept is entry for kept, entry in zip(pool, codes, strict=True))
 
 
 class TestGenerationRequest:
@@ -394,6 +408,20 @@ class TestHttpGenerationClient:
         with pytest.raises(ValueError, match="status 500") as exc:
             client.complete("p")
         assert isinstance(exc.value.__cause__, requests.HTTPError)
+
+    def test_long_transport_error_is_quoted_shortened(self):
+        text = REFUSED.format(path="/generate")
+
+        def refuse(url, **kwargs):
+            raise requests.ConnectionError(text)
+
+        client = HttpGenerationClient("http://127.0.0.1:9/generate", transport=refuse)
+        with pytest.raises(ValueError) as exc:
+            client.complete("p")
+        assert str(exc.value) == (
+            f"generation endpoint request failed: {text[:QUOTE_LIMIT]}... ({len(text)} characters)"
+        )
+        assert isinstance(exc.value.__cause__, requests.ConnectionError)
 
     @pytest.mark.parametrize(
         "content", [b"<html>", b"[" * 100_000, b"\xff{}"], ids=["not-json", "too-deep", "not-utf8"]

@@ -314,12 +314,40 @@ class TestKnownRoutes:
             for a, b in zip(itin.stops, itin.stops[1:])
             if a.airport != b.airport
         }
-        # Each directed route was asked for once, those without a duration too.
+        # Each directed route was asked for once, those without a duration too,
+        # and the memo keeps what the provider said for it.
         assert sorted(counting.routes) == sorted(routes)
-        assert known == {
-            route: (table[route] + 90, int((table[route] + 90) * 1.5)) if route in table else None
-            for route in routes
-        }
+        assert known.keys() == routes
+        for route, entry in known.items():
+            if route in table:
+                assert entry == (table[route] + 90, int((table[route] + 90) * 1.5))
+            else:
+                assert type(entry) is RouteUnavailable and entry.route == route
+
+    def test_shared_memo_gives_the_strict_outcomes_of_fresh_resolution(self):
+        rng = random.Random(3141)
+        itineraries, _ = random_corpus(rng, 200)
+        codes = sorted({str(stop.airport) for itin in itineraries for stop in itin.stops})
+        table = {(a, b): rng.randint(60, 1200) for a in codes for b in codes if a != b and rng.random() < 0.9}
+        strict = ValidationPolicy(buffer_minutes=90, max_multiplier=1.5, strict=True)
+        counting = CountingProvider(DirectedProvider(table))
+        known: dict = {}
+        raised = 0
+        for itin in itineraries:
+            try:
+                expected = validate(itin, DirectedProvider(table), strict)
+            except ProviderError as fresh:
+                with pytest.raises(ProviderError) as shared:
+                    validate(itin, counting, strict, known)
+                assert str(shared.value) == str(fresh)
+                assert type(shared.value.__cause__) is RouteUnavailable
+                raised += 1
+            else:
+                assert validate(itin, counting, strict, known) == expected
+        assert 0 < raised < len(itineraries)
+        # Each directed route was asked for once, a dead one too, however
+        # many later itineraries stopped at it.
+        assert sorted(counting.routes) == sorted(set(counting.routes)) == sorted(known)
 
     def test_a_known_entry_is_used_without_asking_the_provider(self):
         itin = Itinerary(
@@ -330,7 +358,8 @@ class TestKnownRoutes:
             )
         )
         counting = CountingProvider(FixtureProvider({("SYD", "FRA"): 60, ("FRA", "CAI"): 60}))
-        known = {("SYD", "FRA"): (700, 800), ("FRA", "CAI"): None}
+        dead = RouteUnavailable(("FRA", "CAI"), attempts=1, reason="not in the table")
+        known = {("SYD", "FRA"): (700, 800), ("FRA", "CAI"): dead}
         report = validate(itin, counting, ValidationPolicy(), known)
         assert counting.calls == 0
         assert report.issues == (Issue(IssueKind.TRANSIT_TOO_SHORT, 0, observed=600, required=700),)
@@ -349,16 +378,18 @@ class TestKnownRoutes:
         with pytest.raises(ProviderError) as first:
             validate(itin, FixtureProvider({("SYD", "FRA"): 60}), strict, known)
         failure = known.pop(("FRA", "CAI"))
-        assert type(failure) is ProviderError and str(failure) == str(first.value)
+        assert type(failure) is RouteUnavailable and str(failure) == str(first.value)
+        assert first.value.__cause__ is failure
         assert known == {("SYD", "FRA"): (300, 600)}
-        # A later leg on the dead route raises the same error without a lookup.
+        # A later leg on the dead route raises a new error with the same text
+        # without a lookup.
         known[("FRA", "CAI")] = failure
         counting = CountingProvider(FixtureProvider({("SYD", "FRA"): 60, ("FRA", "CAI"): 60}))
         with pytest.raises(ProviderError) as again:
             validate(itin, counting, strict, known)
         assert counting.calls == 0
-        assert again.value is not failure
-        assert str(again.value) == str(failure)
+        assert again.value is not first.value
+        assert str(again.value) == str(first.value)
         assert type(again.value.__cause__) is RouteUnavailable
 
     def test_same_airport_legs_are_not_stored(self):
