@@ -34,6 +34,7 @@ from typing import Callable, Mapping, Protocol
 from .model import (
     AirportCode,
     InvalidJsonError,
+    cause_text,
     error_text,
     load_json,
     read_file,
@@ -247,7 +248,7 @@ class RemoteDurationClient:
         try:
             response = requests.get(url, headers=dict(headers), timeout=FETCH_TIMEOUT_SECONDS)
         except requests.RequestException as err:
-            raise TransportError(shorten(str(err))) from err
+            raise TransportError(cause_text(err)) from err
         if not 200 <= response.status_code < 300:
             raise TransportError(f"HTTP {response.status_code}")
         return response.content

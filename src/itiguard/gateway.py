@@ -25,6 +25,7 @@ from .model import (
     InvalidJsonError,
     InvalidTimeFormatError,
     Itinerary,
+    cause_text,
     load_json,
     parse_itinerary,
     read_file,
@@ -134,7 +135,7 @@ class HttpGenerationClient:
             )
             response.raise_for_status()
         except requests.RequestException as err:
-            raise ValueError(f"generation endpoint request failed: {shorten(str(err))}") from err
+            raise ValueError(f"generation endpoint request failed: {cause_text(err)}") from err
         try:
             body = load_json(response.content)
         except InvalidJsonError as err:

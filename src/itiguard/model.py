@@ -9,11 +9,14 @@ validator's business, not the parser's.
 
 A timestamp is a count of minutes since 1970-01-01 00:00 UTC on the
 proleptic Gregorian calendar. Parsing and formatting split the wire form
-into its date half "YYYY-MM-DD" and its clock half "HH:MM" and look each
-half up in a memo: an lru_cache of at most _MEMO_SIZE (2048) entries per
-direction and half, filled lazily. The dates of one itinerary sit in one
-travel window, so the memos nearly always hit. Only on a miss does
-datetime.date check and convert the date; a rejected half is memoised as
+into its date half "YYYY-MM-DD" and its clock half "HH:MM". A day has 1440
+clocks, so two fixed tables built at import cover the clock half:
+_CLOCK_MINUTES from each valid "HH:MM" to its minute of the day (no other
+text is a key) and _CLOCK_TEXTS back. Dates are unbounded, so the date
+half goes through one memo per direction, an lru_cache of at most
+_MEMO_SIZE (2048) entries filled lazily; the dates of one itinerary sit in
+one travel window, so the memos nearly always hit. Only on a miss does
+datetime.date check and convert the date; a rejected date is memoised as
 None, so it is rejected again. Timestamp.parse and the stop loop of
 parse_itinerary share the one lookup, _wire_minutes.
 
@@ -44,14 +47,13 @@ from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-_CLOCK_RE = re.compile(r"[0-9]{2}:[0-9]{2}")
 _AIRPORT_RE = re.compile(r"[A-Z]{3}")
 # Last parenthesized 3-letter token wins, so city names containing
 # parentheses ("San Francisco (Bay Area)") still parse.
 _PLACE_RE = re.compile(r"\(([A-Z]{3})\)\s*$")
 
 _MINUTES_PER_DAY = 24 * 60
-# Entries per memo: over five years of days, and every clock of a day.
+# Entries per date memo: over five years of days.
 _MEMO_SIZE = 2048
 # Longest place string the place memo keeps; longer ones are parsed uncached.
 _PLACE_KEY_LIMIT = 64
@@ -68,6 +70,20 @@ def shorten(text: str) -> str:
     if len(text) <= QUOTE_LIMIT:
         return text
     return f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"
+
+
+def cause_text(err: BaseException) -> str:
+    """The shortened text of the innermost exception in err's chain of
+    __cause__ and (unsuppressed) __context__, as a traceback would follow
+    it: the reason that a library's wrapped errors give last, such as the
+    "[Errno 111] Connection refused" under requests' ConnectionError."""
+    seen = {id(err)}
+    while True:
+        inner = err.__cause__ or (None if err.__suppress_context__ else err.__context__)
+        if inner is None or id(inner) in seen:
+            return shorten(str(err))
+        seen.add(id(inner))
+        err = inner
 
 
 def warn(message: str) -> None:
@@ -106,31 +122,19 @@ def _date_text(days: int) -> str:
     return date.fromordinal(days + _EPOCH_ORDINAL).isoformat()
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _clock_minutes(text: str) -> int | None:
-    """Minute of the day of 'HH:MM', or None when the shape is wrong or the
-    clock is past 23:59."""
-    if not _CLOCK_RE.fullmatch(text):
-        return None
-    hour, minute = int(text[0:2]), int(text[3:5])
-    if hour >= 24 or minute >= 60:
-        return None
-    return hour * 60 + minute
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _clock_text(minute_of_day: int) -> str:
-    """Inverse of _clock_minutes."""
-    hour, minute = divmod(minute_of_day, 60)
-    return f"{hour:02d}:{minute:02d}"
+# "00:00" to "23:59" at their minutes of the day, each joined from an "HH:"
+# prefix and an "MM" text: a fraction of the import time of 1440 f-strings.
+_TWO_DIGITS = [f"{n:02d}" for n in range(60)]
+_CLOCK_TEXTS = tuple(hh + mm for hh in [d + ":" for d in _TWO_DIGITS[:24]] for mm in _TWO_DIGITS)
+_CLOCK_MINUTES = dict(zip(_CLOCK_TEXTS, range(_MINUTES_PER_DAY)))
 
 
 def _wire_minutes(text: object) -> int | None:
     """Minutes since 1970 of 'YYYY-MM-DD HH:MM', or None for anything else."""
-    # The length check keeps every memo key at 10 or 5 characters.
+    # The length check keeps every date memo key at 10 characters.
     if isinstance(text, str) and len(text) == 16 and text[10] == " ":
         days = _date_days(text[:10])
-        minute_of_day = _clock_minutes(text[11:])
+        minute_of_day = _CLOCK_MINUTES.get(text[11:])
         if days is not None and minute_of_day is not None:
             return days * _MINUTES_PER_DAY + minute_of_day
     return None
@@ -203,7 +207,7 @@ class Timestamp(int):
         if not _MIN_MINUTES <= self <= _MAX_MINUTES:
             raise ValueError(f"timestamp {self:d} minutes from 1970 is outside years 0001-9999")
         days, minute_of_day = divmod(self, _MINUTES_PER_DAY)
-        return f"{_date_text(days)} {_clock_text(minute_of_day)}"
+        return f"{_date_text(days)} {_CLOCK_TEXTS[minute_of_day]}"
 
     def __str__(self) -> str:
         return self.text()
@@ -390,7 +394,7 @@ def render_itinerary(itin: Itinerary) -> str:
     parse_itinerary(render_itinerary(x), len(x)) == x.
     """
     stops = ",\n".join(
-        f'    {{\n      "place": {encode_basestring_ascii(stop.place)},\n'
+        f'    {{\n      "place": {encode_basestring_ascii(f"{stop.place_name} ({stop.airport})")},\n'
         f'      "arrival_time": "{stop.arrival.text()}",\n'
         f'      "departure_time": "{stop.departure.text()}"\n    }}'
         for stop in itin.stops

@@ -34,6 +34,27 @@ REFUSED = (
     "0x7f3a5c2b1d50>: Failed to establish a new connection: [Errno 111] Connection refused'))"
 )
 
+
+def raise_refused(path: str) -> None:
+    """Raise requests.ConnectionError(REFUSED) chained as requests chains a
+    refused connection: raised while handling urllib3's MaxRetryError, which
+    is raised from a NewConnectionError, which is raised from the
+    ConnectionRefusedError. LookupError and RuntimeError stand in for the
+    two urllib3 classes."""
+    import requests
+
+    try:
+        try:
+            try:
+                raise ConnectionRefusedError(111, "Connection refused")
+            except OSError as err:
+                raise RuntimeError(f"Failed to establish a new connection: {err}") from err
+        except RuntimeError as err:
+            raise LookupError(f"Max retries exceeded with url: {path}") from err
+    except LookupError:
+        raise requests.ConnectionError(REFUSED.format(path=path))
+
+
 BASE = Timestamp.parse("2025-06-01 00:00")
 WINDOW_MINUTES = 30 * 24 * 60
 

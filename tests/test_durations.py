@@ -38,7 +38,7 @@ from itiguard.durations import (
     save_cache,
 )
 from itiguard.model import QUOTE_LIMIT, AirportCode, shorten
-from support import REFUSED, open_fds
+from support import REFUSED, open_fds, raise_refused
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -375,6 +375,17 @@ class TestRemoteClient:
         with pytest.raises(RouteUnavailable) as exc:
             client.route_duration(route("SYD", "FRA"))
         assert exc.value.reason == f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"
+
+    def test_default_fetch_quotes_the_innermost_cause_of_a_chained_error(self, monkeypatch):
+        def get(url, **kwargs):
+            raise_refused(url)
+
+        monkeypatch.setattr(requests, "get", get)
+        client = RemoteDurationClient("http://127.0.0.1:9", sleep=lambda s: None)
+        with pytest.raises(RouteUnavailable) as exc:
+            client.route_duration(route("SYD", "FRA"))
+        assert exc.value.reason == "[Errno 111] Connection refused"
+        assert str(exc.value) == "no flight duration for SYD->FRA after 3 attempt(s): [Errno 111] Connection refused"
 
     @pytest.mark.parametrize("status,ok", [(199, False), (200, True), (299, True), (300, False)])
     def test_default_fetch_accepts_exactly_the_2xx_statuses(self, monkeypatch, status, ok):

@@ -41,7 +41,7 @@ from itiguard.prompts import (
     build_base_prompt,
     build_feedback,
 )
-from support import REFUSED
+from support import REFUSED, raise_refused
 
 POOL = (
     ("Sydney", "SYD"),
@@ -409,6 +409,18 @@ class TestHttpGenerationClient:
             client.complete("p")
         assert isinstance(exc.value.__cause__, requests.HTTPError)
 
+    def test_http_status_error_keeps_its_text(self):
+        # requests' own raise_for_status raises with no chained cause, so the
+        # quoted text is the HTTPError's.
+        response = requests.Response()
+        response.status_code, response.reason, response.url = 503, "Service Unavailable", self.ENDPOINT
+        client = HttpGenerationClient(self.ENDPOINT, transport=lambda url, **kwargs: response)
+        with pytest.raises(ValueError) as exc:
+            client.complete("p")
+        assert str(exc.value) == (
+            f"generation endpoint request failed: 503 Server Error: Service Unavailable for url: {self.ENDPOINT}"
+        )
+
     def test_long_transport_error_is_quoted_shortened(self):
         text = REFUSED.format(path="/generate")
 
@@ -421,6 +433,16 @@ class TestHttpGenerationClient:
         assert str(exc.value) == (
             f"generation endpoint request failed: {text[:QUOTE_LIMIT]}... ({len(text)} characters)"
         )
+        assert isinstance(exc.value.__cause__, requests.ConnectionError)
+
+    def test_chained_transport_error_quotes_its_innermost_cause(self):
+        def refuse(url, **kwargs):
+            raise_refused("/generate")
+
+        client = HttpGenerationClient("http://127.0.0.1:9/generate", transport=refuse)
+        with pytest.raises(ValueError) as exc:
+            client.complete("p")
+        assert str(exc.value) == "generation endpoint request failed: [Errno 111] Connection refused"
         assert isinstance(exc.value.__cause__, requests.ConnectionError)
 
     @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from itiguard.model import (
     MissingFieldError,
     Stop,
     Timestamp,
+    cause_text,
     format_minutes,
     load_json,
     parse_itinerary,
@@ -66,6 +67,15 @@ class TestTimestamp:
             "2024-03-20\t14:30",
             "2024-03-20\u00a014:30",
             "2024-03-20\n14:30",
+            # 16 characters with the space at index 10: only the clock half rejects these.
+            "2025-06-01 \uff11\uff12:\uff10\uff10",  # full-width digits
+            "2025-06-01 \u0661\u0662:\u0663\u0660",  # Arabic-Indic digits
+            "2025-06-01  7:05",
+            "2025-06-01 7:05 ",
+            "2025-06-01 +7:05",
+            "2025-06-01 07:5 ",
+            "2025-06-01 7:05\n",
+            "2025-06-01 07-05",
         ],
     )
     def test_parse_rejects_deviations(self, raw):
@@ -161,8 +171,10 @@ class TestTimestamp:
         # More distinct dates than a memo holds: the date memos stay full.
         for memo in (model._date_days, model._date_text):
             assert memo.cache_info().currsize == model._MEMO_SIZE
-        for memo in (model._clock_minutes, model._clock_text):
-            assert memo.cache_info().currsize <= model._MEMO_SIZE
+        # The clock half needs no memo: two fixed tables hold every clock of a day.
+        assert len(model._CLOCK_MINUTES) == len(model._CLOCK_TEXTS) == 24 * 60
+        for minute_of_day in range(24 * 60):
+            assert model._CLOCK_MINUTES[model._CLOCK_TEXTS[minute_of_day]] == minute_of_day
 
     def test_arithmetic(self):
         a = Timestamp.parse("2025-06-01 10:00")
@@ -539,6 +551,44 @@ def test_format_minutes(minutes, expected):
 def test_shorten_keeps_80_characters_whole_and_cuts_81():
     assert shorten("x" * 80) == "x" * 80
     assert shorten("x" * 81) == "x" * 80 + "... (81 characters)"
+
+
+class TestCauseText:
+    def test_follows_causes_and_contexts_to_the_innermost(self):
+        try:
+            try:
+                try:
+                    raise OSError("innermost " + "y" * 100)
+                except OSError as err:
+                    raise KeyError("middle") from err
+            except KeyError:
+                raise ValueError("outer")
+        except ValueError as err:
+            outer = err
+        assert cause_text(outer) == shorten("innermost " + "y" * 100)
+
+    def test_a_cause_wins_over_a_context(self):
+        try:
+            try:
+                raise KeyError("context")
+            except KeyError:
+                raise ValueError("outer") from OSError("cause")
+        except ValueError as err:
+            assert cause_text(err) == "cause"
+
+    def test_a_suppressed_context_is_not_followed(self):
+        try:
+            try:
+                raise KeyError("context")
+            except KeyError:
+                raise ValueError("outer") from None
+        except ValueError as err:
+            assert cause_text(err) == "outer"
+
+    def test_a_cycle_ends_at_its_last_new_link(self):
+        a, b = ValueError("a"), KeyError("b")
+        a.__context__, b.__context__ = b, a
+        assert cause_text(a) == "'b'"
 
 
 class TestReadFile:
