@@ -169,13 +169,22 @@ def build_policy(config: AppConfig) -> ValidationPolicy:
 
 
 def _minutes(key: str, hours: float) -> int:
+    """hours rounded to the nearest whole minute. A negative value is
+    refused before rounding, and so is a positive one that rounds to 0."""
     minutes = hours * 60
     if not math.isfinite(minutes):
         raise ValueError(f"{key} must be a finite number of hours, got {hours}")
-    return round(minutes)
+    if minutes < 0:
+        raise ValueError(f"{key} must not be negative, got {hours}")
+    rounded = round(minutes)
+    if minutes and not rounded:
+        raise ValueError(f"{key} {hours} rounds to 0 minutes; hours are rounded to the nearest minute")
+    return rounded
 
 
-def build_provider(config: AppConfig) -> DurationProvider:
+def build_provider(config: AppConfig) -> CachedProvider:
+    """The configured provider inside a CachedProvider, the run's one memo:
+    each route is asked for once per run, a route without a duration too."""
     if config.provider == "fixture":
         if not config.fixture_file:
             raise ValueError("--fixture-file is required with --provider fixture")
@@ -188,12 +197,7 @@ def build_provider(config: AppConfig) -> DurationProvider:
         base = RemoteDurationClient(config.base_url)
     else:
         raise ValueError(f"unknown provider kind {shorten(repr(config.provider))}")
-    if config.cache_file:
-        return CachedProvider(base, path=config.cache_file)
-    if config.provider == "live":
-        # Never hit the network twice for one route, even without a cache file.
-        return CachedProvider(base)
-    return base
+    return CachedProvider(base, path=config.cache_file)
 
 
 def _issue_line(issue: Issue, itin: Itinerary) -> str:
@@ -212,13 +216,12 @@ def _issue_line(issue: Issue, itin: Itinerary) -> str:
 def cmd_validate(args: argparse.Namespace, config: AppConfig) -> int:
     provider = build_provider(config)
     policy = build_policy(config)
-    known: dict = {}  # each route's bounds, resolved once for all the files
     results = []
     had_error = False
     for path in args.inputs:
         try:
             itinerary = parse_itinerary(read_file(path), None)
-            report = validate(itinerary, provider, policy, known)
+            report = validate(itinerary, provider, policy)
         except (OSError, ValueError, ProviderError) as err:
             print(f"{path}: error: {err}", file=sys.stderr)
             had_error = True
@@ -313,12 +316,11 @@ def cmd_bench(args: argparse.Namespace, config: AppConfig) -> int:
     # "." for a manifest in the working directory, so an empty file name
     # still names a directory, as Path(".") / "" does.
     root = os.path.dirname(args.manifest) or "."
-    known: dict = {}  # each route's bounds, resolved once for the whole corpus
     records = []
     for entry in entries:
         try:
             itinerary = parse_itinerary(read_file(os.path.join(root, entry.file)), entry.num_cities)
-            report = validate(itinerary, provider, policy, known)
+            report = validate(itinerary, provider, policy)
             records.append((entry, report))
         except ProviderError as err:
             # Strict mode: a route without a duration ends the run, as in validate.

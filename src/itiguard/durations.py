@@ -8,7 +8,8 @@ plain pair, so either one finds the other's cache entry. Implementations:
 a deterministic fixture table, a great-circle estimator, and a remote HTTP
 client with bounded retries. CachedProvider layers an in-memory table plus
 an optional on-disk file over any of them so repeated routes never trigger
-a second fetch.
+a second fetch; it is the one per-run memo of route answers, so it also
+remembers, in memory only, each route the inner provider could not resolve.
 
 The cache file holds 'ORIGIN DEST minutes' lines and is append-only: each
 fetched route adds one line, the file is never rewritten, and when a route
@@ -329,7 +330,10 @@ class CachedProvider:
 
     A hit never touches the inner provider; a miss fetches once, stores the
     duration in memory and appends its one line to the file through
-    save_cache. The file is opened on the first miss, with O_APPEND, and
+    save_cache. A RouteUnavailable from the inner provider is remembered for
+    the provider's lifetime, in memory only: a later lookup of that route
+    raises a new RouteUnavailable with the same attempts and reason without
+    asking again. The file is opened on the first miss, with O_APPEND, and
     that descriptor is held until close() or until the provider is dropped;
     a file deleted or replaced meanwhile gets none of the later lines. The
     file is never truncated, so a crash loses at most the line being
@@ -351,6 +355,8 @@ class CachedProvider:
         # A last line without its newline (hand-edited, or torn by a crash)
         # would merge with the first appended line into one corrupt line.
         self._torn = bool(data) and data[-1:] != b"\n"
+        # Each route the inner provider could not resolve: (attempts, reason).
+        self._failed: dict[tuple[AirportCode, AirportCode], tuple[int, str]] = {}
         self._fd: int | None = None
         self._closer: weakref.finalize | None = None
 
@@ -358,7 +364,14 @@ class CachedProvider:
         duration = self._cache.get(route)
         if duration is not None:
             return duration
-        duration = self._inner.route_duration(route)
+        failure = self._failed.get(route)
+        if failure is not None:
+            raise RouteUnavailable(route, *failure)
+        try:
+            duration = self._inner.route_duration(route)
+        except RouteUnavailable as err:
+            self._failed[route] = (err.attempts, err.reason)
+            raise
         self._cache[route] = duration
         if self._path is not None:
             self._append(route, duration)

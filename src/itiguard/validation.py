@@ -26,15 +26,8 @@ minutes. t_min = flight + buffer is the minimum feasible door-to-door time,
 the flight duration plus a fixed airport-logistics buffer (default 4h), and
 t_max = int(t_min * multiplier) is the maximum reasonable time (default
 twice t_min). resolve_segment_bounds is the one place this formula lives.
-
-A caller that validates many itineraries with one provider and one policy
-(bench, validate over several files) may pass validate() and
-resolve_segment_bounds() a dict of its own as known: each route is then
-resolved once per run, and the dict keeps what the provider said, the
-route's (t_min, t_max) pair or the RouteUnavailable it raised. A later leg
-on that route reads its entry back without asking the provider again, and
-a stored failure is read as a new one is: a ProviderError in strict mode,
-an unverifiable leg otherwise.
+Resolving each route once per run is the provider's job: the CLI wraps
+every provider in a durations.CachedProvider.
 """
 
 from __future__ import annotations
@@ -45,7 +38,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .durations import MAX_FLIGHT_MINUTES, DurationProvider, RouteUnavailable
-from .model import _MAX_MINUTES, _MIN_MINUTES, AirportCode, Itinerary, _new_tuple
+from .model import _MAX_MINUTES, _MIN_MINUTES, Itinerary, _new_tuple
 
 # The longest span the wire form can spell: no two timestamps it can write
 # lie further apart, so a longer minimum stay or buffer could never be met.
@@ -174,10 +167,7 @@ def segment_violation(travel_time: int, t_min: int, t_max: int) -> IssueKind | N
 
 
 def resolve_segment_bounds(
-    itin: Itinerary,
-    provider: DurationProvider,
-    policy: ValidationPolicy,
-    known: dict[tuple[AirportCode, AirportCode], tuple[int, int] | RouteUnavailable] | None = None,
+    itin: Itinerary, provider: DurationProvider, policy: ValidationPolicy
 ) -> list[tuple[int, int] | None]:
     """Resolve each leg's transit bounds, one (t_min, t_max) entry per leg.
 
@@ -187,13 +177,8 @@ def resolve_segment_bounds(
     The provider's route_duration and the policy's numbers are read once
     per call, and a leg's route goes to the provider as the plain pair
     (origin, destination) right after the test that its two codes differ.
-
-    known, when given, is the caller's memo for one provider and one
-    policy, kept across calls. It maps each route resolved so far to what
-    the provider said, its (t_min, t_max) pair or its RouteUnavailable, and
-    never to None, so a route it lacks is resolved here and stored. A new
-    and a stored failure take the same path: strict mode raises a
-    ProviderError with the failure's text, caused by it.
+    Strict mode raises a ProviderError with the RouteUnavailable's text,
+    caused by it.
     """
     route_duration = provider.route_duration
     buffer = policy.buffer_minutes
@@ -206,23 +191,15 @@ def resolve_segment_bounds(
         if origin == dest:
             bounds.append(None)
         else:
-            route = (origin, dest)
-            entry = None if known is None else known.get(route)
-            if entry is None:
-                try:
-                    duration = route_duration(route)
-                except RouteUnavailable as err:
-                    entry = err
-                else:
-                    t_min = duration.minutes + buffer
-                    entry = (t_min, int(t_min * multiplier))
-                if known is not None:
-                    known[route] = entry
-            if type(entry) is not tuple:
+            try:
+                duration = route_duration((origin, dest))
+            except RouteUnavailable as err:
                 if policy.strict:
-                    raise ProviderError(str(entry)) from entry
-                entry = None
-            bounds.append(entry)
+                    raise ProviderError(str(err)) from err
+                bounds.append(None)
+            else:
+                t_min = duration.minutes + buffer
+                bounds.append((t_min, int(t_min * multiplier)))
         origin = dest
     return bounds
 
@@ -231,18 +208,13 @@ def validate(
     itin: Itinerary,
     provider: DurationProvider,
     policy: ValidationPolicy = ValidationPolicy(),
-    known: dict[tuple[AirportCode, AirportCode], tuple[int, int] | RouteUnavailable] | None = None,
 ) -> ValidationReport:
     """Apply every rule to every stop and leg, in itinerary order.
 
     n stops produce n stay checks and n-1 segment checks; the verdict is
-    valid iff no issue was found. known is resolve_segment_bounds' per-run
-    memo, for a caller that validates many itineraries with one provider
-    and one policy.
+    valid iff no issue was found.
     """
-    return check_against_bounds(
-        itin, resolve_segment_bounds(itin, provider, policy, known), policy
-    )
+    return check_against_bounds(itin, resolve_segment_bounds(itin, provider, policy), policy)
 
 
 def check_against_bounds(

@@ -483,16 +483,16 @@ class TestGenerate:
 
 
 def counted_providers(monkeypatch) -> list[CountingProvider]:
-    """Make cli.build_provider wrap each provider it builds in a
-    CountingProvider, and return the list they are collected in."""
+    """Make each CachedProvider that cli.build_provider builds wrap a
+    CountingProvider around the provider it caches, and return the list they
+    are collected in: they count what reaches the provider past the memo."""
     providers = []
-    build = cli.build_provider
 
-    def build_counted(config):
-        providers.append(CountingProvider(build(config)))
-        return providers[-1]
+    def cached(inner, **kwargs):
+        providers.append(CountingProvider(inner))
+        return durations.CachedProvider(providers[-1], **kwargs)
 
-    monkeypatch.setattr(cli, "build_provider", build_counted)
+    monkeypatch.setattr(cli, "CachedProvider", cached)
     return providers
 
 
@@ -872,6 +872,37 @@ class TestConfigResolution:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "key, hours, message",
+        [
+            ("buffer_hours", -0.008, "buffer_hours must not be negative, got -0.008"),
+            ("buffer_hours", -0.009, "buffer_hours must not be negative, got -0.009"),
+            ("min_stay_hours", -0.001, "min_stay_hours must not be negative, got -0.001"),
+            ("buffer_hours", 0.001, "buffer_hours 0.001 rounds to 0 minutes; hours are rounded to the nearest minute"),
+            ("min_stay_hours", 0.001, "min_stay_hours 0.001 rounds to 0 minutes; hours are rounded to the nearest minute"),
+            ("buffer_hours", 0.0084, None),
+            ("buffer_hours", 0.0, None),
+        ],
+        ids=["buffer-rounds-to-minus-0", "buffer-rounds-to-minus-1", "min-stay-negative",
+             "buffer-rounds-to-0", "min-stay-rounds-to-0", "buffer-rounds-to-1", "buffer-0"],
+    )
+    def test_hours_are_checked_before_rounding_to_minutes(self, tmp_path, key, hours, message, source, capsys):
+        if source == "flag":
+            flags = ["--" + key.replace("_", "-"), str(hours)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({key: hours}))
+            flags = ["--config", str(config)]
+        code = main(["validate", str(FIXTURES / "sample_invalid.json"), *flags, *DEMO_FLAGS])
+        captured = capsys.readouterr()
+        if message is None:
+            assert code == 1 and captured.err == ""
+        else:
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
 
     def test_non_object_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"

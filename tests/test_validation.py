@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from itiguard import model
 from itiguard.correction import correct
-from itiguard.durations import FixtureProvider, FlightDuration, RouteUnavailable
+from itiguard.durations import CachedProvider, FixtureProvider, FlightDuration, RouteUnavailable
 from itiguard.model import AirportCode, Itinerary, Stop, Timestamp
 from itiguard.validation import (
     Issue,
@@ -296,7 +296,18 @@ class DirectedProvider:
 
 
 class TestKnownRoutes:
-    """validate(..., known): the caller's per-run memo of each route's bounds."""
+    """One CachedProvider across validate() calls: the per-run memo of what
+    the provider said for each route, a failure included."""
+
+    @staticmethod
+    def sydney_frankfurt_cairo() -> Itinerary:
+        return Itinerary(
+            (
+                make_stop("SYD", "2025-06-01 10:00", "2025-06-03 10:00"),
+                make_stop("FRA", "2025-06-03 20:00", "2025-06-05 20:00"),
+                make_stop("CAI", "2025-06-06 08:00", "2025-06-08 08:00"),
+            )
+        )
 
     def test_shared_memo_gives_the_reports_of_fresh_resolution(self):
         rng = random.Random(2718)
@@ -305,24 +316,27 @@ class TestKnownRoutes:
         table = {(a, b): rng.randint(60, 1200) for a in codes for b in codes if a != b and rng.random() < 0.8}
         policy = ValidationPolicy(buffer_minutes=90, max_multiplier=1.5)
         counting = CountingProvider(DirectedProvider(table))
-        known: dict = {}
+        memo = CachedProvider(counting)
         for itin in itineraries:
-            assert validate(itin, counting, policy, known) == validate(itin, DirectedProvider(table), policy)
+            assert validate(itin, memo, policy) == validate(itin, DirectedProvider(table), policy)
         routes = {
             (a.airport, b.airport)
             for itin in itineraries
             for a, b in zip(itin.stops, itin.stops[1:])
             if a.airport != b.airport
         }
-        # Each directed route was asked for once, those without a duration too,
-        # and the memo keeps what the provider said for it.
+        # Each directed route was asked for once, those without a duration
+        # too, and the memo answers for it from then on.
         assert sorted(counting.routes) == sorted(routes)
-        assert known.keys() == routes
-        for route, entry in known.items():
+        assert any(route not in table for route in routes)
+        for route in routes:
             if route in table:
-                assert entry == (table[route] + 90, int((table[route] + 90) * 1.5))
+                assert memo.route_duration(route) == FlightDuration(table[route])
             else:
-                assert type(entry) is RouteUnavailable and entry.route == route
+                with pytest.raises(RouteUnavailable) as failure:
+                    memo.route_duration(route)
+                assert failure.value.route == route
+        assert counting.calls == len(routes)
 
     def test_shared_memo_gives_the_strict_outcomes_of_fresh_resolution(self):
         rng = random.Random(3141)
@@ -331,66 +345,58 @@ class TestKnownRoutes:
         table = {(a, b): rng.randint(60, 1200) for a in codes for b in codes if a != b and rng.random() < 0.9}
         strict = ValidationPolicy(buffer_minutes=90, max_multiplier=1.5, strict=True)
         counting = CountingProvider(DirectedProvider(table))
-        known: dict = {}
+        memo = CachedProvider(counting)
         raised = 0
         for itin in itineraries:
             try:
                 expected = validate(itin, DirectedProvider(table), strict)
             except ProviderError as fresh:
                 with pytest.raises(ProviderError) as shared:
-                    validate(itin, counting, strict, known)
+                    validate(itin, memo, strict)
                 assert str(shared.value) == str(fresh)
                 assert type(shared.value.__cause__) is RouteUnavailable
                 raised += 1
             else:
-                assert validate(itin, counting, strict, known) == expected
+                assert validate(itin, memo, strict) == expected
         assert 0 < raised < len(itineraries)
         # Each directed route was asked for once, a dead one too, however
         # many later itineraries stopped at it.
-        assert sorted(counting.routes) == sorted(set(counting.routes)) == sorted(known)
+        assert sorted(counting.routes) == sorted(set(counting.routes))
+        assert raised > sum(route not in table for route in counting.routes)
 
     def test_a_known_entry_is_used_without_asking_the_provider(self):
-        itin = Itinerary(
-            (
-                make_stop("SYD", "2025-06-01 10:00", "2025-06-03 10:00"),
-                make_stop("FRA", "2025-06-03 20:00", "2025-06-05 20:00"),
-                make_stop("CAI", "2025-06-06 08:00", "2025-06-08 08:00"),
-            )
-        )
-        counting = CountingProvider(FixtureProvider({("SYD", "FRA"): 60, ("FRA", "CAI"): 60}))
-        dead = RouteUnavailable(("FRA", "CAI"), attempts=1, reason="not in the table")
-        known = {("SYD", "FRA"): (700, 800), ("FRA", "CAI"): dead}
-        report = validate(itin, counting, ValidationPolicy(), known)
-        assert counting.calls == 0
-        assert report.issues == (Issue(IssueKind.TRANSIT_TOO_SHORT, 0, observed=600, required=700),)
-        assert report.unverifiable_segments == (1,)
+        itin = self.sydney_frankfurt_cairo()
+        counting = CountingProvider(FixtureProvider({("SYD", "FRA"): 400}))
+        memo = CachedProvider(counting)
+        first = validate(itin, memo, ValidationPolicy())
+        assert first.issues == (Issue(IssueKind.TRANSIT_TOO_SHORT, 0, observed=600, required=640),)
+        assert first.unverifiable_segments == (1,)
+        assert counting.routes == [("SYD", "FRA"), ("FRA", "CAI")]
+        assert validate(itin, memo, ValidationPolicy()) == first
+        assert counting.calls == 2
 
     def test_strict_miss_raises_and_stores_its_error_for_its_route(self):
-        itin = Itinerary(
-            (
-                make_stop("SYD", "2025-06-01 10:00", "2025-06-03 10:00"),
-                make_stop("FRA", "2025-06-03 20:00", "2025-06-05 20:00"),
-                make_stop("CAI", "2025-06-06 08:00", "2025-06-08 08:00"),
-            )
-        )
+        itin = self.sydney_frankfurt_cairo()
         strict = ValidationPolicy(strict=True)
-        known: dict = {}
+        counting = CountingProvider(FixtureProvider({("SYD", "FRA"): 60}))
+        memo = CachedProvider(counting)
         with pytest.raises(ProviderError) as first:
-            validate(itin, FixtureProvider({("SYD", "FRA"): 60}), strict, known)
-        failure = known.pop(("FRA", "CAI"))
+            validate(itin, memo, strict)
+        failure = first.value.__cause__
         assert type(failure) is RouteUnavailable and str(failure) == str(first.value)
-        assert first.value.__cause__ is failure
-        assert known == {("SYD", "FRA"): (300, 600)}
+        assert counting.calls == 2
         # A later leg on the dead route raises a new error with the same text
         # without a lookup.
-        known[("FRA", "CAI")] = failure
-        counting = CountingProvider(FixtureProvider({("SYD", "FRA"): 60, ("FRA", "CAI"): 60}))
         with pytest.raises(ProviderError) as again:
-            validate(itin, counting, strict, known)
-        assert counting.calls == 0
+            validate(itin, memo, strict)
+        assert counting.calls == 2
         assert again.value is not first.value
         assert str(again.value) == str(first.value)
-        assert type(again.value.__cause__) is RouteUnavailable
+        remembered = again.value.__cause__
+        assert type(remembered) is RouteUnavailable and remembered is not failure
+        assert (remembered.route, remembered.attempts, remembered.reason) == (
+            failure.route, failure.attempts, failure.reason
+        )
 
     def test_same_airport_legs_are_not_stored(self):
         itin = Itinerary(
@@ -399,10 +405,23 @@ class TestKnownRoutes:
                 make_stop("SYD", "2025-06-03 20:00", "2025-06-05 20:00"),
             )
         )
-        known: dict = {}
-        report = validate(itin, FixtureProvider({}), ValidationPolicy(), known)
+        counting = CountingProvider(FixtureProvider({}))
+        report = validate(itin, CachedProvider(counting), ValidationPolicy())
         assert [issue.kind for issue in report.issues] == [IssueKind.ROUTE_DATA_UNAVAILABLE]
-        assert known == {}
+        assert counting.calls == 0
+
+    def test_a_failed_route_adds_no_cache_file_line(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        memo = CachedProvider(FixtureProvider({("SYD", "FRA"): 60}), path=path)
+        report = validate(self.sydney_frankfurt_cairo(), memo, ValidationPolicy())
+        memo.close()
+        assert report.unverifiable_segments == (1,)
+        assert path.read_text(encoding="utf-8") == "SYD FRA 60\n"
+        # The failure lived in memory only: a new provider on the file asks again.
+        counting = CountingProvider(FixtureProvider({}))
+        with pytest.raises(RouteUnavailable):
+            CachedProvider(counting, path=path).route_duration(("FRA", "CAI"))
+        assert counting.calls == 1
 
 
 def test_issue_kinds_hash_by_identity():
