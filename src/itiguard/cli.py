@@ -7,7 +7,8 @@ statistics).
 
 Exit codes are part of the contract: 0 everything valid, 1 at least one
 itinerary invalid, 2 input or provider problem, 3 the check after the single
-correction pass found an issue left (a bug), 4 generation retries exhausted.
+correction pass found an issue left (a bug), 4 generation retries exhausted,
+130 interrupted (Ctrl-C).
 A failure that ends the run is raised, and the except clauses in main are
 the one table that maps it to its code. Only validate returns 2 itself,
 after it has reported every file.
@@ -27,7 +28,7 @@ from datetime import date
 from typing import NamedTuple
 
 from .airports import AIRPORT_COORDS
-from .correction import CorrectionTrace, NonConvergenceError, correct, correct_against_bounds
+from .correction import CorrectionTrace, NonConvergenceError, correct
 from .durations import (
     CachedProvider,
     DurationProvider,
@@ -62,8 +63,6 @@ from .validation import (
     IssueKind,
     ProviderError,
     ValidationPolicy,
-    check_against_bounds,
-    resolve_segment_bounds,
     validate,
 )
 
@@ -72,6 +71,7 @@ EXIT_INVALID = 1
 EXIT_INPUT = 2
 EXIT_NON_CONVERGENCE = 3
 EXIT_GENERATION = 4
+EXIT_INTERRUPTED = 130
 
 DEMO_CITY_POOL = (
     ("Sydney", "SYD"),
@@ -289,12 +289,11 @@ def cmd_generate(args: argparse.Namespace, config: AppConfig) -> int:
     else:
         raise ValueError("configure a generation client with --replay-dir or --endpoint")
     itinerary, attempts = generate_itinerary(client, request, max_retries=args.max_retries)
-    bounds = resolve_segment_bounds(itinerary, provider, policy)
-    report = check_against_bounds(itinerary, bounds, policy)
+    report = validate(itinerary, provider, policy)
     trace: CorrectionTrace | None = None
     final = itinerary
     if not report.is_valid and not args.no_correct:
-        final, trace = correct_against_bounds(itinerary, bounds, policy)
+        final, trace = correct(itinerary, provider, policy)
     print(render_itinerary(final))
     adjustments = len(trace.adjustments) if trace else 0
     print(
@@ -430,6 +429,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(err), EXIT_GENERATION)
     except (OSError, ValueError, ProviderError) as err:
         return _fail(str(err), EXIT_INPUT)
+    except KeyboardInterrupt:
+        return _fail("interrupted", EXIT_INTERRUPTED)
 
 
 def _fail(message: str, code: int) -> int:

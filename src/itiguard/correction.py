@@ -12,15 +12,16 @@ validator's int rule functions, stay_violation / segment_violation; this
 module only decides how to fix it. The pass builds the corrected stops as
 it goes: a Timestamp is built only for an Adjustment's new value, and an
 untouched stop or timestamp is reused as it is. Each Adjustment goes
-through its constructor; the other records are built with model._new_tuple.
+through its constructor, which refuses a new value outside the years the
+wire form can spell and names the stop and field; the other records are
+built with model._new_tuple.
 
-correct_against_bounds() is the pure part: given the per-leg list of
-(t_min, t_max) pairs that resolve_segment_bounds returned, it makes the
-pass and then checks the result once against those same bounds; any issue
-left over is reported as NonConvergenceError, a logic bug rather than bad
-input. correct() resolves the bounds through a provider and hands them to
-it, so a caller that has already resolved them (to validate first) never
-asks the provider twice.
+correct() is the one repair entry point. It resolves the per-leg list of
+(t_min, t_max) pairs through resolve_segment_bounds, makes the pass, and
+checks the result once against those same bounds; any issue left over is
+reported as NonConvergenceError, a logic bug rather than bad input. A
+caller that validates first asks the provider for each route again, which
+the run's durations.CachedProvider answers from memory.
 
 The first stop's arrival anchors the schedule and is never moved; city order
 is never changed. Legs whose bounds entry is None are skipped and recorded
@@ -36,7 +37,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .durations import DurationProvider
-from .model import Itinerary, Stop, Timestamp, _new_tuple
+from .model import _MAX_MINUTES, _MIN_MINUTES, Itinerary, Stop, Timestamp, _new_tuple
 from .validation import (
     IssueKind,
     ValidationPolicy,
@@ -73,6 +74,11 @@ class Adjustment(namedtuple("Adjustment", "stop_index field old new reason")):
     def __new__(cls, stop_index: int, field: TimeField, old: Timestamp, new: Timestamp, reason: IssueKind):
         if new == old:
             raise ValueError(f"adjustment at stop {stop_index} changes nothing")
+        if not _MIN_MINUTES <= new <= _MAX_MINUTES:
+            raise ValueError(
+                f"timestamp {new:d} minutes from 1970, the repaired {field.value} of stop {stop_index}, "
+                "is outside years 0001-9999"
+            )
         return tuple.__new__(cls, (stop_index, field, old, new, reason))
 
     def to_dict(self) -> dict:
@@ -142,24 +148,15 @@ def correct(
 ) -> tuple[Itinerary, CorrectionTrace]:
     """Repair every detected violation by shifting timestamps forward.
 
-    Resolves the route bounds once and hands them to correct_against_bounds.
-    Returns the corrected itinerary plus the trace. Raises ProviderError in
-    strict mode if a route cannot be resolved, and NonConvergenceError if
+    Resolves the route bounds once, makes one forward pass, and checks the
+    result with check_against_bounds on the same bounds. The legs whose
+    entry is None become the trace's skipped_segments. Returns the
+    corrected itinerary plus the trace. Raises ProviderError in strict mode
+    if a route cannot be resolved, ValueError if a repaired timestamp falls
+    outside the years the wire form can spell, and NonConvergenceError if
     the check finds an issue the pass should have fixed.
     """
-    return correct_against_bounds(itin, resolve_segment_bounds(itin, provider, policy), policy)
-
-
-def correct_against_bounds(
-    itin: Itinerary, bounds: list[tuple[int, int] | None], policy: ValidationPolicy
-) -> tuple[Itinerary, CorrectionTrace]:
-    """correct() against bounds already resolved for itin's legs.
-
-    Makes one forward pass and checks the result with check_against_bounds
-    on the same bounds; no provider is consulted. The legs whose entry is
-    None become the trace's skipped_segments. Raises NonConvergenceError if
-    that check finds an issue the pass should have fixed.
-    """
+    bounds = resolve_segment_bounds(itin, provider, policy)
     adjustments: list[Adjustment] = []
     stops = _adjustment_pass(itin.stops, bounds, policy, adjustments)
     # As many stops as itin, which passed Itinerary's check.
@@ -170,4 +167,3 @@ def correct_against_bounds(
         raise NonConvergenceError(f"{len(correctable)} issue(s) remain after the pass: {correctable}")
     trace = _new_tuple(CorrectionTrace, (tuple(adjustments), report.unverifiable_segments))
     return candidate, trace
-

@@ -291,6 +291,5 @@ def build_feedback(
         return JSON_ERROR_FEEDBACK
     if kind is FeedbackKind.TIME_FORMAT:
         return TIME_FORMAT_FEEDBACK.substitute(place_label=place_label or "unknown")
-    if kind is FeedbackKind.INSUFFICIENT_STOPS:
-        return INSUFFICIENT_STOPS_FEEDBACK.substitute(num_destinations=request.num_destinations)
-    raise AssertionError(f"unhandled feedback kind: {kind}")
+    # FeedbackKind.INSUFFICIENT_STOPS, the one member left.
+    return INSUFFICIENT_STOPS_FEEDBACK.substitute(num_destinations=request.num_destinations)

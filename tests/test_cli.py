@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import os
 import random
+import signal
+import socket
 import subprocess
 import sys
 from datetime import date
@@ -278,9 +280,14 @@ class TestCorrect:
             tmp_path / "late.json", [("Alpha", "AAA", "9999-12-30 10:00", "9999-12-30 12:00")]
         )
         code = main(["correct", str(path), *DEMO_FLAGS])
+        captured = capsys.readouterr()
         assert code == 2
-        err = capsys.readouterr().err
-        assert "error: timestamp" in err and "Traceback" not in err
+        assert captured.out == ""
+        # The line names the stop and field whose repair left the years the wire can spell.
+        assert captured.err == (
+            "error: timestamp 4223372280 minutes from 1970, the repaired departure of stop 0, "
+            "is outside years 0001-9999\n"
+        )
 
     def test_year_0999_output_reads_back(self, tmp_path, pair_durations, capsys):
         # The first stay (2h) is too short, so correction moves both stops.
@@ -373,20 +380,15 @@ class TestGenerate:
         assert captured.out == (FIXTURES / "sample_invalid.json").read_text(encoding="utf-8")
         assert "3 issues found; 0 adjustment(s) applied" in captured.err
 
-    def test_one_lookup_per_leg(self, monkeypatch, capsys):
-        # Validation and repair share one resolution of the route bounds.
-        providers = []
-        build_provider = cli.build_provider
-
-        def counting(config):
-            providers.append(CountingProvider(build_provider(config)))
-            return providers[-1]
-
-        monkeypatch.setattr(cli, "build_provider", counting)
+    def test_one_lookup_per_route(self, monkeypatch, capsys):
+        # Validation and repair each resolve the bounds; the run's memo
+        # answers the second resolution, so each of the 3 routes is asked once.
+        providers = counted_providers(monkeypatch)
         code = main(["generate", "--replay-dir", str(FIXTURES / "replay"), *DEMO_FLAGS])
         assert code == 0
         assert "4 adjustment(s) applied" in capsys.readouterr().err
         assert [provider.calls for provider in providers] == [3]
+        assert len(set(providers[0].routes)) == 3
 
     def test_issue_left_by_the_pass_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(correction, "_adjustment_pass", lambda stops, *rest: stops)
@@ -914,6 +916,13 @@ class TestConfigResolution:
         assert code == 2
         assert "--fixture-file" in capsys.readouterr().err
 
+    def test_live_provider_requires_base_url(self, capsys):
+        code = main(["validate", str(FIXTURES / "sample_invalid.json"), "--provider", "live"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --base-url is required with --provider live\n"
+
     def test_default_config_is_the_default_policy(self):
         assert cli.build_policy(cli.AppConfig()) == ValidationPolicy()
 
@@ -1110,6 +1119,49 @@ class TestEntrypoint:
         )
         assert result.returncode == 0
         assert "valid" in result.stdout
+
+    def test_ctrl_c_inside_main_exits_130_with_one_line(self, tmp_path):
+        # The duration service accepts the connection and never answers, so
+        # the run is inside main, waiting on the fetch, when SIGINT lands.
+        leg = write_itinerary(
+            tmp_path / "leg.json",
+            [
+                ("Frankfurt", "FRA", "2025-06-01 10:00", "2025-06-03 10:00"),
+                ("Cairo", "CAI", "2025-06-03 18:00", "2025-06-06 10:00"),
+            ],
+        )
+        env = {key: value for key, value in os.environ.items() if not key.lower().endswith("_proxy")}
+        env["PYTHONPATH"] = str(FIXTURES.parent / "src")
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            server.settimeout(60)
+            base_url = f"http://127.0.0.1:{server.getsockname()[1]}"
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "itiguard", "validate", str(leg), "--provider", "live", "--base-url", base_url],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                # As from a terminal: a parent that ignores SIGINT would pass that on.
+                preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+            )
+            try:
+                conn, _ = server.accept()
+                with conn:
+                    proc.send_signal(signal.SIGINT)
+                    proc.wait(timeout=60)
+            finally:
+                proc.kill()
+                out, err = proc.communicate()
+        assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
+
+    def test_interrupt_in_a_command_exits_130_with_one_line(self, monkeypatch, capsys):
+        def interrupted(args, config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_validate", interrupted)
+        code = main(["validate", str(FIXTURES / "sample_invalid.json"), *DEMO_FLAGS])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (130, "", "error: interrupted\n")
 
 
 COLD_START_SCRIPT = """

@@ -201,6 +201,21 @@ class TestTraceTypes:
         with pytest.raises(ValueError):
             Adjustment(0, TimeField.ARRIVAL, ts, ts, IssueKind.OVERLAP)
 
+    @pytest.mark.parametrize(
+        "text, step", [("0001-01-01 00:00", -1), ("9999-12-31 23:59", 1)], ids=["year-0001", "year-9999"]
+    )
+    def test_adjustment_to_a_timestamp_the_wire_cannot_spell_names_its_stop(self, text, step):
+        # The last spellable minute is accepted; one minute past it is refused.
+        edge = Timestamp.parse(text)
+        old = Timestamp(edge - step)
+        assert Adjustment(2, TimeField.DEPARTURE, old, edge, IssueKind.STAY_TOO_SHORT).new.text() == text
+        with pytest.raises(ValueError) as exc:
+            Adjustment(2, TimeField.DEPARTURE, old, Timestamp(edge + step), IssueKind.STAY_TOO_SHORT)
+        assert str(exc.value) == (
+            f"timestamp {edge + step} minutes from 1970, the repaired departure of stop 2, "
+            "is outside years 0001-9999"
+        )
+
     def test_trace_serializes(self, sample_invalid, demo_provider):
         _, trace = correct(sample_invalid, demo_provider)
         doc = trace.to_dict()

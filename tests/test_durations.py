@@ -488,6 +488,12 @@ class TestCache:
         assert len(warnings) == 2
         assert all("skip" in line.lower() for line in warnings)
 
+    def test_blank_lines_skipped_without_warning(self, tmp_path, capsys):
+        path = tmp_path / "cache.txt"
+        path.write_bytes(b"\nSYD FRA 720\n\n  \t\r\nFRA CAI 300\n")
+        assert load_cache(path) == {route("SYD", "FRA"): FlightDuration(720), route("FRA", "CAI"): FlightDuration(300)}
+        assert capsys.readouterr().err == ""
+
     def test_same_airport_line_skipped_with_warning(self, tmp_path, capsys):
         path = tmp_path / "cache.txt"
         path.write_text("SYD SYD 100\nSYD FRA 720\n")
