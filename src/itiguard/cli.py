@@ -8,7 +8,8 @@ statistics).
 Exit codes are part of the contract: 0 everything valid, 1 at least one
 itinerary invalid, 2 input or provider problem, 3 the check after the single
 correction pass found an issue left (a bug), 4 generation retries exhausted,
-130 interrupted (Ctrl-C).
+130 interrupted (Ctrl-C), 141 stdout closed by its reader (no error line;
+correct and generate flush their document before they write to stderr).
 A failure that ends the run is raised, and the except clauses in main are
 the one table that maps it to its code. Only validate returns 2 itself,
 after it has reported every file.
@@ -35,6 +36,7 @@ from .durations import (
     FixtureProvider,
     GreatCircleProvider,
     RemoteDurationClient,
+    RouteUnavailable,
 )
 from .gateway import (
     DEFAULT_MAX_RETRIES,
@@ -61,7 +63,6 @@ from .prompts import GenerationRequest
 from .validation import (
     Issue,
     IssueKind,
-    ProviderError,
     ValidationPolicy,
     validate,
 )
@@ -72,6 +73,7 @@ EXIT_INPUT = 2
 EXIT_NON_CONVERGENCE = 3
 EXIT_GENERATION = 4
 EXIT_INTERRUPTED = 130
+EXIT_BROKEN_PIPE = 141
 
 DEMO_CITY_POOL = (
     ("Sydney", "SYD"),
@@ -222,7 +224,7 @@ def cmd_validate(args: argparse.Namespace, config: AppConfig) -> int:
         try:
             itinerary = parse_itinerary(read_file(path), None)
             report = validate(itinerary, provider, policy)
-        except (OSError, ValueError, ProviderError) as err:
+        except (OSError, ValueError, RouteUnavailable) as err:
             print(f"{path}: error: {err}", file=sys.stderr)
             had_error = True
             continue
@@ -253,7 +255,7 @@ def cmd_correct(args: argparse.Namespace, config: AppConfig) -> int:
     policy = build_policy(config)
     itinerary = parse_itinerary(read_file(args.input), None)
     corrected, trace = correct(itinerary, provider, policy)
-    print(render_itinerary(corrected))
+    print(render_itinerary(corrected), flush=True)
     if config.trace:
         print(json.dumps(trace.to_dict(), indent=2), file=sys.stderr)
     return EXIT_VALID
@@ -294,7 +296,7 @@ def cmd_generate(args: argparse.Namespace, config: AppConfig) -> int:
     final = itinerary
     if not report.is_valid and not args.no_correct:
         final, trace = correct(itinerary, provider, policy)
-    print(render_itinerary(final))
+    print(render_itinerary(final), flush=True)
     adjustments = len(trace.adjustments) if trace else 0
     print(
         f"generation: {attempts} attempt(s); {len(report.issues)} issues found; "
@@ -321,9 +323,9 @@ def cmd_bench(args: argparse.Namespace, config: AppConfig) -> int:
             itinerary = parse_itinerary(read_file(os.path.join(root, entry.file)), entry.num_cities)
             report = validate(itinerary, provider, policy)
             records.append((entry, report))
-        except ProviderError as err:
+        except RouteUnavailable as err:
             # Strict mode: a route without a duration ends the run, as in validate.
-            raise ProviderError(f"{shorten(entry.file)}: {err}") from None
+            raise ValueError(f"{shorten(entry.file)}: {err}") from None
         except Exception as err:
             warn(f"skipping {shorten(entry.file)}: {shorten(error_text(err))}")
     stats = aggregate(records, include_stays=args.include_stays)
@@ -422,12 +424,20 @@ def main(argv: list[str] | None = None) -> int:
         "bench": cmd_bench,
     }
     try:
-        return handlers[args.command](args, config)
+        code = handlers[args.command](args, config)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at /dev/null, so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except NonConvergenceError as err:
         return _fail(f"correction did not converge: {err}", EXIT_NON_CONVERGENCE)
     except (GenerationFailed, ResponsesExhausted) as err:
         return _fail(str(err), EXIT_GENERATION)
-    except (OSError, ValueError, ProviderError) as err:
+    except (OSError, ValueError, RouteUnavailable) as err:
         return _fail(str(err), EXIT_INPUT)
     except KeyboardInterrupt:
         return _fail("interrupted", EXIT_INTERRUPTED)

@@ -151,10 +151,11 @@ def correct(
     Resolves the route bounds once, makes one forward pass, and checks the
     result with check_against_bounds on the same bounds. The legs whose
     entry is None become the trace's skipped_segments. Returns the
-    corrected itinerary plus the trace. Raises ProviderError in strict mode
-    if a route cannot be resolved, ValueError if a repaired timestamp falls
-    outside the years the wire form can spell, and NonConvergenceError if
-    the check finds an issue the pass should have fixed.
+    corrected itinerary plus the trace. Raises the provider's
+    RouteUnavailable unchanged in strict mode if a route cannot be
+    resolved, ValueError if a repaired timestamp falls outside the years
+    the wire form can spell, and NonConvergenceError if the check finds an
+    issue the pass should have fixed.
     """
     bounds = resolve_segment_bounds(itin, provider, policy)
     adjustments: list[Adjustment] = []

@@ -87,9 +87,6 @@ class RoutePair(namedtuple("RoutePair", "origin destination")):
             raise ValueError(f"route origin and destination are both {origin}")
         return tuple.__new__(cls, (origin, destination))
 
-    def __str__(self) -> str:
-        return f"{self.origin}->{self.destination}"
-
 
 class FlightDuration(namedtuple("FlightDuration", "minutes")):
     """Minimum flight duration in minutes, 0 < minutes <= 48h."""

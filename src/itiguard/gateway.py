@@ -7,9 +7,10 @@ scripted client for tests, and a replay client that serves previously
 recorded responses from disk.
 
 generate_itinerary() sends the base prompt, and on a parse failure retries
-with a feedback message prepended to the unchanged base prompt, up to 3
-retries (4 calls total). Only format problems trigger a retry; temporal
-rule violations are the corrector's job and never cause regeneration.
+with build_feedback's message for that parse error prepended to the
+unchanged base prompt, up to 3 retries (4 calls total). Only format
+problems trigger a retry; temporal rule violations are the corrector's job
+and never cause regeneration.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from typing import Protocol
 
 from .model import (
     FormatError,
-    InsufficientStopsError,
     InvalidJsonError,
-    InvalidTimeFormatError,
     Itinerary,
     cause_text,
     load_json,
@@ -31,7 +30,7 @@ from .model import (
     read_file,
     shorten,
 )
-from .prompts import FeedbackKind, GenerationRequest, build_base_prompt, build_feedback
+from .prompts import GenerationRequest, build_base_prompt, build_feedback
 
 DEFAULT_MAX_RETRIES = 3
 REQUEST_TIMEOUT_SECONDS = 60.0
@@ -145,19 +144,6 @@ class HttpGenerationClient:
         return body["text"]
 
 
-def feedback_for_error(error: FormatError) -> tuple[FeedbackKind, str | None]:
-    """Pick the feedback template for a parse failure.
-
-    Returns (kind, place_label); the label is only set for time-format
-    errors that could name the offending stop.
-    """
-    if isinstance(error, InvalidTimeFormatError):
-        return FeedbackKind.TIME_FORMAT, error.place_label
-    if isinstance(error, InsufficientStopsError):
-        return FeedbackKind.INSUFFICIENT_STOPS, None
-    return FeedbackKind.JSON_ERROR, None
-
-
 def generate_itinerary(
     client: GenerationClient,
     request: GenerationRequest,
@@ -184,7 +170,6 @@ def generate_itinerary(
             return itinerary, attempt
         except FormatError as err:
             last_error = err
-            kind, place_label = feedback_for_error(err)
-            feedback = build_feedback(kind, request, place_label=place_label)
+            feedback = build_feedback(err, request)
     assert last_error is not None
     raise GenerationFailed(attempts=total_attempts, last_error=last_error)

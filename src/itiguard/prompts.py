@@ -2,9 +2,10 @@
 
 Two base prompts (free city choice vs. a pre-defined route), both built by
 build_base_prompt, plus three feedback messages used when a response fails
-to parse. The exact wording is load-bearing: tests pin the rendered text
-byte-for-byte against golden files, so any edit here must update those
-files deliberately.
+to parse, picked by build_feedback from the class of the parse error. The
+exact wording is load-bearing: tests pin the rendered text byte-for-byte
+against golden files, so any edit here must update those files
+deliberately.
 
 Each template is split once, when the module loads, into literal pieces and
 placeholder names (SplitTemplate); a prompt is the pieces joined with the
@@ -24,11 +25,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from datetime import date
-from enum import Enum
 from functools import lru_cache
 from string import Template
 
-from .model import AirportCode
+from .model import AirportCode, FormatError, InsufficientStopsError, InvalidTimeFormatError
 
 
 class SplitTemplate:
@@ -182,14 +182,6 @@ Example format:
 }""")
 
 
-class FeedbackKind(Enum):
-    """Which format problem a retry prompt should call out."""
-
-    JSON_ERROR = "json_error"
-    TIME_FORMAT = "time_format"
-    INSUFFICIENT_STOPS = "insufficient_stops"
-
-
 def _checked_cities(cities) -> tuple[tuple[str, AirportCode], ...]:
     """cities as (name, code) pairs of a str and an AirportCode. An entry
     that already is one is kept as the same object, since tuple() of a
@@ -278,18 +270,15 @@ def build_base_prompt(request: GenerationRequest) -> str:
     )
 
 
-def build_feedback(
-    kind: FeedbackKind, request: GenerationRequest, *, place_label: str | None = None
-) -> str:
-    """Render the feedback message for one format failure.
-
-    The caller prepends the result to the unchanged base prompt. place_label
-    only applies to TIME_FORMAT and falls back to "unknown" when the failing
-    stop could not be named.
+def build_feedback(error: FormatError, request: GenerationRequest) -> str:
+    """Render the feedback message for one parse failure, picked by the
+    error's class: the time-format text names the error's place_label, or
+    "unknown" when the failing stop could not be named; the stop-count text
+    asks for the request's number of stops; any other FormatError gets the
+    JSON text. The caller prepends the result to the unchanged base prompt.
     """
-    if kind is FeedbackKind.JSON_ERROR:
-        return JSON_ERROR_FEEDBACK
-    if kind is FeedbackKind.TIME_FORMAT:
-        return TIME_FORMAT_FEEDBACK.substitute(place_label=place_label or "unknown")
-    # FeedbackKind.INSUFFICIENT_STOPS, the one member left.
-    return INSUFFICIENT_STOPS_FEEDBACK.substitute(num_destinations=request.num_destinations)
+    if isinstance(error, InvalidTimeFormatError):
+        return TIME_FORMAT_FEEDBACK.substitute(place_label=error.place_label or "unknown")
+    if isinstance(error, InsufficientStopsError):
+        return INSUFFICIENT_STOPS_FEEDBACK.substitute(num_destinations=request.num_destinations)
+    return JSON_ERROR_FEEDBACK

@@ -9,7 +9,8 @@ Four rules, checked per stop and per leg:
 Violations are strict: exact equality with a bound passes, so an itinerary
 whose times sit exactly on t_min or the minimum stay is valid. Legs whose
 route duration cannot be resolved are listed as unverifiable and excluded
-from the verdict in non-strict mode; a leg between two identical airports
+from the verdict in non-strict mode; strict mode raises the provider's
+durations.RouteUnavailable instead. A leg between two identical airports
 is structurally broken and is reported as an issue as well.
 
 Each comparison lives in one place, stay_violation or segment_violation:
@@ -70,9 +71,6 @@ _TRANSIT_TOO_SHORT = IssueKind.TRANSIT_TOO_SHORT
 _TRANSIT_TOO_LONG = IssueKind.TRANSIT_TOO_LONG
 _STAY_TOO_SHORT = IssueKind.STAY_TOO_SHORT
 _ROUTE_DATA_UNAVAILABLE = IssueKind.ROUTE_DATA_UNAVAILABLE
-
-class ProviderError(Exception):
-    """Strict mode: a route duration could not be resolved."""
 
 
 class Issue(NamedTuple):
@@ -172,13 +170,12 @@ def resolve_segment_bounds(
     """Resolve each leg's transit bounds, one (t_min, t_max) entry per leg.
 
     Entry i is None when leg i cannot be checked: its two airports are the
-    same, or the provider has no duration for its route (ProviderError in
-    strict mode). Which of the two it was can be read off the itinerary.
-    The provider's route_duration and the policy's numbers are read once
-    per call, and a leg's route goes to the provider as the plain pair
-    (origin, destination) right after the test that its two codes differ.
-    Strict mode raises a ProviderError with the RouteUnavailable's text,
-    caused by it.
+    same, or the provider has no duration for its route. Which of the two
+    it was can be read off the itinerary. The provider's route_duration and
+    the policy's numbers are read once per call, and a leg's route goes to
+    the provider as the plain pair (origin, destination) right after the
+    test that its two codes differ. Strict mode re-raises the provider's
+    RouteUnavailable as it is, with its route, attempts and reason.
     """
     route_duration = provider.route_duration
     buffer = policy.buffer_minutes
@@ -193,9 +190,9 @@ def resolve_segment_bounds(
         else:
             try:
                 duration = route_duration((origin, dest))
-            except RouteUnavailable as err:
+            except RouteUnavailable:
                 if policy.strict:
-                    raise ProviderError(str(err)) from err
+                    raise
                 bounds.append(None)
             else:
                 t_min = duration.minutes + buffer

@@ -28,6 +28,9 @@ from itiguard.gateway import GenerationFailed, ScriptedClient, generate_itinerar
 from itiguard.metrics import aggregate, load_manifest, render_stats
 from itiguard.model import (
     AirportCode,
+    InsufficientStopsError,
+    InvalidJsonError,
+    InvalidTimeFormatError,
     Itinerary,
     Stop,
     Timestamp,
@@ -36,7 +39,6 @@ from itiguard.model import (
 )
 from itiguard.prompts import (
     JSON_ERROR_FEEDBACK,
-    FeedbackKind,
     GenerationRequest,
     build_base_prompt,
     build_feedback,
@@ -307,13 +309,9 @@ def test_criterion_8_retry_loop_and_prompt_goldens(fixtures_dir, goldens_dir):
     goldens = {
         "prompt_generic.txt": build_base_prompt(request),
         "prompt_fixed_sequence.txt": build_base_prompt(fixed_request),
-        "feedback_json_error.txt": build_feedback(FeedbackKind.JSON_ERROR, request),
-        "feedback_time_format.txt": build_feedback(
-            FeedbackKind.TIME_FORMAT, request, place_label="Cairo (CAI)"
-        ),
-        "feedback_insufficient_stops.txt": build_feedback(
-            FeedbackKind.INSUFFICIENT_STOPS, request
-        ),
+        "feedback_json_error.txt": build_feedback(InvalidJsonError("bad"), request),
+        "feedback_time_format.txt": build_feedback(InvalidTimeFormatError("June 5th", "Cairo (CAI)"), request),
+        "feedback_insufficient_stops.txt": build_feedback(InsufficientStopsError(4, 2), request),
     }
     stale = [
         name

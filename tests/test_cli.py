@@ -1154,6 +1154,80 @@ class TestEntrypoint:
                 out, err = proc.communicate()
         assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
 
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", str(FIXTURES / "sample_invalid.json"), *DEMO_FLAGS],
+            ["correct", str(FIXTURES / "sample_invalid.json"), *DEMO_FLAGS],
+            ["generate", "--replay-dir", str(FIXTURES / "replay"), *DEMO_FLAGS],
+            ["bench", str(FIXTURES / "corpus" / "manifest.json"), "--provider", "fixture",
+             "--fixture-file", str(FIXTURES / "corpus" / "durations.txt")],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_closed_stdout_exits_141_with_nothing_on_stderr(self, argv, unbuffered):
+        # The read end is closed before the child starts, so its first write
+        # to stdout fails, whether it lands in print or in the final flush.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(FIXTURES.parent / "src")
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "itiguard", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (141, b"")
+
+    def test_cache_file_past_the_file_size_limit_warns_once_then_loads(self, tmp_path):
+        # RLIMIT_FSIZE stands in for a full disk: CPython ignores SIGXFSZ, so
+        # a write past the limit fails with EFBIG.
+        resource = pytest.importorskip("resource")
+        cache = tmp_path / "c.txt"
+        codes = [f"Q{a}{b}" for a in "ABCDEFGHIJ" for b in "AB"]
+        # 100 eleven-byte lines on routes the sample does not fly.
+        cache.write_text("".join(f"{a} {b} 60\n" for a, b in zip(codes, codes[1:] + codes[:1]) for _ in range(5)))
+        assert cache.stat().st_size == 1100
+        argv = [
+            sys.executable, "-m", "itiguard", "correct", str(FIXTURES / "sample_invalid.json"),
+            *DEMO_FLAGS, "--cache-file", str(cache),
+        ]
+        env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+        expected = (FIXTURES / "sample_corrected.json").read_text(encoding="utf-8")
+
+        def run(limit: int | None) -> tuple[int, str, list[str]]:
+            def preexec() -> None:
+                if limit is not None:
+                    resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+            result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60, preexec_fn=preexec)
+            return result.returncode, result.stdout, result.stderr.splitlines()
+
+        refused = [f"warning: cannot write cache file {cache}: File too large; continuing without it"]
+        # At the file's size no byte fits; five bytes over it, the first
+        # append lands torn after five bytes.
+        assert run(1100) == (0, expected, refused)
+        assert cache.stat().st_size == 1100
+        assert run(1105) == (0, expected, refused)
+        assert cache.read_bytes()[1100:] == b"SYD F"
+        # Without a limit the torn line is skipped with a warning and ended
+        # before the first append, so every route the run fetched reads back.
+        code, out, err = run(None)
+        assert (code, out) == (0, expected)
+        assert err == [f"warning: skipping corrupt cache line {cache}:101: 'SYD F'"]
+        lines = cache.read_bytes()[1100:].split(b"\n")
+        assert lines[0] == b"SYD F" and lines[-1] == b""
+        routes = [tuple(line.split()[:2]) for line in lines[1:-1]]
+        assert (b"SYD", b"FRA") in routes and len(routes) == len(set(routes))
+
     def test_interrupt_in_a_command_exits_130_with_one_line(self, monkeypatch, capsys):
         def interrupted(args, config):
             raise KeyboardInterrupt

@@ -12,9 +12,9 @@ from itiguard.correction import (
     TimeField,
     correct,
 )
-from itiguard.durations import FixtureProvider
+from itiguard.durations import FixtureProvider, RouteUnavailable
 from itiguard.model import AirportCode, Itinerary, Stop, Timestamp
-from itiguard.validation import IssueKind, ProviderError, ValidationPolicy, validate
+from itiguard.validation import IssueKind, ValidationPolicy, validate
 from support import CountingProvider, random_itinerary
 
 
@@ -163,8 +163,10 @@ class TestUnresolvableRoutes:
         assert [i.kind for i in report.issues] == [IssueKind.ROUTE_DATA_UNAVAILABLE]
 
     def test_strict_mode_raises(self):
-        with pytest.raises(ProviderError):
+        with pytest.raises(RouteUnavailable) as failure:
             correct(self.itinerary(), FixtureProvider({}), ValidationPolicy(strict=True))
+        # The provider's error for the first leg, passed on unchanged.
+        assert type(failure.value) is RouteUnavailable and failure.value.route == ("AAA", "BBB")
 
 
 def apply_trace(itin: Itinerary, trace: CorrectionTrace) -> Itinerary:

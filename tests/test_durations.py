@@ -82,9 +82,6 @@ class TestRoutePair:
         with pytest.raises(ValueError):
             route("SYD", "SYD")
 
-    def test_str(self):
-        assert str(route("SYD", "FRA")) == "SYD->FRA"
-
 
 class TestFlightDuration:
     @pytest.mark.parametrize("minutes", [0, -5, 2881])

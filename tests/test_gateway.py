@@ -17,7 +17,6 @@ from itiguard.gateway import (
     ReplayClient,
     ResponsesExhausted,
     ScriptedClient,
-    feedback_for_error,
     generate_itinerary,
 )
 from itiguard.model import (
@@ -35,7 +34,6 @@ from itiguard.prompts import (
     INSUFFICIENT_STOPS_FEEDBACK,
     JSON_ERROR_FEEDBACK,
     TIME_FORMAT_FEEDBACK,
-    FeedbackKind,
     GenerationRequest,
     SplitTemplate,
     build_base_prompt,
@@ -77,23 +75,21 @@ class TestPromptGoldens:
         )
 
     def test_json_error_feedback(self, goldens_dir):
-        assert build_feedback(FeedbackKind.JSON_ERROR, generic_request()) == self.golden(
+        assert build_feedback(InvalidJsonError("bad"), generic_request()) == self.golden(
             goldens_dir, "feedback_json_error.txt"
         )
 
     def test_time_format_feedback(self, goldens_dir):
-        rendered = build_feedback(
-            FeedbackKind.TIME_FORMAT, generic_request(), place_label="Cairo (CAI)"
-        )
+        rendered = build_feedback(InvalidTimeFormatError("June 5th", "Cairo (CAI)"), generic_request())
         assert rendered == self.golden(goldens_dir, "feedback_time_format.txt")
 
     def test_insufficient_stops_feedback(self, goldens_dir):
-        assert build_feedback(FeedbackKind.INSUFFICIENT_STOPS, generic_request()) == self.golden(
+        assert build_feedback(InsufficientStopsError(4, 2), generic_request()) == self.golden(
             goldens_dir, "feedback_insufficient_stops.txt"
         )
 
     def test_time_format_feedback_without_label(self):
-        rendered = build_feedback(FeedbackKind.TIME_FORMAT, generic_request())
+        rendered = build_feedback(InvalidTimeFormatError("June 5th"), generic_request())
         assert "Error in time format for unknown." in rendered
 
 
@@ -222,18 +218,24 @@ class TestGenerationRequest:
         assert build_base_prompt(fixed_request()) == fixed
 
 
-class TestFeedbackForError:
-    def test_mapping(self):
+class TestBuildFeedback:
+    def test_text_by_error_class(self):
+        request = generic_request(num_destinations=3, city_pool=POOL[:3])
         cases = [
-            (InvalidJsonError("bad"), FeedbackKind.JSON_ERROR, None),
-            (InvalidTimeFormatError("June 5th", "Cairo (CAI)"), FeedbackKind.TIME_FORMAT, "Cairo (CAI)"),
-            (InvalidTimeFormatError("June 5th"), FeedbackKind.TIME_FORMAT, None),
-            (InsufficientStopsError(4, 2), FeedbackKind.INSUFFICIENT_STOPS, None),
-            (MissingFieldError("arrival_time", 1), FeedbackKind.JSON_ERROR, None),
-            (BadPlaceFormatError(0, "Sydney"), FeedbackKind.JSON_ERROR, None),
+            (InvalidJsonError("bad"), JSON_ERROR_FEEDBACK),
+            (
+                InvalidTimeFormatError("June 5th", "Cairo (CAI)"),
+                TIME_FORMAT_FEEDBACK.substitute(place_label="Cairo (CAI)"),
+            ),
+            (InvalidTimeFormatError("June 5th"), TIME_FORMAT_FEEDBACK.substitute(place_label="unknown")),
+            (InvalidTimeFormatError("June 5th", ""), TIME_FORMAT_FEEDBACK.substitute(place_label="unknown")),
+            # The stop count comes from the request, not from the error.
+            (InsufficientStopsError(4, 2), INSUFFICIENT_STOPS_FEEDBACK.substitute(num_destinations=3)),
+            (MissingFieldError("arrival_time", 1), JSON_ERROR_FEEDBACK),
+            (BadPlaceFormatError(0, "Sydney"), JSON_ERROR_FEEDBACK),
         ]
-        for error, kind, label in cases:
-            assert feedback_for_error(error) == (kind, label)
+        for error, text in cases:
+            assert build_feedback(error, request) == text
 
 
 class TestScriptedClient:
@@ -292,9 +294,7 @@ class TestGenerateItinerary:
         _, attempts = generate_itinerary(client, generic_request())
         assert attempts == 3
         base = build_base_prompt(generic_request())
-        expected = build_feedback(
-            FeedbackKind.TIME_FORMAT, generic_request(), place_label="Sydney (SYD)"
-        )
+        expected = TIME_FORMAT_FEEDBACK.substitute(place_label="Sydney (SYD)")
         assert client.prompts[2] == expected + base
         assert JSON_ERROR_FEEDBACK not in client.prompts[2]
 
@@ -316,7 +316,7 @@ class TestGenerateItinerary:
         client = ScriptedClient([json.dumps(doc), valid_text])
         _, attempts = generate_itinerary(client, generic_request())
         assert attempts == 2
-        expected = build_feedback(FeedbackKind.INSUFFICIENT_STOPS, generic_request())
+        expected = INSUFFICIENT_STOPS_FEEDBACK.substitute(num_destinations=4)
         assert client.prompts[1].startswith(expected)
 
 

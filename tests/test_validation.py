@@ -13,7 +13,6 @@ from itiguard.model import AirportCode, Itinerary, Stop, Timestamp
 from itiguard.validation import (
     Issue,
     IssueKind,
-    ProviderError,
     ValidationPolicy,
     ValidationReport,
     check_against_bounds,
@@ -225,8 +224,12 @@ class TestValidate:
                 make_stop("FRA", "2025-06-03 20:00", "2025-06-05 20:00"),
             )
         )
-        with pytest.raises(ProviderError):
+        with pytest.raises(RouteUnavailable) as failure:
             validate(itin, FixtureProvider({}), ValidationPolicy(strict=True))
+        # The provider's own error, not a copy: its route and text reach the caller.
+        assert type(failure.value) is RouteUnavailable and failure.value.__cause__ is None
+        assert failure.value.route == ("SYD", "FRA")
+        assert str(failure.value).startswith("no flight duration for SYD->FRA after 1 attempt(s): ")
 
     def test_report_serializes(self, sample_invalid, demo_provider):
         doc = validate(sample_invalid, demo_provider).to_dict()
@@ -350,11 +353,13 @@ class TestKnownRoutes:
         for itin in itineraries:
             try:
                 expected = validate(itin, DirectedProvider(table), strict)
-            except ProviderError as fresh:
-                with pytest.raises(ProviderError) as shared:
+            except RouteUnavailable as fresh:
+                with pytest.raises(RouteUnavailable) as shared:
                     validate(itin, memo, strict)
+                assert (shared.value.route, shared.value.attempts, shared.value.reason) == (
+                    fresh.route, fresh.attempts, fresh.reason
+                )
                 assert str(shared.value) == str(fresh)
-                assert type(shared.value.__cause__) is RouteUnavailable
                 raised += 1
             else:
                 assert validate(itin, memo, strict) == expected
@@ -380,23 +385,22 @@ class TestKnownRoutes:
         strict = ValidationPolicy(strict=True)
         counting = CountingProvider(FixtureProvider({("SYD", "FRA"): 60}))
         memo = CachedProvider(counting)
-        with pytest.raises(ProviderError) as first:
+        with pytest.raises(RouteUnavailable) as first:
             validate(itin, memo, strict)
-        failure = first.value.__cause__
-        assert type(failure) is RouteUnavailable and str(failure) == str(first.value)
+        failure = first.value
+        assert failure.route == ("FRA", "CAI") and failure.attempts == 1
         assert counting.calls == 2
-        # A later leg on the dead route raises a new error with the same text
-        # without a lookup.
-        with pytest.raises(ProviderError) as again:
+        # A later leg on the dead route raises a new error with the same
+        # route, attempts, reason and text without a lookup.
+        with pytest.raises(RouteUnavailable) as again:
             validate(itin, memo, strict)
         assert counting.calls == 2
-        assert again.value is not first.value
-        assert str(again.value) == str(first.value)
-        remembered = again.value.__cause__
-        assert type(remembered) is RouteUnavailable and remembered is not failure
+        remembered = again.value
+        assert remembered is not failure
         assert (remembered.route, remembered.attempts, remembered.reason) == (
             failure.route, failure.attempts, failure.reason
         )
+        assert str(remembered) == str(failure)
 
     def test_same_airport_legs_are_not_stored(self):
         itin = Itinerary(
