@@ -344,6 +344,12 @@ def cmd_bench(args: argparse.Namespace, config: AppConfig) -> int:
     return EXIT_VALID
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # Unlike argparse's own print_help, this lets a closed stdout raise, at the write or the flush.
+        print(self.format_help(), end="", file=file or sys.stdout, flush=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; keys mirror the defaults")
@@ -363,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--strict", action="store_true", default=None,
                         help="treat unresolvable routes as errors instead of skipping them")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="itiguard",
         description="Validate, correct, and generate multi-city flight itineraries.",
     )
@@ -412,18 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command; a failure that ends the run is mapped to its exit
     code here and nowhere else, with one 'error:' line on stderr."""
-    args = build_parser().parse_args(argv)
+    handlers = {"validate": cmd_validate, "correct": cmd_correct, "generate": cmd_generate, "bench": cmd_bench}
     try:
-        config = resolve_config(args)
-    except (OSError, ValueError) as err:
-        return _fail(f"bad configuration: {err}", EXIT_INPUT)
-    handlers = {
-        "validate": cmd_validate,
-        "correct": cmd_correct,
-        "generate": cmd_generate,
-        "bench": cmd_bench,
-    }
-    try:
+        args = build_parser().parse_args(argv)
+        try:
+            config = resolve_config(args)
+        except (OSError, ValueError) as err:
+            return _fail(f"bad configuration: {err}", EXIT_INPUT)
         code = handlers[args.command](args, config)
         sys.stdout.flush()
         return code

@@ -35,6 +35,7 @@ from typing import Callable, Mapping, Protocol
 from .model import (
     AirportCode,
     InvalidJsonError,
+    _new_tuple,
     cause_text,
     error_text,
     load_json,
@@ -200,15 +201,17 @@ def parse_duration_payload(body: bytes | str) -> FlightDuration:
             raise PayloadError("duration field is not an object")
     if "hours" not in value and "minutes" not in value:
         raise PayloadError("payload carries no hours/minutes fields")
+    # JSON's true and false are bools, not exact ints; the test of the total
+    # is FlightDuration's own check, so the record is built directly.
     total = 0
     for field, scale in (("hours", 60), ("minutes", 1)):
         raw = value.get(field, 0)
-        if isinstance(raw, bool) or not isinstance(raw, int) or not 0 <= raw <= MAX_FLIGHT_MINUTES:
+        if type(raw) is not int or not 0 <= raw <= MAX_FLIGHT_MINUTES:
             raise PayloadError(f"bad {field} value: {shorten(repr(raw))}")
         total += raw * scale
     if not 0 < total <= MAX_FLIGHT_MINUTES:
         raise PayloadError(f"implausible duration: {total} minutes")
-    return FlightDuration(total)
+    return _new_tuple(FlightDuration, (total,))
 
 
 # fetch(url, headers) -> raw response body; raises TransportError on failure
@@ -253,7 +256,7 @@ class RemoteDurationClient:
 
     def route_duration(self, route: tuple[AirportCode, AirportCode]) -> FlightDuration:
         origin, destination = route
-        url = f"{self._base_url}/{origin}/{destination}"
+        url = "/".join((self._base_url, origin, destination))
         headers = {"X-Api-Key": self._api_key} if self._api_key else {}
         last_reason = "no attempts made"
         for attempt in range(1, FETCH_ATTEMPTS + 1):
@@ -309,12 +312,12 @@ def _parse_cache(data: bytes, path: str | Path) -> dict[RoutePair, FlightDuratio
 
 
 def save_cache(cache: Mapping[tuple[AirportCode, AirportCode], FlightDuration], fd: int) -> None:
-    """Append sorted 'ORIGIN DEST minutes' lines to the file open as fd, in
-    one write: open it with O_APPEND, so each write lands at the end.
+    """Append sorted 'ORIGIN DEST minutes' lines, joined from the codes as
+    they are, to the file open as fd in one write (open it with O_APPEND).
     load_cache keeps the later of two lines for a route, so load(save(c))
     agrees with c on every route of c, and equals c when the file was new."""
     lines = sorted(
-        f"{origin} {destination} {duration.minutes}\n"
+        " ".join((origin, destination, str(duration.minutes))) + "\n"
         for (origin, destination), duration in cache.items()
     )
     data = "".join(lines).encode("utf-8")

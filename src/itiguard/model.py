@@ -57,6 +57,7 @@ _MINUTES_PER_DAY = 24 * 60
 _MEMO_SIZE = 2048
 # Longest place string the place memo keeps; longer ones are parsed uncached.
 _PLACE_KEY_LIMIT = 64
+_decode_json = json.JSONDecoder().decode
 
 QUOTE_LIMIT = 80
 # Bytes asked of each os.read in read_file (64 KiB); a longer file takes
@@ -287,12 +288,17 @@ def read_file(path: str | os.PathLike[str]) -> bytes:
 
 def load_json(text: str | bytes) -> object:
     """json.loads for text from outside the program; bytes must be UTF-8.
-    Whatever it cannot decode raises InvalidJsonError: bad syntax, bytes
-    that are not UTF-8, an integer past CPython's digit limit (all
+    A leading BOM is refused in json.loads's words; the rest goes to the
+    decoder json.loads would pick (_decode_json), without its option checks.
+    Whatever it cannot decode raises InvalidJsonError: bad syntax, a BOM,
+    bytes that are not UTF-8, an integer past CPython's digit limit (all
     ValueError) and nesting deeper than the recursion limit (RecursionError)."""
     try:
         # json.loads would guess UTF-16 or UTF-32 from the first bytes.
-        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+        text = text.decode("utf-8") if isinstance(text, bytes) else text
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _decode_json(text)
     except (ValueError, RecursionError) as err:
         raise InvalidJsonError(f"not valid JSON: {err}") from None
 

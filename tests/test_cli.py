@@ -1163,12 +1163,15 @@ class TestEntrypoint:
             ["generate", "--replay-dir", str(FIXTURES / "replay"), *DEMO_FLAGS],
             ["bench", str(FIXTURES / "corpus" / "manifest.json"), "--provider", "fixture",
              "--fixture-file", str(FIXTURES / "corpus" / "durations.txt")],
+            # argparse prints the help and exits before a command runs.
+            ["--help"],
+            pytest.param(["validate", "--help"], id="validate-help"),
         ],
         ids=lambda argv: argv[0],
     )
     def test_closed_stdout_exits_141_with_nothing_on_stderr(self, argv, unbuffered):
         # The read end is closed before the child starts, so its first write
-        # to stdout fails, whether it lands in print or in the final flush.
+        # to stdout fails, whether it lands in print or in a flush.
         read_end, write_end = os.pipe()
         os.close(read_end)
         env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}

@@ -203,6 +203,60 @@ class TestGreatCircle:
         assert str(exc.value) == "no flight duration for LHR->CDG after 1 attempt(s): no coordinates for airport CDG"
 
 
+# What a field may hold: a whole number in and around 0-2880, or the JSON
+# values that are not one (true and false included).
+field_values = st.one_of(
+    st.integers(-3000, 3000),
+    st.integers(0, 3000),
+    st.integers(0, 60),
+    st.sampled_from([-1, 1, 47, 48, 49, 2879, 2880, 2881]),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6),
+    st.text(alphabet="0123456789 h:", max_size=6),
+    st.none(),
+)
+
+
+@st.composite
+def payloads(draw) -> object:
+    """A flat or nested {"hours": H, "minutes": M} object, each field
+    possibly missing; now and then a null or non-object duration, or a
+    top-level value that is not an object."""
+    fields = {}
+    for field in ("hours", "minutes"):
+        if draw(st.integers(0, 4)):
+            fields[field] = draw(field_values)
+    shape = draw(st.sampled_from(["flat", "flat", "nested", "nested", "null", "list", "top-list"]))
+    if shape == "flat":
+        return fields
+    if shape == "nested":
+        return {"duration": fields, "ignored": 1}
+    if shape == "null":
+        return {"duration": None, **fields}
+    if shape == "list":
+        return {"duration": [fields]}
+    return [fields]
+
+
+def payload_oracle(doc: object) -> int | str:
+    """Total minutes of a usable payload, else the PayloadError text."""
+    if type(doc) is not dict:
+        return "payload is not a JSON object"
+    value = doc.get("duration", doc)
+    if "duration" in doc and value is None:
+        return "duration field is null"
+    if type(value) is not dict:
+        return "duration field is not an object"
+    if not {"hours", "minutes"} & value.keys():
+        return "payload carries no hours/minutes fields"
+    hours, minutes = value.get("hours", 0), value.get("minutes", 0)
+    for field, raw in (("hours", hours), ("minutes", minutes)):
+        if type(raw) is not int or raw < 0 or raw > 2880:
+            return f"bad {field} value: {raw!r}"
+    total = hours * 60 + minutes
+    return total if 1 <= total <= 2880 else f"implausible duration: {total} minutes"
+
+
 class TestPayload:
     def test_flat(self):
         assert parse_duration_payload('{"hours": 10, "minutes": 30}').minutes == 630
@@ -251,6 +305,20 @@ class TestPayload:
         # 48 h and 1 min pass their own checks; 2881 minutes in all do not.
         with pytest.raises(PayloadError, match="2881"):
             parse_duration_payload('{"hours": 48, "minutes": 1}')
+
+    @settings(max_examples=600, deadline=None)
+    @given(payloads(), st.booleans())
+    def test_agrees_with_the_oracle(self, doc, as_bytes):
+        body = json.dumps(doc)
+        expected = payload_oracle(doc)
+        try:
+            result = parse_duration_payload(body.encode("utf-8") if as_bytes else body)
+        except PayloadError as err:
+            assert str(err) == expected
+        else:
+            assert type(result) is FlightDuration
+            assert result == FlightDuration(expected)
+            assert type(result.minutes) is int
 
 
 class FlakyFetch:

@@ -455,6 +455,53 @@ class TestParseItinerary:
             assert parse_itinerary(render_itinerary(itin), len(itin)) == itin
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def json_inputs(draw) -> str:
+    """A JSON document, or arbitrary text, with an optional leading BOM,
+    surrounding whitespace and trailing data; empty text included."""
+    body = draw(st.one_of(json_values.map(json.dumps), st.text(max_size=12), st.just("")))
+    space = st.text(alphabet=" \t\n\r", max_size=2)
+    bom = draw(st.sampled_from(["", "", "\ufeff"]))
+    trailing = draw(st.sampled_from(["", "", "x", " 1", "{}", "]", "\ufeff"]))
+    return bom + draw(space) + body + draw(space) + trailing
+
+
+def json_outcome(load, text, refusals=(ValueError, RecursionError)) -> str:
+    """The repr of what load returns, or the text of the refusal it raises;
+    repr tells 1 from 1.0 and True and shows a NaN equal to itself."""
+    try:
+        return repr(load(text))
+    except refusals as err:
+        return f"error: {err}"
+
+
+class TestLoadJson:
+    @settings(max_examples=500, deadline=None)
+    @given(json_inputs())
+    def test_agrees_with_json_loads(self, text):
+        expected = json_outcome(json.loads, text)
+        if expected.startswith("error: "):
+            expected = f"error: not valid JSON: {expected[7:]}"
+        assert json_outcome(load_json, text, InvalidJsonError) == expected
+        # The same text as UTF-8 bytes; hypothesis draws no lone surrogates.
+        assert json_outcome(load_json, text.encode("utf-8"), InvalidJsonError) == expected
+
+    @pytest.mark.parametrize("text", ["\ufeff{}", b"\xef\xbb\xbf{}", "\ufeff", b"\xef\xbb\xbf[1, 2]"])
+    def test_leading_bom_is_refused_in_json_loads_words(self, text):
+        with pytest.raises(InvalidJsonError) as exc:
+            load_json(text)
+        assert str(exc.value) == (
+            "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+        )
+
+
 SYD = AirportCode("SYD")
 
 
