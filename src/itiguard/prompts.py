@@ -10,10 +10,12 @@ deliberately.
 Each template is split once, when the module loads, into literal pieces and
 placeholder names (SplitTemplate); a prompt is the pieces joined with the
 values in between, the text string.Template.substitute gives without
-scanning the template again. A request checks its pools when it is built:
-every name is a str and every code an AirportCode, so equal pools give
-equal text, and the city list and the route are memoised on the pool in a
-small lru_cache.
+scanning the template again. A request checks every field when it is
+built: the count is an int, the window bounds are dates, every name is a
+str and every code an AirportCode. So equal requests give equal text, and
+build_base_prompt is an lru_cache keyed on the request that keeps the
+text of the 16 distinct requests used last: a run that generates many
+itineraries from one request builds its prompt once.
 
 Note the templates intentionally disagree with the validator in two places:
 they ask the model for a 1 hour transit buffer (the validator enforces 4)
@@ -186,10 +188,17 @@ def _checked_cities(cities) -> tuple[tuple[str, AirportCode], ...]:
     """cities as (name, code) pairs of a str and an AirportCode. An entry
     that already is one is kept as the same object, since tuple() of a
     tuple returns it."""
+    try:
+        entries = iter(cities)
+    except TypeError:
+        raise ValueError(f"expected (name, iata) pairs, got {cities!r}") from None
     out = []
-    for entry in cities:
+    for entry in entries:
         # A two-character string would otherwise pass as a pair.
-        pair = () if isinstance(entry, (str, bytes)) else tuple(entry)
+        try:
+            pair = () if isinstance(entry, (str, bytes)) else tuple(entry)
+        except TypeError:
+            pair = ()
         if len(pair) != 2:
             raise ValueError(f"expected (name, iata) pairs, got {entry!r}")
         name, code = pair
@@ -210,7 +219,9 @@ class GenerationRequest(
     model picks freely from city_pool. Every sequence entry must come from
     the pool. Each entry of either is a (name, code) pair whose name is a
     str and whose code is a valid IATA code; a code that is not yet an
-    AirportCode is made one.
+    AirportCode is made one. num_destinations is an int (not a bool or a
+    float) and the window bounds are dates (not datetimes), so requests
+    that compare equal print the same prompt.
     """
 
     __slots__ = ()
@@ -223,6 +234,11 @@ class GenerationRequest(
         window_end: date,
         fixed_sequence: tuple[tuple[str, AirportCode], ...] | None = None,
     ):
+        if type(num_destinations) is not int:
+            raise ValueError(f"num_destinations must be an int, got {num_destinations!r}")
+        for name, bound in (("window_start", window_start), ("window_end", window_end)):
+            if type(bound) is not date:
+                raise ValueError(f"{name} must be a date, got {bound!r}")
         city_pool = _checked_cities(city_pool)
         if fixed_sequence is not None:
             fixed_sequence = _checked_cities(fixed_sequence)
@@ -244,14 +260,15 @@ class GenerationRequest(
         return tuple.__new__(cls, (num_destinations, city_pool, window_start, window_end, fixed_sequence))
 
 
-@lru_cache(maxsize=16)
 def _pairs_str(separator: str, pairs: tuple[tuple[str, AirportCode], ...]) -> str:
     return separator.join(f"{name} ({code})" for name, code in pairs)
 
 
+@lru_cache(maxsize=16)
 def build_base_prompt(request: GenerationRequest) -> str:
     """The first prompt for a request: the pre-defined-route template when it
-    has a fixed_sequence, the free-choice template otherwise."""
+    has a fixed_sequence, the free-choice template otherwise. Memoised on
+    the request, which is immutable and prints the same when equal."""
     cities_str = _pairs_str(", ", request.city_pool)
     if request.fixed_sequence is None:
         return GENERIC_PROMPT.substitute(

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import json
-from datetime import date
+from datetime import date, datetime, timedelta
 from string import Template
 
 import pytest
@@ -9,7 +9,6 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itiguard import prompts
 from itiguard.gateway import (
     API_KEY_ENV,
     GenerationFailed,
@@ -23,10 +22,12 @@ from itiguard.model import (
     QUOTE_LIMIT,
     AirportCode,
     BadPlaceFormatError,
+    FormatError,
     InsufficientStopsError,
     InvalidJsonError,
     InvalidTimeFormatError,
     MissingFieldError,
+    parse_itinerary,
 )
 from itiguard.prompts import (
     FIXED_SEQUENCE_PROMPT,
@@ -155,21 +156,91 @@ class TestCityListMemo:
             generic_request(fixed_sequence=(entry, *POOL[1:]))
 
     def test_str_and_airport_code_pools_render_alike(self):
+        # The two requests are equal, so the second is a hit on the first's entry.
         codes = tuple((name, AirportCode(code)) for name, code in POOL)
-        plain = build_base_prompt(generic_request())
-        assert build_base_prompt(generic_request(city_pool=codes)) == plain
-        assert build_base_prompt(
-            generic_request(city_pool=codes, fixed_sequence=codes)
-        ) == build_base_prompt(fixed_request())
+        for plain, coded in [
+            (generic_request(), generic_request(city_pool=codes)),
+            (fixed_request(), generic_request(city_pool=codes, fixed_sequence=codes)),
+        ]:
+            text = build_base_prompt(plain)
+            before = build_base_prompt.cache_info()
+            assert build_base_prompt(coded) == text
+            after = build_base_prompt.cache_info()
+            assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     def test_memo_is_bounded(self):
-        assert prompts._pairs_str.cache_info().maxsize is not None
+        assert build_base_prompt.cache_info().maxsize == 16
 
     def test_checked_entries_are_kept_as_the_same_objects(self):
         codes = tuple((name, AirportCode(code)) for name, code in POOL)
         request = generic_request(city_pool=codes, fixed_sequence=codes)
         for pool in (request.city_pool, request.fixed_sequence):
             assert all(kept is entry for kept, entry in zip(pool, codes, strict=True))
+
+
+def oracle_prompt(request: GenerationRequest) -> str:
+    """The base prompt through string.Template, from the request's fields."""
+    def pairs(separator, entries):
+        return separator.join(f"{name} ({code})" for name, code in entries)
+
+    if request.fixed_sequence is None:
+        return Template(GENERIC_PROMPT.template).substitute(
+            num_destinations=request.num_destinations,
+            cities_str=pairs(", ", request.city_pool),
+            date_start=request.window_start.isoformat(),
+            date_end=request.window_end.isoformat(),
+        )
+    name, code = request.fixed_sequence[0]
+    return Template(FIXED_SEQUENCE_PROMPT.template).substitute(
+        num_destinations=request.num_destinations,
+        fixed_route_str=pairs(" -> ", request.fixed_sequence),
+        cities_str=pairs(", ", request.city_pool),
+        example_place=name,
+        example_iata=code,
+    )
+
+
+CODES = st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ", min_size=3, max_size=3)
+POOLS = st.lists(st.tuples(st.text(max_size=6), CODES), min_size=1, max_size=6)
+
+
+@st.composite
+def request_sets(draw) -> list[GenerationRequest]:
+    """For one or two pools, with codes as strs or as AirportCodes: a generic
+    request, and maybe a fixed-sequence one, for every count from 2 to 8 in
+    each of three windows. That is more distinct requests than the memo
+    keeps, and many share a pool, a count or a window. Returned in a drawn
+    order."""
+    requests = []
+    for pool in draw(st.lists(POOLS, min_size=1, max_size=2)):
+        if draw(st.booleans()):
+            pool = [(name, AirportCode(code)) for name, code in pool]
+        first = draw(st.dates(date(2024, 1, 1), date(2027, 12, 31)))
+        second = first + timedelta(days=draw(st.integers(1, 90)))
+        for start, end in ((first, first), (first, second), (second, second)):
+            for count in range(2, 9):
+                requests.append(GenerationRequest(count, pool, start, end))
+                sequence = draw(st.none() | st.lists(st.sampled_from(pool), min_size=count, max_size=count))
+                if sequence is not None:
+                    requests.append(GenerationRequest(count, pool, start, end, sequence))
+    return draw(st.permutations(requests))
+
+
+class TestPromptMemo:
+    """build_base_prompt keeps one entry per distinct request, and each is
+    the text string.Template gives for that request."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(requests=request_sets())
+    def test_equals_string_template_through_evictions(self, requests):
+        # Every request twice over, from an empty memo: the second call in a
+        # row is a hit, and each pass evicts.
+        build_base_prompt.cache_clear()
+        for request in requests * 2:
+            expected = oracle_prompt(request)
+            assert build_base_prompt(request) == expected
+            assert build_base_prompt(request) == expected
+        assert build_base_prompt.cache_info().currsize == build_base_prompt.cache_info().maxsize
 
 
 class TestGenerationRequest:
@@ -206,6 +277,38 @@ class TestGenerationRequest:
             GenerationRequest(2, (entry, ("Cairo", "CAI")), WINDOW[0], WINDOW[1])
         with pytest.raises(ValueError, match="expected \\(name, iata\\) pairs"):
             generic_request(fixed_sequence=(entry, *POOL[1:4]))
+
+    @pytest.mark.parametrize("count", [2.0, 3.5, True], ids=["float", "fraction", "bool"])
+    def test_count_must_be_an_int(self, count):
+        with pytest.raises(ValueError) as exc:
+            generic_request(num_destinations=count)
+        assert str(exc.value) == f"num_destinations must be an int, got {count!r}"
+
+    @pytest.mark.parametrize("field", ["window_start", "window_end"])
+    @pytest.mark.parametrize(
+        "bound",
+        ["2025-06-01", datetime(2025, 6, 1, 12, 0), None],
+        ids=["str", "datetime", "none"],
+    )
+    def test_window_bounds_must_be_dates(self, field, bound):
+        with pytest.raises(ValueError) as exc:
+            generic_request(**{field: bound})
+        assert str(exc.value) == f"{field} must be a date, got {bound!r}"
+
+    @pytest.mark.parametrize(
+        "pool, sequence",
+        [
+            (5, None),
+            ([5, ("Cairo", "CAI")], None),
+            (POOL, 5),
+            (POOL, [*POOL[:3], 5]),
+        ],
+        ids=["pool", "pool-entry", "sequence", "sequence-entry"],
+    )
+    def test_non_iterable_pool_or_entry(self, pool, sequence):
+        with pytest.raises(ValueError) as exc:
+            generic_request(city_pool=pool, fixed_sequence=sequence)
+        assert str(exc.value) == "expected (name, iata) pairs, got 5"
 
     def test_lists_normalized_to_tuples(self):
         request = GenerationRequest(4, [list(c) for c in POOL], WINDOW[0], WINDOW[1])
@@ -303,6 +406,26 @@ class TestGenerateItinerary:
         itinerary, attempts = generate_itinerary(client, generic_request())
         assert attempts == 1
         assert len(itinerary) == 4
+
+    @pytest.mark.parametrize("kind", ["json", "time", "stops"])
+    def test_equal_requests_send_the_same_base_prompt(self, kind, valid_text, goldens_dir):
+        doc = json.loads(valid_text)
+        if kind == "time":
+            doc["itinerary"][0]["arrival_time"] = "June 7th, 10am"
+        elif kind == "stops":
+            doc["itinerary"] = doc["itinerary"][:2]
+        malformed = valid_text[: len(valid_text) // 2] if kind == "json" else json.dumps(doc)
+        with pytest.raises(FormatError) as exc:
+            parse_itinerary(malformed, expected_stops=4)
+        base = (goldens_dir / "prompt_generic.txt").read_text(encoding="utf-8")
+        sent = []
+        for _ in range(2):
+            request = generic_request()
+            client = ScriptedClient([malformed, valid_text])
+            assert generate_itinerary(client, request)[1] == 2
+            sent.append([prompt.encode() for prompt in client.prompts])
+        expected = [base.encode(), (build_feedback(exc.value, generic_request()) + base).encode()]
+        assert sent == [expected, expected]
 
     def test_zero_retries(self):
         client = ScriptedClient(["x"])

@@ -52,6 +52,8 @@ CHECKED = [
     (lambda: ValidationPolicy(max_multiplier=NAN), "max_multiplier nan is not finite or too large"),
     (lambda: ValidationPolicy(max_multiplier=INF), "max_multiplier inf is not finite or too large"),
     (lambda: Adjustment(3, ARRIVAL, T0, T0, IssueKind.OVERLAP), "adjustment at stop 3 changes nothing"),
+    (lambda: GenerationRequest(1.0, ("ab",), "2025-06-01", JUNE_30), "num_destinations must be an int, got 1.0"),
+    (lambda: GenerationRequest(1, ("ab",), JUNE_1, "2025-06-30"), "window_end must be a date, got '2025-06-30'"),
     (lambda: GenerationRequest(1, ("ab",), JUNE_1, JUNE_30), "expected (name, iata) pairs, got 'ab'"),
     (lambda: GenerationRequest(1, (), JUNE_30, JUNE_1), "an itinerary needs at least 2 destinations, got 1"),
     (lambda: GenerationRequest(2, (), JUNE_30, JUNE_1), "city_pool must not be empty"),
