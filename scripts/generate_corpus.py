@@ -25,7 +25,7 @@ import json
 import random
 from pathlib import Path
 
-from itiguard import AirportCode, Itinerary, Stop, Timestamp, render_itinerary
+from itiguard import AirportCode, Itinerary, Stop, parse_timestamp, render_itinerary
 
 SEED = 20250819
 BUFFER_MINUTES = 4 * 60
@@ -53,11 +53,11 @@ GROUPS = [
 def build_itinerary(rng: random.Random, durations: dict, bad_segments: int) -> Itinerary:
     cities = rng.sample(CITIES, STOPS)
     bad_indices = set(rng.sample(range(STOPS - 1), bad_segments))
-    start = Timestamp.parse("2025-06-01 06:00")
-    arrival = Timestamp(start + rng.randint(0, 20) * 1440 + rng.randint(0, 23) * 60)
+    start = parse_timestamp("2025-06-01 06:00")
+    arrival = start + rng.randint(0, 20) * 1440 + rng.randint(0, 23) * 60
     stops = []
     for i, (name, code) in enumerate(cities):
-        departure = Timestamp(arrival + STAY_MINUTES)
+        departure = arrival + STAY_MINUTES
         stops.append(Stop(name, AirportCode(code), arrival, departure))
         if i < STOPS - 1:
             key = frozenset((code, cities[i + 1][1]))
@@ -68,7 +68,7 @@ def build_itinerary(rng: random.Random, durations: dict, bad_segments: int) -> I
                 gap = t_min - 60
             else:
                 gap = 2 * t_min + 60
-            arrival = Timestamp(departure + gap)
+            arrival = departure + gap
     return Itinerary(tuple(stops))
 
 

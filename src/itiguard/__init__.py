@@ -10,7 +10,8 @@ metrics, and a CLI. The rest of the API lives in the submodules
 """
 
 from .durations import FixtureProvider
-from .model import AirportCode, Itinerary, Stop, Timestamp, parse_itinerary, render_itinerary
+from .model import AirportCode, Itinerary, Stop, parse_itinerary, render_itinerary
+from .model import format_timestamp, parse_timestamp
 
 __version__ = "0.1.0"
 
@@ -19,7 +20,8 @@ __all__ = [
     "FixtureProvider",
     "Itinerary",
     "Stop",
-    "Timestamp",
+    "format_timestamp",
     "parse_itinerary",
+    "parse_timestamp",
     "render_itinerary",
 ]

@@ -6,15 +6,14 @@ outgoing leg is checked against its transit bounds using that updated
 departure. A leg that is too short, overlapping, or too long gets its
 arrival pinned to departure + t_min, which satisfies both bounds. Because
 each stop's arrival is final before its stay is examined, a single pass
-leaves no violations. Timestamps are ints, so the pass subtracts them as
-they are, and which stop or leg breaks which rule is decided by the
-validator's int rule functions, stay_violation / segment_violation; this
-module only decides how to fix it. The pass builds the corrected stops as
-it goes: a Timestamp is built only for an Adjustment's new value, and an
-untouched stop or timestamp is reused as it is. Each Adjustment goes
-through its constructor, which refuses a new value outside the years the
-wire form can spell and names the stop and field; the other records are
-built with model._new_tuple.
+leaves no violations. Timestamps are plain int minutes, so the pass adds
+and subtracts them as they are, and which stop or leg breaks which rule is
+decided by the validator's int rule functions, stay_violation /
+segment_violation; this module only decides how to fix it. The pass
+builds the corrected stops as it goes, reusing each untouched stop as it
+is. Each Adjustment goes through its constructor, which refuses a new
+value outside the years the wire form can spell and names the stop and
+field; the other records are built with model._new_tuple.
 
 correct() is the one repair entry point. It resolves the per-leg list of
 (t_min, t_max) pairs through resolve_segment_bounds, makes the pass, and
@@ -37,7 +36,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .durations import DurationProvider
-from .model import _MAX_MINUTES, _MIN_MINUTES, Itinerary, Stop, Timestamp, _new_tuple
+from .model import _MAX_MINUTES, _MIN_MINUTES, Itinerary, Stop, _new_tuple, format_timestamp
 from .validation import (
     IssueKind,
     ValidationPolicy,
@@ -71,7 +70,7 @@ class Adjustment(namedtuple("Adjustment", "stop_index field old new reason")):
 
     __slots__ = ()
 
-    def __new__(cls, stop_index: int, field: TimeField, old: Timestamp, new: Timestamp, reason: IssueKind):
+    def __new__(cls, stop_index: int, field: TimeField, old: int, new: int, reason: IssueKind):
         if new == old:
             raise ValueError(f"adjustment at stop {stop_index} changes nothing")
         if not _MIN_MINUTES <= new <= _MAX_MINUTES:
@@ -85,8 +84,8 @@ class Adjustment(namedtuple("Adjustment", "stop_index field old new reason")):
         return {
             "stop_index": self.stop_index,
             "field": self.field.value,
-            "old": self.old.text(),
-            "new": self.new.text(),
+            "old": format_timestamp(self.old),
+            "new": format_timestamp(self.new),
             "reason": self.reason.value,
         }
 
@@ -128,12 +127,12 @@ def _adjustment_pass(
                 t_min, t_max = leg
                 kind = segment_violation(arrival - departure, t_min, t_max)
                 if kind:
-                    arrival = Timestamp(departure + t_min)
+                    arrival = departure + t_min
                     out.append(Adjustment(i, _ARRIVAL, stop.arrival, arrival, kind))
         departure = stop.departure
         kind = stay_violation(departure - arrival, policy)
         if kind:
-            departure = Timestamp(arrival + policy.min_stay_minutes)
+            departure = arrival + policy.min_stay_minutes
             out.append(Adjustment(i, _DEPARTURE, stop.departure, departure, kind))
         corrected.append(
             stop

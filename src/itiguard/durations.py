@@ -90,12 +90,12 @@ class RoutePair(namedtuple("RoutePair", "origin destination")):
 
 
 class FlightDuration(namedtuple("FlightDuration", "minutes")):
-    """Minimum flight duration in minutes, 0 < minutes <= 48h."""
+    """Minimum flight duration in minutes, an exact int with 0 < minutes <= 48h."""
 
     __slots__ = ()
 
     def __new__(cls, minutes: int):
-        if not isinstance(minutes, int) or not 0 < minutes <= MAX_FLIGHT_MINUTES:
+        if type(minutes) is not int or not 0 < minutes <= MAX_FLIGHT_MINUTES:
             raise ValueError(f"implausible flight duration: {minutes!r} minutes")
         return tuple.__new__(cls, (minutes,))
 
@@ -113,8 +113,11 @@ class FixtureProvider:
     """
 
     def __init__(self, table: Mapping[tuple[str, str], int]):
-        # Each entry is validated once here and its FlightDuration served as is.
-        self._table = {(o, d): FlightDuration(int(m)) for (o, d), m in table.items()}
+        # Each entry is checked once here, as a fixture file line is, and
+        # its FlightDuration served as is.
+        self._table = {
+            RoutePair(AirportCode(o), AirportCode(d)): FlightDuration(m) for (o, d), m in table.items()
+        }
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FixtureProvider":

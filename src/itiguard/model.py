@@ -17,7 +17,7 @@ half goes through one memo per direction, an lru_cache of at most
 _MEMO_SIZE (2048) entries filled lazily; the dates of one itinerary sit in
 one travel window, so the memos nearly always hit. Only on a miss does
 datetime.date check and convert the date; a rejected date is memoised as
-None, so it is rejected again. Timestamp.parse and the stop loop of
+None, so it is rejected again. parse_timestamp and the stop loop of
 parse_itinerary share the one lookup, _wire_minutes.
 
 Places repeat as often as dates do, so parse_place memoises the split of a
@@ -26,9 +26,9 @@ raw string, a rejected place memoised as None. Only a str of at most
 _PLACE_KEY_LIMIT (64) characters is looked up; a longer one is split
 uncached, so the memo never holds a large string from outside.
 
-Records are tuples, timestamps are ints and airport codes are strs, built
-by one rule: a value from outside the package is checked where it enters,
-and the record is then built directly (see _new_tuple below).
+Records are tuples, timestamps are plain ints and airport codes are strs,
+built by one rule: a value from outside the package is checked where it
+enters, and the record is then built directly (see _new_tuple below).
 
 Every whole input file the package reads (itinerary, manifest, config,
 duration table, cache, recorded response) comes through read_file.
@@ -190,28 +190,22 @@ class BadPlaceFormatError(FormatError):
         super().__init__(f"stop {stop_index} place {shorten(repr(raw))} does not match 'City Name (IATA)'")
 
 
-class Timestamp(int):
-    """A UTC instant at minute resolution: an int counting minutes since
-    1970, so two timestamps subtract to a signed int duration."""
+def parse_timestamp(text: str) -> int:
+    """Minutes since 1970 of the wire form 'YYYY-MM-DD HH:MM'; raises
+    InvalidTimeFormatError for anything else."""
+    minutes = _wire_minutes(text)
+    if minutes is None:
+        raise InvalidTimeFormatError(text)
+    return minutes
 
-    __slots__ = ()
 
-    @classmethod
-    def parse(cls, text: str) -> "Timestamp":
-        minutes = _wire_minutes(text)
-        if minutes is None:
-            raise InvalidTimeFormatError(text)
-        return cls(minutes)
-
-    def text(self) -> str:
-        """Wire form; raises ValueError outside the years 0001-9999 it can spell."""
-        if not _MIN_MINUTES <= self <= _MAX_MINUTES:
-            raise ValueError(f"timestamp {self:d} minutes from 1970 is outside years 0001-9999")
-        days, minute_of_day = divmod(self, _MINUTES_PER_DAY)
-        return f"{_date_text(days)} {_CLOCK_TEXTS[minute_of_day]}"
-
-    def __str__(self) -> str:
-        return self.text()
+def format_timestamp(minutes: int) -> str:
+    """Wire form of minutes since 1970; raises ValueError outside the years
+    0001-9999 it can spell."""
+    if not _MIN_MINUTES <= minutes <= _MAX_MINUTES:
+        raise ValueError(f"timestamp {minutes:d} minutes from 1970 is outside years 0001-9999")
+    days, minute_of_day = divmod(minutes, _MINUTES_PER_DAY)
+    return f"{_date_text(days)} {_CLOCK_TEXTS[minute_of_day]}"
 
 
 class AirportCode(str):
@@ -238,8 +232,8 @@ class Stop(NamedTuple):
 
     place_name: str
     airport: AirportCode
-    arrival: Timestamp
-    departure: Timestamp
+    arrival: int
+    departure: int
 
     @property
     def place(self) -> str:
@@ -330,9 +324,8 @@ def parse_place(raw: object, stop_index: int) -> tuple[str, AirportCode]:
 # A record that checks its values is a namedtuple subclass whose __new__ runs
 # the checks and then returns tuple.__new__ (_make and _replace skip them);
 # AirportCode, the one checked value that is not a record, is a str subclass
-# built the same way through str.__new__. Timestamp is an int subclass with
-# no check of its own: Timestamp.parse checks the wire text, and
-# Timestamp(minutes) wraps minutes the package computed.
+# built the same way through str.__new__. A timestamp is a plain int:
+# parse_timestamp checks the wire text, and format_timestamp the range.
 # Where the caller has just established a record's invariant, _new_tuple
 # builds it with no Python-level __new__ frame; a value from outside the
 # package never reaches a record this way before that record's check.
@@ -383,9 +376,7 @@ def parse_itinerary(text: str | bytes, expected_stops: int | None) -> Itinerary:
         departure_minutes = _wire_minutes(departure)
         if departure_minutes is None:
             raise InvalidTimeFormatError(departure, place_label=place)
-        stops.append(
-            _new_tuple(Stop, (name, airport, Timestamp(arrival_minutes), Timestamp(departure_minutes)))
-        )
+        stops.append(_new_tuple(Stop, (name, airport, arrival_minutes, departure_minutes)))
     return Itinerary(tuple(stops))
 
 
@@ -401,8 +392,8 @@ def render_itinerary(itin: Itinerary) -> str:
     """
     stops = ",\n".join(
         f'    {{\n      "place": {encode_basestring_ascii(f"{stop.place_name} ({stop.airport})")},\n'
-        f'      "arrival_time": "{stop.arrival.text()}",\n'
-        f'      "departure_time": "{stop.departure.text()}"\n    }}'
+        f'      "arrival_time": "{format_timestamp(stop.arrival)}",\n'
+        f'      "departure_time": "{format_timestamp(stop.departure)}"\n    }}'
         for stop in itin.stops
     )
     return f'{{\n  "itinerary": [\n{stops}\n  ]\n}}'

@@ -18,9 +18,9 @@ they take int minutes and name the broken rule. check_against_bounds turns
 their answer into an Issue, and the correction pass asks them directly.
 
 ValidationPolicy holds numbers from flags and config, so its constructor
-checks them; the per-leg records are built with model._new_tuple, and each
-leg's route is handed to the provider as a plain (origin, destination)
-pair of codes.
+checks them, its minutes as exact ints; the per-leg records are built
+with model._new_tuple, and each leg's route is handed to the provider as
+a plain (origin, destination) pair of codes.
 
 Transit bounds: a leg's window is a plain (t_min, t_max) pair of int
 minutes. t_min = flight + buffer is the minimum feasible door-to-door time,
@@ -106,6 +106,10 @@ class ValidationPolicy(
         max_multiplier: float = 2.0,
         strict: bool = False,
     ):
+        # Minutes are added to timestamps, which must stay exact ints.
+        for name, minutes in (("min_stay_minutes", min_stay_minutes), ("buffer_minutes", buffer_minutes)):
+            if type(minutes) is not int:
+                raise ValueError(f"{name} must be an int, got {minutes!r}")
         if min_stay_minutes <= 0:
             raise ValueError("min_stay must be positive")
         if min_stay_minutes > _MAX_POLICY_MINUTES:
@@ -222,10 +226,10 @@ def check_against_bounds(
     bounds is what resolve_segment_bounds returned for an itinerary with the
     same airports in the same order; no provider is consulted. A None entry
     makes its leg unverifiable, and a ROUTE_DATA_UNAVAILABLE issue when the
-    leg joins an airport to itself. Timestamps subtract to int minutes,
-    which stay_violation / segment_violation compare; an Issue is built
-    only for a violation, and its required value is t_max for
-    TRANSIT_TOO_LONG and t_min for the other leg kinds.
+    leg joins an airport to itself. Timestamps are int minutes, so they
+    subtract to the durations stay_violation / segment_violation compare;
+    an Issue is built only for a violation, and its required value is
+    t_max for TRANSIT_TOO_LONG and t_min for the other leg kinds.
     """
     stops = itin.stops
     min_stay = policy.min_stay_minutes

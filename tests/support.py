@@ -5,7 +5,7 @@ that compare package output against them are cross-checking two separate
 implementations, so nothing here may call into itiguard.validation logic
 beyond constructing the Issue values used for comparison. The parse oracle
 is the stop loop as it was before places were memoised and the timestamp
-lookups inlined: one uncached parse_place and one Timestamp.parse per field.
+lookups inlined: one uncached parse_place and one parse_timestamp per field.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 import re
 import string
 
-from itiguard import AirportCode, FixtureProvider, Itinerary, Stop, Timestamp
+from itiguard import AirportCode, FixtureProvider, Itinerary, Stop, parse_timestamp
 from itiguard.model import (
     BadPlaceFormatError,
     InsufficientStopsError,
@@ -55,7 +55,7 @@ def raise_refused(path: str) -> None:
         raise requests.ConnectionError(REFUSED.format(path=path))
 
 
-BASE = Timestamp.parse("2025-06-01 00:00")
+BASE = parse_timestamp("2025-06-01 00:00")
 WINDOW_MINUTES = 30 * 24 * 60
 
 GOLDEN_TABLE = {("SYD", "FRA"): 1020, ("FRA", "CAI"): 60, ("CAI", "CMN"): 60}
@@ -108,7 +108,7 @@ def oracle_parse_itinerary(text: str | bytes, expected_stops: int | None) -> Iti
         times = []
         for field in ("arrival_time", "departure_time"):
             try:
-                times.append(Timestamp.parse(item[field]))
+                times.append(parse_timestamp(item[field]))
             except InvalidTimeFormatError as err:
                 raise InvalidTimeFormatError(err.raw, place_label=item["place"]) from None
         stops.append(Stop(name, airport, times[0], times[1]))
@@ -156,8 +156,8 @@ def random_itinerary(
     codes = random_airport_codes(rng, n)
     stops = []
     for code in codes:
-        arrival = Timestamp(BASE + rng.randint(0, WINDOW_MINUTES))
-        departure = Timestamp(BASE + rng.randint(0, WINDOW_MINUTES))
+        arrival = BASE + rng.randint(0, WINDOW_MINUTES)
+        departure = BASE + rng.randint(0, WINDOW_MINUTES)
         stops.append(Stop(f"City {code}", AirportCode(code), arrival, departure))
     table: dict[tuple[str, str], int] = {}
     for a, b in zip(codes, codes[1:]):
@@ -210,8 +210,8 @@ def random_corpus(
             Stop(
                 f"City {code}",
                 AirportCode(code),
-                Timestamp(BASE + rng.randint(0, WINDOW_MINUTES)),
-                Timestamp(BASE + rng.randint(0, WINDOW_MINUTES)),
+                BASE + rng.randint(0, WINDOW_MINUTES),
+                BASE + rng.randint(0, WINDOW_MINUTES),
             )
             for code in stop_codes
         ]

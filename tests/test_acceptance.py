@@ -33,8 +33,8 @@ from itiguard.model import (
     InvalidTimeFormatError,
     Itinerary,
     Stop,
-    Timestamp,
     parse_itinerary,
+    parse_timestamp,
     render_itinerary,
 )
 from itiguard.prompts import (
@@ -332,12 +332,12 @@ def test_criterion_9_latency():
         table[(a, b)] = 300
     provider = FixtureProvider(table)
     stops = []
-    arrival = Timestamp.parse("2025-06-01 08:00")
+    arrival = parse_timestamp("2025-06-01 08:00")
     for i, code in enumerate(codes):
         # Stays of one day and one-hour hops: plenty to correct.
-        departure = Timestamp(arrival + 24 * 60)
+        departure = arrival + 24 * 60
         stops.append(Stop(f"City {i}", AirportCode(code), arrival, departure))
-        arrival = Timestamp(departure + 60)
+        arrival = departure + 60
     itin = Itinerary(tuple(stops))
 
     best = float("inf")

@@ -18,7 +18,7 @@ import pytest
 
 from itiguard.correction import Adjustment, CorrectionTrace, TimeField, correct
 from itiguard.durations import FixtureProvider, FlightDuration, RoutePair
-from itiguard.model import AirportCode, Itinerary, Stop, Timestamp, parse_itinerary, render_itinerary
+from itiguard.model import AirportCode, Itinerary, Stop, parse_itinerary, parse_timestamp, render_itinerary
 from itiguard.prompts import GenerationRequest
 from itiguard.validation import (
     Issue,
@@ -31,7 +31,7 @@ from itiguard.validation import (
 from support import CountingProvider, brute_force_issues, random_broken_itinerary
 
 SYD, FRA = AirportCode("SYD"), AirportCode("FRA")
-T0 = Timestamp.parse("2025-06-01 08:00")
+T0 = parse_timestamp("2025-06-01 08:00")
 POOL = (("Sydney", SYD), ("Frankfurt", FRA))
 JUNE_1, JUNE_30 = date(2025, 6, 1), date(2025, 6, 30)
 ARRIVAL = TimeField.ARRIVAL
@@ -46,6 +46,19 @@ CHECKED = [
     (lambda: FlightDuration(0), "implausible flight duration: 0 minutes"),
     (lambda: FlightDuration(2881), "implausible flight duration: 2881 minutes"),
     (lambda: FlightDuration(60.0), "implausible flight duration: 60.0 minutes"),
+    (lambda: FlightDuration(True), "implausible flight duration: True minutes"),
+    # A table entry is checked as a fixture file line is: codes, route, minutes.
+    (lambda: FixtureProvider({("syd", "FRA"): 90}), "invalid IATA airport code: 'syd'"),
+    (lambda: FixtureProvider({("SYD", "x"): 90}), "invalid IATA airport code: 'x'"),
+    (lambda: FixtureProvider({("SYD", "SYD"): 90}), "route origin and destination are both SYD"),
+    (lambda: FixtureProvider({("SYD", "FRA"): 90.7}), "implausible flight duration: 90.7 minutes"),
+    (lambda: FixtureProvider({("SYD", "FRA"): "95"}), "implausible flight duration: '95' minutes"),
+    (lambda: FixtureProvider({("SYD", "FRA"): True}), "implausible flight duration: True minutes"),
+    # Minutes must be exact ints, tested before any range check.
+    (lambda: ValidationPolicy(min_stay_minutes=2880.5), "min_stay_minutes must be an int, got 2880.5"),
+    (lambda: ValidationPolicy(min_stay_minutes=-1.0), "min_stay_minutes must be an int, got -1.0"),
+    (lambda: ValidationPolicy(buffer_minutes=True), "buffer_minutes must be an int, got True"),
+    (lambda: ValidationPolicy(min_stay_minutes=0, buffer_minutes=240.0), "buffer_minutes must be an int, got 240.0"),
     (lambda: ValidationPolicy(min_stay_minutes=0, buffer_minutes=-1), "min_stay must be positive"),
     (lambda: ValidationPolicy(buffer_minutes=-1, max_multiplier=1), "buffer must be >= 0"),
     (lambda: ValidationPolicy(max_multiplier=1.0), "max_multiplier must be > 1"),
@@ -152,8 +165,8 @@ def assert_exact_stops(itin):
     for stop in itin.stops:
         assert type(stop) is Stop
         assert type(stop.airport) is AirportCode
-        assert type(stop.arrival) is Timestamp
-        assert type(stop.departure) is Timestamp
+        assert type(stop.arrival) is int
+        assert type(stop.departure) is int
 
 
 def test_reports_traces_and_corrections_hold_exact_records():
@@ -172,8 +185,8 @@ def test_reports_traces_and_corrections_hold_exact_records():
         assert_exact_stops(fixed)
         for adjustment in trace.adjustments:
             assert type(adjustment) is Adjustment
-            assert type(adjustment.old) is Timestamp
-            assert type(adjustment.new) is Timestamp
+            assert type(adjustment.old) is int
+            assert type(adjustment.new) is int
             assert Adjustment(*adjustment) == adjustment
         adjusted += len(trace.adjustments)
         after = validate(fixed, provider, policy)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from itiguard import model
 from itiguard.correction import correct
 from itiguard.durations import CachedProvider, FixtureProvider, FlightDuration, RouteUnavailable
-from itiguard.model import AirportCode, Itinerary, Stop, Timestamp
+from itiguard.model import AirportCode, Itinerary, Stop, parse_timestamp
 from itiguard.validation import (
     Issue,
     IssueKind,
@@ -25,7 +25,7 @@ from support import CountingProvider, brute_force_issues, random_corpus, random_
 
 
 def make_stop(code: str, arrival: str, departure: str) -> Stop:
-    return Stop(f"City {code}", AirportCode(code), Timestamp.parse(arrival), Timestamp.parse(departure))
+    return Stop(f"City {code}", AirportCode(code), parse_timestamp(arrival), parse_timestamp(departure))
 
 
 def checked(
@@ -36,7 +36,7 @@ def checked(
     stops, at = [], 0
     for i, stay in enumerate(stays):
         code = AirportCode("AAA" if i % 2 else "BBB")
-        stops.append(Stop(f"City {i}", code, Timestamp(at), Timestamp(at + stay)))
+        stops.append(Stop(f"City {i}", code, at, at + stay))
         at += stay + gap
     report = check_against_bounds(Itinerary(stops), [bounds] * (len(stays) - 1), ValidationPolicy())
     return report.issues
