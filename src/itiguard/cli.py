@@ -203,7 +203,7 @@ def build_provider(config: AppConfig) -> CachedProvider:
 
 
 def _issue_line(issue: Issue, itin: Itinerary) -> str:
-    if issue.kind is IssueKind.STAY_TOO_SHORT:
+    if issue.kind == IssueKind.STAY_TOO_SHORT:
         where = f"stop {issue.subject} ({itin.stops[issue.subject].place})"
     else:
         origin = itin.stops[issue.subject].airport
@@ -212,7 +212,7 @@ def _issue_line(issue: Issue, itin: Itinerary) -> str:
     detail = ""
     if issue.observed is not None and issue.required is not None:
         detail = f": observed {format_minutes(issue.observed)}, required {format_minutes(issue.required)}"
-    return f"  - {issue.kind.value} {where}{detail}"
+    return f"  - {issue.kind} {where}{detail}"
 
 
 def cmd_validate(args: argparse.Namespace, config: AppConfig) -> int:
@@ -336,10 +336,7 @@ def cmd_bench(args: argparse.Namespace, config: AppConfig) -> int:
     if args.breakdown:
         breakdown = failure_mode_breakdown(records)
         for tag in sorted(breakdown):
-            counts = ", ".join(
-                f"{kind.value}={count}"
-                for kind, count in sorted(breakdown[tag].items(), key=lambda item: item[0].value)
-            )
+            counts = ", ".join(f"{kind}={count}" for kind, count in sorted(breakdown[tag].items()))
             print(f"{tag}: {counts}")
     return EXIT_VALID
 

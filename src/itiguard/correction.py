@@ -26,13 +26,14 @@ The first stop's arrival anchors the schedule and is never moved; city order
 is never changed. Legs whose bounds entry is None are skipped and recorded
 so the caller knows which part of the output is unchecked. The trace logs
 every timestamp the pass changed, with its old and new value and the rule
-that forced it.
+that forced it: an Adjustment's field is the name of the Stop field it
+changed, "arrival" or "departure", and its reason is the IssueKind string,
+both printed as they are.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from enum import Enum
 from typing import NamedTuple
 
 from .durations import DurationProvider
@@ -51,31 +52,18 @@ class NonConvergenceError(RuntimeError):
     """Issues survived the forward pass; indicates a logic bug, not bad input."""
 
 
-class TimeField(Enum):
-    ARRIVAL = "arrival"
-    DEPARTURE = "departure"
-
-
-# The members the pass and the check after it use, read once: on CPython
-# 3.11 EnumType defines __getattr__, so each TimeField.X or IssueKind.X
-# read costs a Python-level call.
-_ARRIVAL = TimeField.ARRIVAL
-_DEPARTURE = TimeField.DEPARTURE
-_ROUTE_DATA_UNAVAILABLE = IssueKind.ROUTE_DATA_UNAVAILABLE
-
-
 class Adjustment(namedtuple("Adjustment", "stop_index field old new reason")):
     """One timestamp change: which stop, which field, old -> new, and the
-    rule that forced it."""
+    rule that forced it; field is "arrival" or "departure"."""
 
     __slots__ = ()
 
-    def __new__(cls, stop_index: int, field: TimeField, old: int, new: int, reason: IssueKind):
+    def __new__(cls, stop_index: int, field: str, old: int, new: int, reason: str):
         if new == old:
             raise ValueError(f"adjustment at stop {stop_index} changes nothing")
         if not _MIN_MINUTES <= new <= _MAX_MINUTES:
             raise ValueError(
-                f"timestamp {new:d} minutes from 1970, the repaired {field.value} of stop {stop_index}, "
+                f"timestamp {new:d} minutes from 1970, the repaired {field} of stop {stop_index}, "
                 "is outside years 0001-9999"
             )
         return tuple.__new__(cls, (stop_index, field, old, new, reason))
@@ -83,10 +71,10 @@ class Adjustment(namedtuple("Adjustment", "stop_index field old new reason")):
     def to_dict(self) -> dict:
         return {
             "stop_index": self.stop_index,
-            "field": self.field.value,
+            "field": self.field,
             "old": format_timestamp(self.old),
             "new": format_timestamp(self.new),
-            "reason": self.reason.value,
+            "reason": self.reason,
         }
 
 
@@ -128,12 +116,12 @@ def _adjustment_pass(
                 kind = segment_violation(arrival - departure, t_min, t_max)
                 if kind:
                     arrival = departure + t_min
-                    out.append(Adjustment(i, _ARRIVAL, stop.arrival, arrival, kind))
+                    out.append(Adjustment(i, "arrival", stop.arrival, arrival, kind))
         departure = stop.departure
         kind = stay_violation(departure - arrival, policy)
         if kind:
             departure = arrival + policy.min_stay_minutes
-            out.append(Adjustment(i, _DEPARTURE, stop.departure, departure, kind))
+            out.append(Adjustment(i, "departure", stop.departure, departure, kind))
         corrected.append(
             stop
             if arrival is stop.arrival and departure is stop.departure
@@ -162,7 +150,7 @@ def correct(
     # As many stops as itin, which passed Itinerary's check.
     candidate = _new_tuple(Itinerary, (stops,))
     report = check_against_bounds(candidate, bounds, policy)
-    correctable = [i for i in report.issues if i.kind is not _ROUTE_DATA_UNAVAILABLE]
+    correctable = [i for i in report.issues if i.kind != IssueKind.ROUTE_DATA_UNAVAILABLE]
     if correctable:
         raise NonConvergenceError(f"{len(correctable)} issue(s) remain after the pass: {correctable}")
     trace = _new_tuple(CorrectionTrace, (tuple(adjustments), report.unverifiable_segments))

@@ -14,8 +14,10 @@ durations.RouteUnavailable instead. A leg between two identical airports
 is structurally broken and is reported as an issue as well.
 
 Each comparison lives in one place, stay_violation or segment_violation:
-they take int minutes and name the broken rule. check_against_bounds turns
-their answer into an Issue, and the correction pass asks them directly.
+they take int minutes and name the broken rule by its IssueKind, a plain
+str that Issue.kind holds and the JSON report prints as it is.
+check_against_bounds turns their answer into an Issue, and the correction
+pass asks them directly.
 
 ValidationPolicy holds numbers from flags and config, so its constructor
 checks them, its minutes as exact ints; the per-leg records are built
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from enum import Enum
 from typing import NamedTuple
 
 from .durations import MAX_FLIGHT_MINUTES, DurationProvider, RouteUnavailable
@@ -46,31 +47,21 @@ from .model import _MAX_MINUTES, _MIN_MINUTES, Itinerary, _new_tuple
 _MAX_POLICY_MINUTES = _MAX_MINUTES - _MIN_MINUTES
 
 
-class IssueKind(Enum):
+class IssueKind:
+    """The five rule names, as the plain strings Issue.kind holds and the
+    JSON report prints."""
+
     OVERLAP = "overlap"
     TRANSIT_TOO_SHORT = "transit_too_short"
     TRANSIT_TOO_LONG = "transit_too_long"
     STAY_TOO_SHORT = "stay_too_short"
     ROUTE_DATA_UNAVAILABLE = "route_data_unavailable"
 
-    # Members are singletons and compare by identity, so they may hash by it
-    # too: object.__hash__ runs in C, where Enum's hashes the name in Python.
-    __hash__ = object.__hash__
-
 
 # Kinds that mark a flight leg (not a stay) as invalid.
 SEGMENT_ISSUE_KINDS = frozenset(
     {IssueKind.OVERLAP, IssueKind.TRANSIT_TOO_SHORT, IssueKind.TRANSIT_TOO_LONG}
 )
-
-# The members the per-stop loops return or compare with `is`, read once:
-# on CPython 3.11 EnumType defines __getattr__, so each IssueKind.X read
-# costs a Python-level call.
-_OVERLAP = IssueKind.OVERLAP
-_TRANSIT_TOO_SHORT = IssueKind.TRANSIT_TOO_SHORT
-_TRANSIT_TOO_LONG = IssueKind.TRANSIT_TOO_LONG
-_STAY_TOO_SHORT = IssueKind.STAY_TOO_SHORT
-_ROUTE_DATA_UNAVAILABLE = IssueKind.ROUTE_DATA_UNAVAILABLE
 
 
 class Issue(NamedTuple):
@@ -80,18 +71,10 @@ class Issue(NamedTuple):
     observed/required are minute durations, absent for ROUTE_DATA_UNAVAILABLE.
     """
 
-    kind: IssueKind
+    kind: str
     subject: int
     observed: int | None = None
     required: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "subject": self.subject,
-            "observed": self.observed,
-            "required": self.required,
-        }
 
 
 class ValidationPolicy(
@@ -142,29 +125,29 @@ class ValidationReport(NamedTuple):
     def to_dict(self) -> dict:
         return {
             "verdict": self.verdict,
-            "issues": [issue.to_dict() for issue in self.issues],
+            "issues": [issue._asdict() for issue in self.issues],
             "unverifiable_segments": list(self.unverifiable_segments),
         }
 
 
-def stay_violation(stay: int, policy: ValidationPolicy) -> IssueKind | None:
+def stay_violation(stay: int, policy: ValidationPolicy) -> str | None:
     """The minimum-stay rule on a stay of departure minus arrival in minutes:
     STAY_TOO_SHORT below policy.min_stay_minutes, None from it on. A
     negative stay (inverted times) is subsumed here."""
-    return _STAY_TOO_SHORT if stay < policy.min_stay_minutes else None
+    return IssueKind.STAY_TOO_SHORT if stay < policy.min_stay_minutes else None
 
 
-def segment_violation(travel_time: int, t_min: int, t_max: int) -> IssueKind | None:
+def segment_violation(travel_time: int, t_min: int, t_max: int) -> str | None:
     """The overlap / minimum-transit / maximum-transit rules on a leg's
     travel time (next arrival minus departure, in minutes), checked in that
     order: a negative time is OVERLAP before it is TRANSIT_TOO_SHORT.
     Times from t_min to t_max inclusive pass (None)."""
     if travel_time < 0:
-        return _OVERLAP
+        return IssueKind.OVERLAP
     if travel_time < t_min:
-        return _TRANSIT_TOO_SHORT
+        return IssueKind.TRANSIT_TOO_SHORT
     if travel_time > t_max:
-        return _TRANSIT_TOO_LONG
+        return IssueKind.TRANSIT_TOO_LONG
     return None
 
 
@@ -246,12 +229,12 @@ def check_against_bounds(
                 travel = arrival - departure
                 kind = segment_violation(travel, t_min, t_max)
                 if kind is not None:
-                    required = t_max if kind is _TRANSIT_TOO_LONG else t_min
+                    required = t_max if kind == IssueKind.TRANSIT_TOO_LONG else t_min
                     issues.append(_new_tuple(Issue, (kind, i - 1, travel, required)))
             else:
                 unverifiable.append(i - 1)
                 if previous.airport == stop.airport:
-                    issues.append(_new_tuple(Issue, (_ROUTE_DATA_UNAVAILABLE, i - 1, None, None)))
+                    issues.append(_new_tuple(Issue, (IssueKind.ROUTE_DATA_UNAVAILABLE, i - 1, None, None)))
         departure = stop.departure
         stay = departure - arrival
         kind = stay_violation(stay, policy)

@@ -313,7 +313,12 @@ class TestCorrect:
         assert code == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: correction did not converge" in captured.err
+        assert captured.err == (
+            "error: correction did not converge: 3 issue(s) remain after the pass: "
+            "[Issue(kind='stay_too_short', subject=0, observed=1200, required=2880), "
+            "Issue(kind='transit_too_short', subject=0, observed=720, required=1260), "
+            "Issue(kind='transit_too_long', subject=1, observed=6240, required=600)]\n"
+        )
 
 
 class TestGenerate:

@@ -5,13 +5,7 @@ import random
 import pytest
 
 from itiguard import correction
-from itiguard.correction import (
-    Adjustment,
-    CorrectionTrace,
-    NonConvergenceError,
-    TimeField,
-    correct,
-)
+from itiguard.correction import Adjustment, CorrectionTrace, NonConvergenceError, correct
 from itiguard.durations import FixtureProvider, RouteUnavailable
 from itiguard.model import AirportCode, Itinerary, Stop, format_timestamp, parse_timestamp
 from itiguard.validation import IssueKind, ValidationPolicy, validate
@@ -53,10 +47,10 @@ class TestReferenceSample:
         # by the time the first leg is repaired it is an overlap, not a
         # too-short transit as in the original report.
         assert fields == [
-            (0, TimeField.DEPARTURE, IssueKind.STAY_TOO_SHORT),
-            (1, TimeField.ARRIVAL, IssueKind.OVERLAP),
-            (1, TimeField.DEPARTURE, IssueKind.STAY_TOO_SHORT),
-            (2, TimeField.ARRIVAL, IssueKind.TRANSIT_TOO_LONG),
+            (0, "departure", IssueKind.STAY_TOO_SHORT),
+            (1, "arrival", IssueKind.OVERLAP),
+            (1, "departure", IssueKind.STAY_TOO_SHORT),
+            (2, "arrival", IssueKind.TRANSIT_TOO_LONG),
         ]
 
     def test_output_revalidates_clean(self, sample_invalid, demo_provider):
@@ -175,7 +169,7 @@ def apply_trace(itin: Itinerary, trace: CorrectionTrace) -> Itinerary:
     stops = list(itin.stops)
     for adj in trace.adjustments:
         stop = stops[adj.stop_index]
-        if adj.field is TimeField.ARRIVAL:
+        if adj.field == "arrival":
             assert stop.arrival == adj.old
             stops[adj.stop_index] = stop._replace(arrival=adj.new)
         else:
@@ -201,7 +195,7 @@ class TestTraceTypes:
     def test_no_op_adjustment_rejected(self):
         ts = parse_timestamp("2025-06-01 08:00")
         with pytest.raises(ValueError):
-            Adjustment(0, TimeField.ARRIVAL, ts, ts, IssueKind.OVERLAP)
+            Adjustment(0, "arrival", ts, ts, IssueKind.OVERLAP)
 
     @pytest.mark.parametrize(
         "text, step", [("0001-01-01 00:00", -1), ("9999-12-31 23:59", 1)], ids=["year-0001", "year-9999"]
@@ -210,9 +204,9 @@ class TestTraceTypes:
         # The last spellable minute is accepted; one minute past it is refused.
         edge = parse_timestamp(text)
         old = edge - step
-        assert format_timestamp(Adjustment(2, TimeField.DEPARTURE, old, edge, IssueKind.STAY_TOO_SHORT).new) == text
+        assert format_timestamp(Adjustment(2, "departure", old, edge, IssueKind.STAY_TOO_SHORT).new) == text
         with pytest.raises(ValueError) as exc:
-            Adjustment(2, TimeField.DEPARTURE, old, edge + step, IssueKind.STAY_TOO_SHORT)
+            Adjustment(2, "departure", old, edge + step, IssueKind.STAY_TOO_SHORT)
         assert str(exc.value) == (
             f"timestamp {edge + step} minutes from 1970, the repaired departure of stop 2, "
             "is outside years 0001-9999"

@@ -428,13 +428,6 @@ class TestKnownRoutes:
         assert counting.calls == 1
 
 
-def test_issue_kinds_hash_by_identity():
-    # Members are singletons, so identity is their equality; Enum's own
-    # __hash__ would hash the name in Python on every set or dict test.
-    assert IssueKind.__hash__ is object.__hash__
-    assert {kind: kind.value for kind in IssueKind}[IssueKind.OVERLAP] == "overlap"
-
-
 def test_empty_report_is_valid():
     report = ValidationReport()
     assert report.is_valid
