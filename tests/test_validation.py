@@ -11,6 +11,7 @@ from itiguard.correction import correct
 from itiguard.durations import CachedProvider, FixtureProvider, FlightDuration, RouteUnavailable
 from itiguard.model import AirportCode, Itinerary, Stop, parse_timestamp
 from itiguard.validation import (
+    SEGMENT_ISSUE_KINDS,
     Issue,
     IssueKind,
     ValidationPolicy,
@@ -426,6 +427,28 @@ class TestKnownRoutes:
         with pytest.raises(RouteUnavailable):
             CachedProvider(counting, path=path).route_duration(("FRA", "CAI"))
         assert counting.calls == 1
+
+
+def test_issue_kinds_are_the_wire_strings():
+    # A kind is the str the JSON report prints, so a dict keyed by wire
+    # strings finds it; only the three leg kinds mark a segment invalid.
+    wire = {
+        "overlap": 0,
+        "transit_too_short": 1,
+        "transit_too_long": 2,
+        "stay_too_short": 3,
+        "route_data_unavailable": 4,
+    }
+    kinds = (
+        IssueKind.OVERLAP,
+        IssueKind.TRANSIT_TOO_SHORT,
+        IssueKind.TRANSIT_TOO_LONG,
+        IssueKind.STAY_TOO_SHORT,
+        IssueKind.ROUTE_DATA_UNAVAILABLE,
+    )
+    assert [type(kind) for kind in kinds] == [str] * 5
+    assert [wire[kind] for kind in kinds] == [0, 1, 2, 3, 4]
+    assert SEGMENT_ISSUE_KINDS == frozenset(kinds[:3])
 
 
 def test_empty_report_is_valid():
