@@ -275,8 +275,8 @@ def _parse_city_list(raw: str) -> tuple[tuple[str, AirportCode], ...]:
 def cmd_generate(args: argparse.Namespace, config: AppConfig) -> int:
     provider = build_provider(config)
     policy = build_policy(config)
-    city_pool = _parse_city_list(args.cities) if args.cities else DEMO_CITY_POOL
-    sequence = _parse_city_list(args.route) if args.route else None
+    city_pool = DEMO_CITY_POOL if args.cities is None else _parse_city_list(args.cities)
+    sequence = None if args.route is None else _parse_city_list(args.route)
     request = GenerationRequest(
         num_destinations=len(sequence) if sequence else args.destinations,
         city_pool=city_pool,

@@ -7,15 +7,10 @@ exact wording is load-bearing: tests pin the rendered text byte-for-byte
 against golden files, so any edit here must update those files
 deliberately.
 
-Each template is split once, when the module loads, into literal pieces and
-placeholder names (SplitTemplate); a prompt is the pieces joined with the
-values in between, the text string.Template.substitute gives without
-scanning the template again. A request checks every field when it is
-built: the count is an int, the window bounds are dates, every name is a
-str and every code an AirportCode. So equal requests give equal text, and
-build_base_prompt is an lru_cache keyed on the request that keeps the
-text of the 16 distinct requests used last: a run that generates many
-itineraries from one request builds its prompt once.
+The templates are string.Templates: build_base_prompt, an lru_cache keyed
+on the request, substitutes a base prompt once per distinct request (the
+16 used last are kept), and build_feedback substitutes a feedback once per
+retry.
 
 Note the templates intentionally disagree with the validator in two places:
 they ask the model for a 1 hour transit buffer (the validator enforces 4)
@@ -30,45 +25,10 @@ from datetime import date
 from functools import lru_cache
 from string import Template
 
-from .model import AirportCode, FormatError, InsufficientStopsError, InvalidTimeFormatError
+from .model import AirportCode, FormatError, InsufficientStopsError, InvalidTimeFormatError, shorten
 
 
-class SplitTemplate:
-    """A string.Template split once into literal pieces and placeholder names.
-
-    substitute(**values) gives what Template(template).substitute(**values)
-    gives: each value is inserted as str(value), and never scanned again.
-    """
-
-    __slots__ = ("template", "_head", "_parts")
-
-    def __init__(self, template: str):
-        self.template = template
-        pieces, names = [""], []
-        end = 0
-        for match in Template.pattern.finditer(template):
-            pieces[-1] += template[end : match.start()]
-            end = match.end()
-            name = match.group("named") or match.group("braced")
-            if name is not None:
-                names.append(name)
-                pieces.append("")
-            elif match.group("escaped") is not None:
-                pieces[-1] += "$"
-            else:
-                raise ValueError(f"invalid placeholder at index {match.start('invalid')} of a template")
-        pieces[-1] += template[end:]
-        self._head = pieces[0]
-        self._parts = tuple(zip(names, pieces[1:]))
-
-    def substitute(self, **values: object) -> str:
-        out = [self._head]
-        for name, literal in self._parts:
-            out += (str(values[name]), literal)
-        return "".join(out)
-
-
-GENERIC_PROMPT = SplitTemplate("""
+GENERIC_PROMPT = Template("""
 Generate a travel itinerary visiting $num_destinations destinations, exclusively using air travel.
 You MUST use ONLY these cities for your itinerary:
 $cities_str
@@ -103,7 +63,7 @@ Requirements:
 10. Return ONLY the JSON object, nothing else.
 """)
 
-FIXED_SEQUENCE_PROMPT = SplitTemplate("""
+FIXED_SEQUENCE_PROMPT = Template("""
 You are tasked with creating a valid time schedule for a PRE-DEFINED travel itinerary.
 The itinerary visits $num_destinations destinations.
 You MUST follow this exact sequence of cities and use their IATA codes as provided:
@@ -155,14 +115,14 @@ Example format:
     ]
 }"""
 
-TIME_FORMAT_FEEDBACK = SplitTemplate("""Error in time format for $place_label. Please ensure:
+TIME_FORMAT_FEEDBACK = Template("""Error in time format for $place_label. Please ensure:
 1. All times are in UTC and follow the EXACT format 'YYYY-MM-DD HH:MM'
 2. Use 24-hour format (e.g., 14:30, 00:00 for midnight)
 3. Include leading zeros (e.g., '01:05' not '1:5')
 4. No timezone indicators or UTC suffix
 Example: '2024-03-20 14:30'""")
 
-INSUFFICIENT_STOPS_FEEDBACK = SplitTemplate("""Generated itinerary has insufficient stops. Please ensure:
+INSUFFICIENT_STOPS_FEEDBACK = Template("""Generated itinerary has insufficient stops. Please ensure:
 1. The itinerary contains exactly $num_destinations stops
 2. Each stop has all required fields (place, arrival_time, departure_time)
 3. Each place includes the IATA code in parentheses
@@ -256,7 +216,8 @@ class GenerationRequest(
             pool = set(city_pool)
             for entry in fixed_sequence:
                 if entry not in pool:
-                    raise ValueError(f"fixed_sequence city {entry!r} is not in city_pool")
+                    place = shorten(f"{entry[0]} ({entry[1]})")
+                    raise ValueError(f"fixed_sequence city {place!r} is not in city_pool")
         return tuple.__new__(cls, (num_destinations, city_pool, window_start, window_end, fixed_sequence))
 
 
@@ -283,7 +244,7 @@ def build_base_prompt(request: GenerationRequest) -> str:
         fixed_route_str=_pairs_str(" -> ", request.fixed_sequence),
         cities_str=cities_str,
         example_place=first_name,
-        example_iata=str(first_code),
+        example_iata=first_code,
     )
 
 

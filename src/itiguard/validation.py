@@ -93,6 +93,10 @@ class ValidationPolicy(
         for name, minutes in (("min_stay_minutes", min_stay_minutes), ("buffer_minutes", buffer_minutes)):
             if type(minutes) is not int:
                 raise ValueError(f"{name} must be an int, got {minutes!r}")
+        if not isinstance(max_multiplier, (int, float)):
+            raise ValueError(f"max_multiplier must be a number, got {max_multiplier!r}")
+        if type(strict) is not bool:
+            raise ValueError(f"strict must be a bool, got {strict!r}")
         if min_stay_minutes <= 0:
             raise ValueError("min_stay must be positive")
         if min_stay_minutes > _MAX_POLICY_MINUTES:

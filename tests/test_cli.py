@@ -488,6 +488,31 @@ class TestGenerate:
         assert code == 2
         assert "Name:IATA" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--cities", "--route"])
+    def test_empty_city_list_exits_2(self, flag, capsys):
+        # Not the demo pool or a free choice: an empty list is refused.
+        code = main(["generate", flag, "", "--replay-dir", str(FIXTURES / "replay"), *DEMO_FLAGS])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: city entry '' must look like 'Name:IATA'\n"
+
+    def test_route_city_outside_the_pool_is_named_as_a_place(self, capsys):
+        code = main(
+            [
+                "generate",
+                "--cities",
+                "Sydney:SYD,Cairo:CAI",
+                "--route",
+                "Paris:CDG,Cairo:CAI",
+                "--replay-dir",
+                str(FIXTURES / "replay"),
+                *DEMO_FLAGS,
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: fixed_sequence city 'Paris (CDG)' is not in city_pool\n"
+
 
 def counted_providers(monkeypatch) -> list[CountingProvider]:
     """Make each CachedProvider that cli.build_provider builds wrap a

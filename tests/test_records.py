@@ -18,7 +18,15 @@ import pytest
 
 from itiguard.correction import Adjustment, CorrectionTrace, correct
 from itiguard.durations import FixtureProvider, FlightDuration, RoutePair
-from itiguard.model import AirportCode, Itinerary, Stop, parse_itinerary, parse_timestamp, render_itinerary
+from itiguard.model import (
+    QUOTE_LIMIT,
+    AirportCode,
+    Itinerary,
+    Stop,
+    parse_itinerary,
+    parse_timestamp,
+    render_itinerary,
+)
 from itiguard.prompts import GenerationRequest
 from itiguard.validation import (
     Issue,
@@ -58,6 +66,11 @@ CHECKED = [
     (lambda: ValidationPolicy(min_stay_minutes=-1.0), "min_stay_minutes must be an int, got -1.0"),
     (lambda: ValidationPolicy(buffer_minutes=True), "buffer_minutes must be an int, got True"),
     (lambda: ValidationPolicy(min_stay_minutes=0, buffer_minutes=240.0), "buffer_minutes must be an int, got 240.0"),
+    # The multiplier must be a number and strict a bool, also tested before any range check.
+    (lambda: ValidationPolicy(min_stay_minutes=0, max_multiplier="3"), "max_multiplier must be a number, got '3'"),
+    (lambda: ValidationPolicy(max_multiplier=None), "max_multiplier must be a number, got None"),
+    (lambda: ValidationPolicy(min_stay_minutes=0, strict="no"), "strict must be a bool, got 'no'"),
+    (lambda: ValidationPolicy(strict=1), "strict must be a bool, got 1"),
     (lambda: ValidationPolicy(min_stay_minutes=0, buffer_minutes=-1), "min_stay must be positive"),
     (lambda: ValidationPolicy(buffer_minutes=-1, max_multiplier=1), "buffer must be >= 0"),
     (lambda: ValidationPolicy(max_multiplier=1.0), "max_multiplier must be > 1"),
@@ -76,7 +89,12 @@ CHECKED = [
     (lambda: GenerationRequest(2, POOL, JUNE_1, JUNE_30, POOL[:1]), "fixed_sequence has 1 cities, expected 2"),
     (
         lambda: GenerationRequest(2, POOL, JUNE_1, JUNE_30, (POOL[0], ("Oslo", AirportCode("OSL")))),
-        "fixed_sequence city ('Oslo', AirportCode(code='OSL')) is not in city_pool",
+        "fixed_sequence city 'Oslo (OSL)' is not in city_pool",
+    ),
+    # The name comes from outside, so a long one is shortened.
+    (
+        lambda: GenerationRequest(2, POOL, JUNE_1, JUNE_30, (POOL[0], ("O" * 90, AirportCode("OSL")))),
+        f"fixed_sequence city '{'O' * QUOTE_LIMIT}... (96 characters)' is not in city_pool",
     ),
 ]
 
