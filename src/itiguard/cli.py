@@ -53,6 +53,7 @@ from .model import (
     error_text,
     format_minutes,
     load_json,
+    parse_date,
     parse_itinerary,
     read_file,
     render_itinerary,
@@ -342,73 +343,118 @@ def cmd_bench(args: argparse.Namespace, config: AppConfig) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, add_arguments=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse hands a subcommand's parser its part of the command line
+        # through this method, so the arguments are added on the first parse.
+        add, self._add_arguments = self._add_arguments, None
+        if add is not None:
+            add(self)
+        return super().parse_known_args(args, namespace)
+
     def print_help(self, file=None):
         # Unlike argparse's own print_help, this lets a closed stdout raise, at the write or the flush.
         print(self.format_help(), end="", file=file or sys.stdout, flush=True)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; keys mirror the defaults")
-    common.add_argument("--provider", choices=["live", "fixture", "great-circle"],
+def _window_date(text: str) -> date:
+    """A --window-start or --window-end value: exactly 'YYYY-MM-DD', by the
+    wire format's date rule, on every Python version (3.11's
+    date.fromisoformat also takes '20250601' and '2025-W23-1')."""
+    try:
+        return parse_date(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
+def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags every subcommand takes, ahead of its own."""
+    parser.add_argument("--config", help="JSON config file; keys mirror the defaults")
+    parser.add_argument("--provider", choices=["live", "fixture", "great-circle"],
                         help="flight duration source (default: great-circle)")
-    common.add_argument("--fixture-file", help="duration table for --provider fixture")
-    common.add_argument("--base-url", help="duration API root for --provider live")
-    common.add_argument("--cache-file", help="persistent duration cache")
+    parser.add_argument("--fixture-file", help="duration table for --provider fixture")
+    parser.add_argument("--base-url", help="duration API root for --provider live")
+    parser.add_argument("--cache-file", help="persistent duration cache")
     # The flags default to None ("not given"), so %(default)s cannot show
     # the policy's defaults.
-    common.add_argument("--buffer-hours", type=float, help="airport buffer added to flight time "
+    parser.add_argument("--buffer-hours", type=float, help="airport buffer added to flight time "
                         f"(default: {_DEFAULT_POLICY.buffer_minutes / 60:g})")
-    common.add_argument("--min-stay-hours", type=float, help="minimum stay per city "
+    parser.add_argument("--min-stay-hours", type=float, help="minimum stay per city "
                         f"(default: {_DEFAULT_POLICY.min_stay_minutes / 60:g})")
-    common.add_argument("--max-multiplier", type=float, help="max transit as a multiple of minimum transit "
+    parser.add_argument("--max-multiplier", type=float, help="max transit as a multiple of minimum transit "
                         f"(default: {_DEFAULT_POLICY.max_multiplier:g})")
-    common.add_argument("--strict", action="store_true", default=None,
+    parser.add_argument("--strict", action="store_true", default=None,
                         help="treat unresolvable routes as errors instead of skipping them")
 
+
+def _add_validate_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_common_arguments(parser)
+    parser.add_argument("inputs", nargs="+", help="itinerary JSON file(s)")
+    parser.add_argument("--format", choices=FORMATS["validate"], default=None)
+
+
+def _add_correct_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_common_arguments(parser)
+    parser.add_argument("input", help="itinerary JSON file")
+    parser.add_argument("--trace", action="store_true", default=None,
+                        help="print the adjustment log to stderr")
+
+
+def _add_generate_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_common_arguments(parser)
+    parser.add_argument("--destinations", type=int, default=4,
+                        help="number of stops (default: 4; ignored with --route)")
+    parser.add_argument("--cities", help="city pool as 'Name:IATA,Name:IATA,...'")
+    parser.add_argument("--route", help="fixed city sequence as 'Name:IATA,...'")
+    parser.add_argument("--window-start", type=_window_date, default=date(2025, 6, 1))
+    parser.add_argument("--window-end", type=_window_date, default=date(2025, 6, 30))
+    parser.add_argument("--replay-dir", help="serve recorded model responses from this directory")
+    parser.add_argument("--model-tag", default="demo", help="recording subdirectory (default: demo)")
+    parser.add_argument("--endpoint", help="live generation endpoint URL")
+    parser.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES,
+                        help="format-feedback retries after the first attempt (default: %(default)s)")
+    parser.add_argument("--no-correct", action="store_true",
+                        help="emit the validated itinerary without repairing it")
+    parser.add_argument("--trace", action="store_true", default=None,
+                        help="print the adjustment log to stderr")
+
+
+def _add_bench_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_common_arguments(parser)
+    parser.add_argument("manifest", help="corpus manifest JSON")
+    parser.add_argument("--format", choices=FORMATS["bench"], default=None)
+    parser.add_argument("--include-stays", action="store_true",
+                        help="count stay violations in the invalid-segment rate")
+    parser.add_argument("--breakdown", action="store_true",
+                        help="also print issue-kind counts per model tag")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The itiguard parser, whose subcommand parsers are empty until parsed.
+
+    Each add_argument call builds an argparse HelpFormatter, and a run uses
+    one subcommand, so a subcommand's parser gets its arguments only when
+    argparse hands it the command line (_Parser.parse_known_args). The top
+    level help and the invalid-choice error need only the names and help
+    texts, which add_parser takes here. Nothing is kept across calls: each
+    call builds a new parser.
+    """
     parser = _Parser(
         prog="itiguard",
         description="Validate, correct, and generate multi-city flight itineraries.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    p_validate = subparsers.add_parser("validate", parents=[common],
-                                       help="check itinerary files against the temporal rules")
-    p_validate.add_argument("inputs", nargs="+", help="itinerary JSON file(s)")
-    p_validate.add_argument("--format", choices=FORMATS["validate"], default=None)
-
-    p_correct = subparsers.add_parser("correct", parents=[common],
-                                      help="repair an itinerary and print the corrected JSON")
-    p_correct.add_argument("input", help="itinerary JSON file")
-    p_correct.add_argument("--trace", action="store_true", default=None,
-                           help="print the adjustment log to stderr")
-
-    p_generate = subparsers.add_parser("generate", parents=[common],
-                                       help="generate an itinerary, then validate and correct it")
-    p_generate.add_argument("--destinations", type=int, default=4,
-                            help="number of stops (default: 4; ignored with --route)")
-    p_generate.add_argument("--cities", help="city pool as 'Name:IATA,Name:IATA,...'")
-    p_generate.add_argument("--route", help="fixed city sequence as 'Name:IATA,...'")
-    p_generate.add_argument("--window-start", type=date.fromisoformat, default=date(2025, 6, 1))
-    p_generate.add_argument("--window-end", type=date.fromisoformat, default=date(2025, 6, 30))
-    p_generate.add_argument("--replay-dir", help="serve recorded model responses from this directory")
-    p_generate.add_argument("--model-tag", default="demo", help="recording subdirectory (default: demo)")
-    p_generate.add_argument("--endpoint", help="live generation endpoint URL")
-    p_generate.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES,
-                            help="format-feedback retries after the first attempt (default: %(default)s)")
-    p_generate.add_argument("--no-correct", action="store_true",
-                            help="emit the validated itinerary without repairing it")
-    p_generate.add_argument("--trace", action="store_true", default=None,
-                            help="print the adjustment log to stderr")
-
-    p_bench = subparsers.add_parser("bench", parents=[common],
-                                    help="validate a corpus and print aggregate statistics")
-    p_bench.add_argument("manifest", help="corpus manifest JSON")
-    p_bench.add_argument("--format", choices=FORMATS["bench"], default=None)
-    p_bench.add_argument("--include-stays", action="store_true",
-                         help="count stay violations in the invalid-segment rate")
-    p_bench.add_argument("--breakdown", action="store_true",
-                         help="also print issue-kind counts per model tag")
+    subparsers.add_parser("validate", add_arguments=_add_validate_arguments,
+                          help="check itinerary files against the temporal rules")
+    subparsers.add_parser("correct", add_arguments=_add_correct_arguments,
+                          help="repair an itinerary and print the corrected JSON")
+    subparsers.add_parser("generate", add_arguments=_add_generate_arguments,
+                          help="generate an itinerary, then validate and correct it")
+    subparsers.add_parser("bench", add_arguments=_add_bench_arguments,
+                          help="validate a corpus and print aggregate statistics")
     return parser
 
 

@@ -300,13 +300,17 @@ def _parse_cache(data: bytes, path: str | Path) -> dict[RoutePair, FlightDuratio
     """The route -> duration map of the 'ORIGIN DEST minutes' lines in data,
     read from path; corrupt lines (including lines that are not UTF-8) are
     skipped with a warning that names path, never fatal. A line whose two
-    codes are one airport is corrupt too, as RoutePair rejects it."""
+    codes are one airport is corrupt too, as RoutePair rejects it, and so is
+    one whose minutes are not all ASCII digits."""
     cache: dict[RoutePair, FlightDuration] = {}
     for lineno, raw in enumerate(data.splitlines(), start=1):
         if not raw.strip():
             continue
         try:
             origin, dest, minutes = raw.decode("utf-8").split()
+            # int() would also take '9_5', '+120' and non-ASCII digits.
+            if not (minutes.isascii() and minutes.isdigit()):
+                raise ValueError(minutes)
             cache[RoutePair(AirportCode(origin), AirportCode(dest))] = FlightDuration(int(minutes))
         except ValueError:
             line = raw.decode("utf-8", "backslashreplace")

@@ -18,7 +18,8 @@ _MEMO_SIZE (2048) entries filled lazily; the dates of one itinerary sit in
 one travel window, so the memos nearly always hit. Only on a miss does
 datetime.date check and convert the date; a rejected date is memoised as
 None, so it is rejected again. parse_timestamp and the stop loop of
-parse_itinerary share the one lookup, _wire_minutes.
+parse_itinerary share the one lookup, _wire_minutes; parse_date reads a
+bare date half through the same date memo.
 
 Places repeat as often as dates do, so parse_place memoises the split of a
 place string the same way: one lru_cache of _MEMO_SIZE entries keyed on the
@@ -199,6 +200,16 @@ def parse_timestamp(text: str) -> int:
     return minutes
 
 
+def parse_date(text: str) -> date:
+    """The date of a wire form date half 'YYYY-MM-DD'; raises ValueError
+    for anything else, on every Python version."""
+    # The length check keeps every date memo key at 10 characters.
+    days = _date_days(text) if len(text) == 10 else None
+    if days is None:
+        raise ValueError(f"invalid date {shorten(repr(text))}; expected YYYY-MM-DD")
+    return date.fromordinal(days + _EPOCH_ORDINAL)
+
+
 def format_timestamp(minutes: int) -> str:
     """Wire form of minutes since 1970; raises ValueError outside the years
     0001-9999 it can spell."""
@@ -356,6 +367,8 @@ def parse_itinerary(text: str | bytes, expected_stops: int | None) -> Itinerary:
     if expected_stops is not None and len(items) != expected_stops:
         raise InsufficientStopsError(expected_stops, len(items))
 
+    if not items:
+        raise InvalidJsonError("an itinerary needs at least one stop")
     stops = []
     for i, item in enumerate(items):
         if not isinstance(item, dict):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import random
@@ -353,6 +354,25 @@ class TestGenerate:
     def test_default_window_is_june_2025(self):
         args = cli.build_parser().parse_args(["generate"])
         assert (args.window_start, args.window_end) == (date(2025, 6, 1), date(2025, 6, 30))
+
+    @pytest.mark.parametrize("flag", ["--window-start", "--window-end"])
+    def test_window_takes_a_calendar_date(self, flag):
+        args = cli.build_parser().parse_args(["generate", flag, "2025-06-01"])
+        assert getattr(args, flag[2:].replace("-", "_")) == date(2025, 6, 1)
+
+    # date.fromisoformat takes the first two on 3.11 only; the wire format
+    # refuses all of them on every version.
+    @pytest.mark.parametrize("value", ["20250601", "2025-W23-1", "2025-6-1", "2025-02-30", " 2025-06-01"])
+    @pytest.mark.parametrize("flag", ["--window-start", "--window-end"])
+    def test_window_refuses_other_date_forms(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", flag, value, "--replay-dir", str(FIXTURES / "replay"), *DEMO_FLAGS])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            f"itiguard generate: error: argument {flag}: invalid date {value!r}; expected YYYY-MM-DD"
+        ]
 
     def test_valid_recording_reports_zero_issues(self, tmp_path, capsys):
         recording = tmp_path / "rec" / "demo" / "4"
@@ -992,6 +1012,102 @@ class TestConfigResolution:
         ]
 
 
+COMMON_FLAGS = [
+    "--config", "c.json", "--provider", "fixture", "--fixture-file", "f.txt", "--base-url", "http://x",
+    "--cache-file", "cache.txt", "--buffer-hours", "2.5", "--min-stay-hours", "24", "--max-multiplier", "1.5",
+    "--strict",
+]
+COMMON_VALUES = dict(
+    config="c.json", provider="fixture", fixture_file="f.txt", base_url="http://x", cache_file="cache.txt",
+    buffer_hours=2.5, min_stay_hours=24.0, max_multiplier=1.5, strict=True,
+)
+# The flags no one gave: None, so the config file and the defaults apply.
+COMMON_UNSET = dict.fromkeys(COMMON_VALUES)
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", [None, "validate", "correct", "generate", "bench"], ids=str)
+    def test_help_matches_golden(self, command, goldens_dir, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        golden = goldens_dir / f"help_{command or 'top'}.txt"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["validate", "a.json", "b.json", *COMMON_FLAGS, "--format", "json"],
+                dict(COMMON_VALUES, command="validate", inputs=["a.json", "b.json"], format="json"),
+            ),
+            (
+                ["correct", "in.json", *COMMON_FLAGS, "--trace"],
+                dict(COMMON_VALUES, command="correct", input="in.json", trace=True),
+            ),
+            (
+                ["generate", *COMMON_FLAGS, "--destinations", "3", "--cities", "Paris:CDG,Tokyo:HND",
+                 "--route", "Sydney:SYD,Cairo:CAI", "--window-start", "2025-07-01", "--window-end", "2025-07-15",
+                 "--replay-dir", "rec", "--model-tag", "m", "--endpoint", "http://e", "--max-retries", "2",
+                 "--no-correct", "--trace"],
+                dict(COMMON_VALUES, command="generate", destinations=3, cities="Paris:CDG,Tokyo:HND",
+                     route="Sydney:SYD,Cairo:CAI", window_start=date(2025, 7, 1), window_end=date(2025, 7, 15),
+                     replay_dir="rec", model_tag="m", endpoint="http://e", max_retries=2, no_correct=True,
+                     trace=True),
+            ),
+            (
+                ["bench", "m.json", *COMMON_FLAGS, "--format", "csv", "--include-stays", "--breakdown"],
+                dict(COMMON_VALUES, command="bench", manifest="m.json", format="csv", include_stays=True,
+                     breakdown=True),
+            ),
+            (
+                ["validate", "a.json"],
+                dict(COMMON_UNSET, command="validate", inputs=["a.json"], format=None),
+            ),
+            (
+                ["correct", "in.json"],
+                dict(COMMON_UNSET, command="correct", input="in.json", trace=None),
+            ),
+            (
+                ["generate"],
+                dict(COMMON_UNSET, command="generate", destinations=4, cities=None, route=None,
+                     window_start=date(2025, 6, 1), window_end=date(2025, 6, 30), replay_dir=None,
+                     model_tag="demo", endpoint=None, max_retries=3, no_correct=False, trace=None),
+            ),
+            (
+                ["bench", "m.json"],
+                dict(COMMON_UNSET, command="bench", manifest="m.json", format=None, include_stays=False,
+                     breakdown=False),
+            ),
+        ],
+        ids=["validate-all", "correct-all", "generate-all", "bench-all",
+             "validate-none", "correct-none", "generate-none", "bench-none"],
+    )
+    def test_namespace(self, argv, expected):
+        assert cli.build_parser().parse_args(argv) == argparse.Namespace(**expected)
+
+    @pytest.mark.parametrize(
+        "argv", [["validate", "a.json"], ["correct", "in.json"], ["generate"], ["bench", "m.json"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_parse_adds_only_the_running_commands_arguments_once(self, argv, monkeypatch):
+        added = []
+
+        def counted(command, add):
+            return lambda parser: (added.append(command), add(parser))
+
+        for command in ("validate", "correct", "generate", "bench"):
+            name = f"_add_{command}_arguments"
+            monkeypatch.setattr(cli, name, counted(command, getattr(cli, name)))
+        parser = cli.build_parser()
+        assert added == []
+        first = parser.parse_args(argv)
+        # A second parse reuses the arguments the first one added.
+        assert parser.parse_args(argv) == first
+        assert added == [argv[0]]
+
+
 LONG = "x" * 300
 
 
@@ -1196,6 +1312,9 @@ class TestEntrypoint:
             # argparse prints the help and exits before a command runs.
             ["--help"],
             pytest.param(["validate", "--help"], id="validate-help"),
+            pytest.param(["correct", "--help"], id="correct-help"),
+            pytest.param(["generate", "--help"], id="generate-help"),
+            pytest.param(["bench", "--help"], id="bench-help"),
         ],
         ids=lambda argv: argv[0],
     )

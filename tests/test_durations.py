@@ -546,12 +546,22 @@ class TestCache:
 
     def test_corrupt_lines_skipped_with_warning(self, tmp_path, capsys):
         path = tmp_path / "cache.txt"
-        path.write_text("SYD FRA 1020\ngarbage line\nCAI CMN notanumber\nCAI CMN 60\n")
+        # Minutes that int() would take, but that are not ASCII digits, are
+        # corrupt too: an underscore, a sign, Arabic-Indic and fullwidth digits.
+        path.write_text(
+            "SYD FRA 1020\ngarbage line\nCAI CMN notanumber\nCAI CMN 60\n"
+            "SYD CAI 9_5\nFRA CMN +120\nSYD CMN \u0661\u0662\u0660\nFRA CAI \uff11\uff12\uff10\n",
+            encoding="utf-8",
+        )
         cache = load_cache(path)
-        assert len(cache) == 2
-        warnings = warning_lines(capsys)
-        assert len(warnings) == 2
-        assert all("skip" in line.lower() for line in warnings)
+        assert cache == {route("SYD", "FRA"): FlightDuration(1020), route("CAI", "CMN"): FlightDuration(60)}
+        assert warning_lines(capsys) == [
+            f"skipping corrupt cache line {path}:{lineno}: {line!r}"
+            for lineno, line in [
+                (2, "garbage line"), (3, "CAI CMN notanumber"), (5, "SYD CAI 9_5"), (6, "FRA CMN +120"),
+                (7, "SYD CMN \u0661\u0662\u0660"), (8, "FRA CAI \uff11\uff12\uff10"),
+            ]
+        ]
 
     def test_blank_lines_skipped_without_warning(self, tmp_path, capsys):
         path = tmp_path / "cache.txt"

@@ -376,6 +376,12 @@ class TestParseItinerary:
         text = (fixtures_dir / "sample_invalid.json").read_text()
         assert len(parse_itinerary(text, None)) == 4
 
+    @pytest.mark.parametrize("text", ["[]", '{"itinerary": []}'], ids=["bare", "wrapped"])
+    def test_no_stops_is_invalid_json(self, text):
+        with pytest.raises(InvalidJsonError) as exc:
+            parse_itinerary(text, None)
+        assert str(exc.value) == "an itinerary needs at least one stop"
+
     def test_bad_expected_stops(self):
         with pytest.raises(ValueError):
             parse_itinerary("[]", 0)
