@@ -15,7 +15,9 @@ the one table that maps it to its code. Only validate returns 2 itself,
 after it has reported every file.
 
 Settings resolve as flags > config file > built-in defaults. The config
-file is one JSON object whose keys mirror AppConfig.
+file is one JSON object whose keys mirror AppConfig. main builds the run's
+provider and policy once, from the resolved settings, and hands both to the
+command's handler: a run has one route memo, whatever the command.
 """
 
 from __future__ import annotations
@@ -216,9 +218,8 @@ def _issue_line(issue: Issue, itin: Itinerary) -> str:
     return f"  - {issue.kind} {where}{detail}"
 
 
-def cmd_validate(args: argparse.Namespace, config: AppConfig) -> int:
-    provider = build_provider(config)
-    policy = build_policy(config)
+def cmd_validate(args: argparse.Namespace, config: AppConfig,
+                 provider: CachedProvider, policy: ValidationPolicy) -> int:
     results = []
     had_error = False
     for path in args.inputs:
@@ -251,9 +252,8 @@ def cmd_validate(args: argparse.Namespace, config: AppConfig) -> int:
     return EXIT_VALID
 
 
-def cmd_correct(args: argparse.Namespace, config: AppConfig) -> int:
-    provider = build_provider(config)
-    policy = build_policy(config)
+def cmd_correct(args: argparse.Namespace, config: AppConfig,
+                provider: CachedProvider, policy: ValidationPolicy) -> int:
     itinerary = parse_itinerary(read_file(args.input), None)
     corrected, trace = correct(itinerary, provider, policy)
     print(render_itinerary(corrected), flush=True)
@@ -273,9 +273,8 @@ def _parse_city_list(raw: str) -> tuple[tuple[str, AirportCode], ...]:
     return tuple(cities)
 
 
-def cmd_generate(args: argparse.Namespace, config: AppConfig) -> int:
-    provider = build_provider(config)
-    policy = build_policy(config)
+def cmd_generate(args: argparse.Namespace, config: AppConfig,
+                 provider: CachedProvider, policy: ValidationPolicy) -> int:
     city_pool = DEMO_CITY_POOL if args.cities is None else _parse_city_list(args.cities)
     sequence = None if args.route is None else _parse_city_list(args.route)
     request = GenerationRequest(
@@ -309,11 +308,10 @@ def cmd_generate(args: argparse.Namespace, config: AppConfig) -> int:
     return EXIT_VALID
 
 
-def cmd_bench(args: argparse.Namespace, config: AppConfig) -> int:
+def cmd_bench(args: argparse.Namespace, config: AppConfig,
+              provider: CachedProvider, policy: ValidationPolicy) -> int:
     if args.breakdown and config.format != "table":
         raise ValueError(f"bench --breakdown needs --format table, not {shorten(repr(config.format))}")
-    provider = build_provider(config)
-    policy = build_policy(config)
     entries = load_manifest(args.manifest)
     # "." for a manifest in the working directory, so an empty file name
     # still names a directory, as Path(".") / "" does.
@@ -352,6 +350,7 @@ class _Parser(argparse.ArgumentParser):
         # through this method, so the arguments are added on the first parse.
         add, self._add_arguments = self._add_arguments, None
         if add is not None:
+            _add_common_arguments(self)
             add(self)
         return super().parse_known_args(args, namespace)
 
@@ -391,20 +390,17 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_validate_arguments(parser: argparse.ArgumentParser) -> None:
-    _add_common_arguments(parser)
     parser.add_argument("inputs", nargs="+", help="itinerary JSON file(s)")
     parser.add_argument("--format", choices=FORMATS["validate"], default=None)
 
 
 def _add_correct_arguments(parser: argparse.ArgumentParser) -> None:
-    _add_common_arguments(parser)
     parser.add_argument("input", help="itinerary JSON file")
     parser.add_argument("--trace", action="store_true", default=None,
                         help="print the adjustment log to stderr")
 
 
 def _add_generate_arguments(parser: argparse.ArgumentParser) -> None:
-    _add_common_arguments(parser)
     parser.add_argument("--destinations", type=int, default=4,
                         help="number of stops (default: 4; ignored with --route)")
     parser.add_argument("--cities", help="city pool as 'Name:IATA,Name:IATA,...'")
@@ -423,7 +419,6 @@ def _add_generate_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_bench_arguments(parser: argparse.ArgumentParser) -> None:
-    _add_common_arguments(parser)
     parser.add_argument("manifest", help="corpus manifest JSON")
     parser.add_argument("--format", choices=FORMATS["bench"], default=None)
     parser.add_argument("--include-stays", action="store_true",
@@ -468,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
             config = resolve_config(args)
         except (OSError, ValueError) as err:
             return _fail(f"bad configuration: {err}", EXIT_INPUT)
-        code = handlers[args.command](args, config)
+        code = handlers[args.command](args, config, build_provider(config), build_policy(config))
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -21,7 +21,7 @@ from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
-from .model import _new_tuple, load_json, read_file, shorten
+from .model import _SURROGATE_RE, _new_tuple, load_json, read_file, shorten
 from .validation import SEGMENT_ISSUE_KINDS, IssueKind, ValidationReport
 
 TABLE_HEADERS = ("Model", "Cities", "Invalid Itin.", "Invalid Seg.", "Avg Issues/Itn.")
@@ -51,7 +51,8 @@ class ManifestEntry(NamedTuple):
 
 def load_manifest(path: str | Path) -> list[ManifestEntry]:
     """Read a corpus manifest: a JSON array of {file, model_tag, num_cities},
-    with num_cities a JSON integer of at least 1."""
+    with num_cities a JSON integer of at least 1 and a model_tag that UTF-8
+    can encode, since the reports print it."""
     raw = load_json(read_file(path))
     if not isinstance(raw, list):
         raise ValueError(f"manifest must be a JSON array, got {type(raw).__name__}")
@@ -69,6 +70,9 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
             raise ValueError(f"manifest entry {i} has a num_cities below 1")
         if not isinstance(file, str) or not isinstance(model_tag, str):
             raise ValueError(f"manifest entry {i} needs strings for file and model_tag")
+        # isascii first: an ASCII tag holds no surrogate, and it is the cheaper test.
+        if not model_tag.isascii() and _SURROGATE_RE.search(model_tag):
+            raise ValueError(f"manifest entry {i} has a model_tag that UTF-8 cannot encode")
         entries.append(_new_tuple(ManifestEntry, (file, model_tag, num_cities)))
     return entries
 

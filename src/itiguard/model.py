@@ -52,13 +52,15 @@ _AIRPORT_RE = re.compile(r"[A-Z]{3}")
 # Last parenthesized 3-letter token wins, so city names containing
 # parentheses ("San Francisco (Bay Area)") still parse.
 _PLACE_RE = re.compile(r"\(([A-Z]{3})\)\s*$")
+# The code points UTF-8 cannot encode. A JSON escape such as "\ud800" yields
+# one alone, and a report that printed it would fail part-way.
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 _MINUTES_PER_DAY = 24 * 60
 # Entries per date memo: over five years of days.
 _MEMO_SIZE = 2048
 # Longest place string the place memo keeps; longer ones are parsed uncached.
 _PLACE_KEY_LIMIT = 64
-_decode_json = json.JSONDecoder().decode
 
 QUOTE_LIMIT = 80
 # Bytes asked of each os.read in read_file (64 KiB); a longer file takes
@@ -293,25 +295,21 @@ def read_file(path: str | os.PathLike[str]) -> bytes:
 
 def load_json(text: str | bytes) -> object:
     """json.loads for text from outside the program; bytes must be UTF-8.
-    A leading BOM is refused in json.loads's words; the rest goes to the
-    decoder json.loads would pick (_decode_json), without its option checks.
-    Whatever it cannot decode raises InvalidJsonError: bad syntax, a BOM,
-    bytes that are not UTF-8, an integer past CPython's digit limit (all
+    Whatever it cannot decode raises InvalidJsonError: bad syntax, a leading
+    BOM, bytes that are not UTF-8, an integer past CPython's digit limit (all
     ValueError) and nesting deeper than the recursion limit (RecursionError)."""
     try:
         # json.loads would guess UTF-16 or UTF-32 from the first bytes.
-        text = text.decode("utf-8") if isinstance(text, bytes) else text
-        if text.startswith("\ufeff"):
-            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        return _decode_json(text)
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except (ValueError, RecursionError) as err:
         raise InvalidJsonError(f"not valid JSON: {err}") from None
 
 
 def _split_place(raw: str) -> tuple[str, AirportCode] | None:
-    """(name, airport) of 'City Name (IATA)', or None when raw does not match."""
+    """(name, airport) of 'City Name (IATA)', or None when raw does not match
+    or holds text UTF-8 cannot encode."""
     match = _PLACE_RE.search(raw)
-    if not match:
+    if not match or _SURROGATE_RE.search(raw):
         return None
     name = raw[: match.start()].strip()
     if not name:
@@ -390,7 +388,7 @@ def parse_itinerary(text: str | bytes, expected_stops: int | None) -> Itinerary:
         if departure_minutes is None:
             raise InvalidTimeFormatError(departure, place_label=place)
         stops.append(_new_tuple(Stop, (name, airport, arrival_minutes, departure_minutes)))
-    return Itinerary(tuple(stops))
+    return _new_tuple(Itinerary, (tuple(stops),))
 
 
 def render_itinerary(itin: Itinerary) -> str:

@@ -78,6 +78,10 @@ def oracle_parse_place(raw: object, stop_index: int) -> tuple[str, AirportCode]:
     name = raw[: match.start()].strip()
     if not name:
         raise BadPlaceFormatError(stop_index, raw)
+    try:
+        raw.encode("utf-8")
+    except UnicodeEncodeError:
+        raise BadPlaceFormatError(stop_index, raw) from None
     return name, AirportCode(match.group(1))
 
 

@@ -15,11 +15,12 @@ from types import SimpleNamespace
 import pytest
 import requests
 
-from itiguard import cli, correction, durations
+from itiguard import cli, correction, durations, gateway
 from itiguard.cli import main
 from itiguard.durations import FixtureProvider
 from itiguard.metrics import ManifestEntry, aggregate
 from itiguard.model import parse_itinerary, render_itinerary
+from itiguard.prompts import JSON_ERROR_FEEDBACK
 from itiguard.validation import ValidationPolicy, validate
 from support import CountingProvider, random_corpus
 
@@ -546,6 +547,23 @@ def counted_providers(monkeypatch) -> list[CountingProvider]:
 
     monkeypatch.setattr(cli, "CachedProvider", cached)
     return providers
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["validate", str(FIXTURES / "sample_invalid.json"), *DEMO_FLAGS], 1),
+        (["correct", str(FIXTURES / "sample_invalid.json"), *DEMO_FLAGS], 0),
+        (["generate", "--replay-dir", str(FIXTURES / "replay"), *DEMO_FLAGS], 0),
+        (["bench", str(FIXTURES / "corpus" / "manifest.json"), "--provider", "fixture",
+          "--fixture-file", str(FIXTURES / "corpus" / "durations.txt")], 0),
+    ],
+    ids=["validate", "correct", "generate", "bench"],
+)
+def test_a_run_builds_one_provider(argv, code, monkeypatch, capsys):
+    providers = counted_providers(monkeypatch)
+    assert main(argv) == code
+    assert len(providers) == 1
 
 
 class TestBench:
@@ -1097,7 +1115,7 @@ class TestParser:
         def counted(command, add):
             return lambda parser: (added.append(command), add(parser))
 
-        for command in ("validate", "correct", "generate", "bench"):
+        for command in ("common", "validate", "correct", "generate", "bench"):
             name = f"_add_{command}_arguments"
             monkeypatch.setattr(cli, name, counted(command, getattr(cli, name)))
         parser = cli.build_parser()
@@ -1105,7 +1123,7 @@ class TestParser:
         first = parser.parse_args(argv)
         # A second parse reuses the arguments the first one added.
         assert parser.parse_args(argv) == first
-        assert added == [argv[0]]
+        assert added == ["common", argv[0]]
 
 
 LONG = "x" * 300
@@ -1194,6 +1212,66 @@ class TestNonUtf8Input:
         assert "error: " in line
         assert "not valid JSON" in line
         assert "Traceback" not in captured.err
+
+
+class TestTextUtf8CannotEncode:
+    """A JSON escape such as "\\ud800" decodes to a lone surrogate, which
+    UTF-8 cannot encode. A place or a manifest model_tag holding one is
+    refused where it is read, so no report stops part-way at it."""
+
+    ERROR = "stop 0 place 'Syd\\ud800ney (SYD)' does not match 'City Name (IATA)'"
+
+    @pytest.fixture
+    def surrogate_file(self, tmp_path) -> Path:
+        text = (FIXTURES / "sample_invalid.json").read_text(encoding="utf-8")
+        path = tmp_path / "sur.json"
+        path.write_text(text.replace('"Sydney (SYD)"', '"Syd\\ud800ney (SYD)"'), encoding="utf-8")
+        return path
+
+    def test_validate_reports_one_error_line_and_the_other_files(self, surrogate_file, capsys):
+        sample = FIXTURES / "sample_invalid.json"
+        assert main(["validate", str(surrogate_file), str(sample), *DEMO_FLAGS]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == f"{sample}: INVALID (3 issue(s))"
+        assert captured.err == f"{surrogate_file}: error: {self.ERROR}\n"
+
+    def test_correct_exits_2(self, surrogate_file, capsys):
+        assert main(["correct", str(surrogate_file), *DEMO_FLAGS]) == 2
+        assert capsys.readouterr() == ("", f"error: {self.ERROR}\n")
+
+    def test_generate_retries_with_the_json_feedback(self, surrogate_file, tmp_path, monkeypatch, capsys):
+        recording = tmp_path / "rec" / "demo" / "4"
+        recording.mkdir(parents=True)
+        surrogate_file.rename(recording / "001.txt")
+        (recording / "002.txt").write_bytes((FIXTURES / "sample_invalid.json").read_bytes())
+        prompts = []
+        complete = gateway.ReplayClient.complete
+        monkeypatch.setattr(gateway.ReplayClient, "complete",
+                            lambda client, prompt: prompts.append(prompt) or complete(client, prompt))
+        assert main(["generate", "--replay-dir", str(tmp_path / "rec"), *DEMO_FLAGS]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (FIXTURES / "sample_corrected.json").read_text(encoding="utf-8")
+        assert "generation: 2 attempt(s)" in captured.err
+        assert prompts[1].startswith(JSON_ERROR_FEEDBACK)
+
+    def test_bench_skips_the_file_with_a_warning(self, surrogate_file, capsys):
+        (surrogate_file.parent / "good.json").write_bytes((FIXTURES / "sample_invalid.json").read_bytes())
+        manifest = surrogate_file.parent / "manifest.json"
+        manifest.write_text(json.dumps([{"file": name, "model_tag": "m", "num_cities": 4}
+                                        for name in ("sur.json", "good.json")]))
+        assert main(["bench", str(manifest), *DEMO_FLAGS]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"warning: skipping sur.json: {self.ERROR}\n"
+        row = next(line for line in captured.out.splitlines() if line.startswith("m"))
+        assert row.split()[1:] == ["4", "100.00%", "66.67%", "3.00"]
+
+    @pytest.mark.parametrize("format", ["table", "csv"])
+    def test_bench_refuses_such_a_model_tag(self, tmp_path, format, capsys):
+        (tmp_path / "a.json").write_bytes((FIXTURES / "sample_invalid.json").read_bytes())
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('[{"file": "a.json", "model_tag": "m\\ud800", "num_cities": 4}]')
+        assert main(["bench", str(manifest), "--format", format, *DEMO_FLAGS]) == 2
+        assert capsys.readouterr() == ("", "error: manifest entry 0 has a model_tag that UTF-8 cannot encode\n")
 
 
 class TestDirectoryAsInput:
@@ -1381,7 +1459,7 @@ class TestEntrypoint:
         assert (b"SYD", b"FRA") in routes and len(routes) == len(set(routes))
 
     def test_interrupt_in_a_command_exits_130_with_one_line(self, monkeypatch, capsys):
-        def interrupted(args, config):
+        def interrupted(*args):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli, "cmd_validate", interrupted)

@@ -228,7 +228,8 @@ class TestParsePlace:
 
     @pytest.mark.parametrize(
         "raw",
-        ["Sydney", "Sydney (SYDX)", "(SYD)", "Sydney (syd)", 42, 4.5, True, None, ["Sydney (SYD)"], {"Sydney": "SYD"}],
+        ["Sydney", "Sydney (SYDX)", "(SYD)", "Sydney (syd)", "Syd\ud800ney (SYD)", "\udfffSydney (SYD)",
+         42, 4.5, True, None, ["Sydney (SYD)"], {"Sydney": "SYD"}],
     )
     def test_rejects_bad_shapes(self, raw):
         with pytest.raises(BadPlaceFormatError) as exc:
@@ -249,7 +250,8 @@ GOOD_PLACES = st.one_of(
     st.text(min_size=1, max_size=8).map(lambda name: f"x{name} (CMN)"),
 )
 BAD_PLACES = st.one_of(
-    st.sampled_from(["Sydney", "(SYD)", "Sydney (syd)", "Sydney (SYDX)", "", "  (CAI)", "City " * 20 + "(syd)"]),
+    st.sampled_from(["Sydney", "(SYD)", "Sydney (syd)", "Sydney (SYDX)", "", "  (CAI)", "City " * 20 + "(syd)",
+                     "Syd\ud800ney (SYD)", "City " * 20 + "\udc80 (SYD)"]),
     st.text(max_size=12),
     st.integers(),
     st.booleans(),
