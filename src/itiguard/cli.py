@@ -3,7 +3,8 @@
 Four subcommands: validate (check files, report issues), correct (repair a
 file and print the fixed document), generate (prompt a model, then validate
 and correct the result), and bench (validate a corpus and print aggregate
-statistics).
+statistics). A command line that starts with a command is parsed by that
+command's parser alone; build_parser's full parser takes every other one.
 
 Exit codes are part of the contract: 0 everything valid, 1 at least one
 itinerary invalid, 2 input or provider problem, 3 the check after the single
@@ -341,19 +342,6 @@ def cmd_bench(args: argparse.Namespace, config: AppConfig,
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, add_arguments=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._add_arguments = add_arguments
-
-    def parse_known_args(self, args=None, namespace=None):
-        # argparse hands a subcommand's parser its part of the command line
-        # through this method, so the arguments are added on the first parse.
-        add, self._add_arguments = self._add_arguments, None
-        if add is not None:
-            _add_common_arguments(self)
-            add(self)
-        return super().parse_known_args(args, namespace)
-
     def print_help(self, file=None):
         # Unlike argparse's own print_help, this lets a closed stdout raise, at the write or the flush.
         print(self.format_help(), end="", file=file or sys.stdout, flush=True)
@@ -427,30 +415,45 @@ def _add_bench_arguments(parser: argparse.ArgumentParser) -> None:
                         help="also print issue-kind counts per model tag")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The itiguard parser, whose subcommand parsers are empty until parsed.
+# name -> (its line in the top-level help, the adder of its own flags)
+_COMMANDS = {
+    "validate": ("check itinerary files against the temporal rules", _add_validate_arguments),
+    "correct": ("repair an itinerary and print the corrected JSON", _add_correct_arguments),
+    "generate": ("generate an itinerary, then validate and correct it", _add_generate_arguments),
+    "bench": ("validate a corpus and print aggregate statistics", _add_bench_arguments),
+}
 
-    Each add_argument call builds an argparse HelpFormatter, and a run uses
-    one subcommand, so a subcommand's parser gets its arguments only when
-    argparse hands it the command line (_Parser.parse_known_args). The top
-    level help and the invalid-choice error need only the names and help
-    texts, which add_parser takes here. Nothing is kept across calls: each
-    call builds a new parser.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, every command's flags included, for the command
+    lines parse_args does not take itself. Each call builds a new one."""
     parser = _Parser(
         prog="itiguard",
         description="Validate, correct, and generate multi-city flight itineraries.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    subparsers.add_parser("validate", add_arguments=_add_validate_arguments,
-                          help="check itinerary files against the temporal rules")
-    subparsers.add_parser("correct", add_arguments=_add_correct_arguments,
-                          help="repair an itinerary and print the corrected JSON")
-    subparsers.add_parser("generate", add_arguments=_add_generate_arguments,
-                          help="generate an itinerary, then validate and correct it")
-    subparsers.add_parser("bench", add_arguments=_add_bench_arguments,
-                          help="validate a corpus and print aggregate statistics")
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        subparser = subparsers.add_parser(name, help=help_text)
+        _add_common_arguments(subparser)
+        add_arguments(subparser)
     return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), same output and errors. A line that
+    starts with a command is parsed by that command's parser alone, as
+    build_parser makes it, since each add_argument builds a HelpFormatter. The
+    rest, and a line that parser leaves arguments over, go to build_parser,
+    so the top-level usage and errors stay argparse's own."""
+    if argv and argv[0] in _COMMANDS:
+        parser = _Parser(prog=f"itiguard {argv[0]}")
+        _add_common_arguments(parser)
+        _COMMANDS[argv[0]][1](parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -458,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
     code here and nowhere else, with one 'error:' line on stderr."""
     handlers = {"validate": cmd_validate, "correct": cmd_correct, "generate": cmd_generate, "bench": cmd_bench}
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         try:
             config = resolve_config(args)
         except (OSError, ValueError) as err:

@@ -185,12 +185,14 @@ class MissingFieldError(FormatError):
 
 
 class BadPlaceFormatError(FormatError):
-    """A place field does not match 'City Name (IATA)'."""
+    """A place field does not match 'City Name (IATA)' or holds text UTF-8 cannot encode."""
 
     def __init__(self, stop_index: int, raw: object):
         self.stop_index = stop_index
         self.raw = raw
-        super().__init__(f"stop {stop_index} place {shorten(repr(raw))} does not match 'City Name (IATA)'")
+        cause = ("holds text UTF-8 cannot encode" if isinstance(raw, str) and _SURROGATE_RE.search(raw)
+                 else "does not match 'City Name (IATA)'")
+        super().__init__(f"stop {stop_index} place {shorten(repr(raw))} {cause}")
 
 
 def parse_timestamp(text: str) -> int:

@@ -954,9 +954,12 @@ class TestConfigResolution:
             ("min_stay_hours", 0.001, "min_stay_hours 0.001 rounds to 0 minutes; hours are rounded to the nearest minute"),
             ("buffer_hours", 0.0084, None),
             ("buffer_hours", 0.0, None),
+            # The largest float is a number of hours, but not of minutes.
+            ("buffer_hours", sys.float_info.max,
+             "buffer_hours must be a finite number of hours, got 1.7976931348623157e+308"),
         ],
         ids=["buffer-rounds-to-minus-0", "buffer-rounds-to-minus-1", "min-stay-negative",
-             "buffer-rounds-to-0", "min-stay-rounds-to-0", "buffer-rounds-to-1", "buffer-0"],
+             "buffer-rounds-to-0", "min-stay-rounds-to-0", "buffer-rounds-to-1", "buffer-0", "buffer-max-float"],
     )
     def test_hours_are_checked_before_rounding_to_minutes(self, tmp_path, key, hours, message, source, capsys):
         if source == "flag":
@@ -973,6 +976,13 @@ class TestConfigResolution:
             assert code == 2
             assert captured.out == ""
             assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("key", ["cache_file", "fixture_file", "base_url"])
+    def test_null_for_a_key_that_defaults_to_none_is_accepted(self, tmp_path, key, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: None}))
+        code = main(["validate", str(FIXTURES / "sample_invalid.json"), "--config", str(config), *DEMO_FLAGS])
+        assert code == 1 and capsys.readouterr().err == ""
 
     def test_non_object_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -1103,27 +1113,59 @@ class TestParser:
              "validate-none", "correct-none", "generate-none", "bench-none"],
     )
     def test_namespace(self, argv, expected):
+        assert cli.parse_args(argv) == argparse.Namespace(**expected)
         assert cli.build_parser().parse_args(argv) == argparse.Namespace(**expected)
+
+    @pytest.fixture
+    def built(self, monkeypatch) -> list[str]:
+        """The prog of each ArgumentParser built, then each adder run, by name
+        ("common" for the flags every command takes)."""
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted_init(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            built.append(parser.prog)
+
+        def counted(command, add):
+            return lambda parser: (built.append(command), add(parser))
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        monkeypatch.setattr(cli, "_add_common_arguments", counted("common", cli._add_common_arguments))
+        for command, (help_text, add) in cli._COMMANDS.items():
+            monkeypatch.setitem(cli._COMMANDS, command, (help_text, counted(command, add)))
+        return built
 
     @pytest.mark.parametrize(
         "argv", [["validate", "a.json"], ["correct", "in.json"], ["generate"], ["bench", "m.json"]],
         ids=lambda argv: argv[0],
     )
-    def test_a_parse_adds_only_the_running_commands_arguments_once(self, argv, monkeypatch):
-        added = []
+    def test_a_command_line_builds_one_parser_with_its_commands_arguments(self, argv, built):
+        cli.parse_args(argv)
+        assert built == [f"itiguard {argv[0]}", "common", argv[0]]
 
-        def counted(command, add):
-            return lambda parser: (added.append(command), add(parser))
+    def test_the_full_path_builds_every_commands_parser(self, built, capsys):
+        with pytest.raises(SystemExit):
+            cli.parse_args(["validate", "a.json", "--bogus"])
+        every = [item for command in cli._COMMANDS for item in (f"itiguard {command}", "common", command)]
+        assert built == ["itiguard validate", "common", "validate", "itiguard", *every]
 
-        for command in ("common", "validate", "correct", "generate", "bench"):
-            name = f"_add_{command}_arguments"
-            monkeypatch.setattr(cli, name, counted(command, getattr(cli, name)))
-        parser = cli.build_parser()
-        assert added == []
-        first = parser.parse_args(argv)
-        # A second parse reuses the arguments the first one added.
-        assert parser.parse_args(argv) == first
-        assert added == ["common", argv[0]]
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["--help"], ["bogus"], ["valid", "x"], ["bench"], ["bench", "m.json", "--bogus"],
+         ["validate", "a.json", "--bogus", "b.json"], ["--", "validate", "x"], ["-x", "validate", "a"],
+         ["generate", "--window-start", "2025-6-1"], ["validate", "--provider", "nope", "x"],
+         ["validate", "a.json", "-h", "--bogus"], ["correct", "a", "b"]],
+        ids=lambda argv: " ".join(argv) or "no-arguments",
+    )
+    def test_main_prints_what_the_full_parser_prints(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        outcomes = []
+        for run in (main, cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            outcomes.append((exc.value.code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
 
 
 LONG = "x" * 300
@@ -1219,7 +1261,7 @@ class TestTextUtf8CannotEncode:
     UTF-8 cannot encode. A place or a manifest model_tag holding one is
     refused where it is read, so no report stops part-way at it."""
 
-    ERROR = "stop 0 place 'Syd\\ud800ney (SYD)' does not match 'City Name (IATA)'"
+    ERROR = "stop 0 place 'Syd\\ud800ney (SYD)' holds text UTF-8 cannot encode"
 
     @pytest.fixture
     def surrogate_file(self, tmp_path) -> Path:

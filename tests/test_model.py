@@ -236,6 +236,12 @@ class TestParsePlace:
             parse_place(raw, 3)
         assert exc.value.stop_index == 3
 
+    @pytest.mark.parametrize("raw", ["Syd\ud800ney (SYD)", "\udfffSydney (SYD)", "Syd\ud800ney"])
+    def test_a_lone_surrogate_is_named_as_the_cause(self, raw):
+        with pytest.raises(BadPlaceFormatError) as exc:
+            parse_place(raw, 0)
+        assert str(exc.value) == f"stop 0 place {raw!r} holds text UTF-8 cannot encode"
+
 
 def outcome(parse, text, expected_stops):
     """What a parse gives: ("ok", itinerary) or ("error", type, message)."""
