@@ -233,7 +233,12 @@ def cmd_validate(args: argparse.Namespace, config: AppConfig,
             continue
         results.append((path, itinerary, report))
     if config.format == "json":
-        payload = [{"file": path, **report.to_dict()} for path, _, report in results]
+        # A name that is not UTF-8 on disk would print as a lone-surrogate
+        # escape that no JSON reader can encode again.
+        payload = [
+            {"file": os.fsencode(path).decode("utf-8", "backslashreplace"), **report.to_dict()}
+            for path, _, report in results
+        ]
         print(json.dumps(payload, indent=2))
     else:
         for path, itinerary, report in results:

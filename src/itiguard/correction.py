@@ -23,12 +23,14 @@ caller that validates first asks the provider for each route again, which
 the run's durations.CachedProvider answers from memory.
 
 The first stop's arrival anchors the schedule and is never moved; city order
-is never changed. Legs whose bounds entry is None are skipped and recorded
-so the caller knows which part of the output is unchecked. The trace logs
-every timestamp the pass changed, with its old and new value and the rule
-that forced it: an Adjustment's field is the name of the Stop field it
-changed, "arrival" or "departure", and its reason is the IssueKind string,
-both printed as they are.
+is never changed. A leg with no route data has the NO_ROUTE_DATA window,
+so the pass repairs only its overlap, with arrival := departure, and the
+trace records it as skipped so the caller knows which part of the output
+has unchecked transit times. The trace logs every timestamp the pass
+changed, with its old and new value and the rule that forced it: an
+Adjustment's field is the name of the Stop field it changed, "arrival" or
+"departure", and its reason is the IssueKind string, both printed as they
+are.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ class CorrectionTrace(NamedTuple):
 
 def _adjustment_pass(
     stops: tuple[Stop, ...],
-    bounds: list[tuple[int, int] | None],
+    bounds: list[tuple[int, int]],
     policy: ValidationPolicy,
     out: list[Adjustment],
 ) -> tuple[Stop, ...]:
@@ -110,13 +112,11 @@ def _adjustment_pass(
         arrival = stop.arrival
         if i:
             # Leg i - 1 ends here, after stop i - 1's departure is final.
-            leg = bounds[i - 1]
-            if leg is not None:
-                t_min, t_max = leg
-                kind = segment_violation(arrival - departure, t_min, t_max)
-                if kind:
-                    arrival = departure + t_min
-                    out.append(Adjustment(i, "arrival", stop.arrival, arrival, kind))
+            t_min, t_max = bounds[i - 1]
+            kind = segment_violation(arrival - departure, t_min, t_max)
+            if kind:
+                arrival = departure + t_min
+                out.append(Adjustment(i, "arrival", stop.arrival, arrival, kind))
         departure = stop.departure
         kind = stay_violation(departure - arrival, policy)
         if kind:
@@ -137,7 +137,7 @@ def correct(
 
     Resolves the route bounds once, makes one forward pass, and checks the
     result with check_against_bounds on the same bounds. The legs whose
-    entry is None become the trace's skipped_segments. Returns the
+    entry is NO_ROUTE_DATA become the trace's skipped_segments. Returns the
     corrected itinerary plus the trace. Raises the provider's
     RouteUnavailable unchanged in strict mode if a route cannot be
     resolved, ValueError if a repaired timestamp falls outside the years

@@ -6,10 +6,12 @@ which the validator builds for each leg; RoutePair is its checked form for
 routes read from outside (the cache file), and equals and hashes like the
 plain pair, so either one finds the other's cache entry. Implementations:
 a deterministic fixture table, a great-circle estimator, and a remote HTTP
-client with bounded retries. CachedProvider layers an in-memory table plus
-an optional on-disk file over any of them so repeated routes never trigger
-a second fetch; it is the one per-run memo of route answers, so it also
-remembers, in memory only, each route the inner provider could not resolve.
+client with bounded retries, whose http_fetch (the standard library's
+urllib.request) also makes the generation client's POST. CachedProvider
+layers an in-memory table plus an optional on-disk file over any of them so
+repeated routes never trigger a second fetch; it is the one per-run memo of
+route answers, so it also remembers, in memory only, each route the inner
+provider could not resolve.
 
 The cache file holds 'ORIGIN DEST minutes' lines and is append-only: each
 fetched route adds one line, the file is never rewritten, and when a route
@@ -29,6 +31,7 @@ import os
 import time
 import weakref
 from collections import namedtuple
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Protocol
 
@@ -221,6 +224,25 @@ def parse_duration_payload(body: bytes | str) -> FlightDuration:
 FetchFn = Callable[[str, Mapping[str, str]], bytes]
 
 
+def http_fetch(url: str, headers: Mapping[str, str], body: bytes | None = None, *, timeout: float) -> bytes:
+    """The body of a 2xx answer to a GET of url, or a POST of body, through
+    urllib.request, imported here so that a run that never fetches does not
+    load it. Another status raises TransportError("HTTP <code>"), and a
+    network, URL or protocol failure TransportError(cause_text(err)), such
+    as "[Errno 111] Connection refused"."""
+    import http.client
+    from urllib.request import HTTPError, Request, urlopen
+
+    try:
+        with urlopen(Request(url, body, headers), timeout=timeout) as response:
+            return response.read()
+    except HTTPError as err:
+        err.close()  # it holds the answer's socket open
+        raise TransportError(f"HTTP {err.code}") from err
+    except (OSError, ValueError, http.client.HTTPException) as err:
+        raise TransportError(cause_text(err)) from err
+
+
 class RemoteDurationClient:
     """HTTP client for a flight-times service, with bounded retries.
 
@@ -228,9 +250,8 @@ class RemoteDurationClient:
     comes from the AERODATABOX_API_KEY environment variable unless given.
     A failed fetch or unusable payload is retried after RETRY_DELAY_SECONDS,
     up to FETCH_ATTEMPTS attempts in all, then RouteUnavailable is raised.
-    fetch and sleep stand in for the HTTP request and the wait, for tests.
-    The default fetch imports requests on its first call, so a run that
-    never fetches does not load the HTTP stack.
+    fetch and sleep stand in for the HTTP request and the wait, for tests;
+    the default fetch is http_fetch with a FETCH_TIMEOUT_SECONDS timeout.
     """
 
     def __init__(
@@ -243,19 +264,8 @@ class RemoteDurationClient:
     ):
         self._base_url = base_url.rstrip("/")
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        self._fetch = fetch or self._http_fetch
+        self._fetch = fetch or partial(http_fetch, timeout=FETCH_TIMEOUT_SECONDS)
         self._sleep = sleep
-
-    def _http_fetch(self, url: str, headers: Mapping[str, str]) -> bytes:
-        import requests
-
-        try:
-            response = requests.get(url, headers=dict(headers), timeout=FETCH_TIMEOUT_SECONDS)
-        except requests.RequestException as err:
-            raise TransportError(cause_text(err)) from err
-        if not 200 <= response.status_code < 300:
-            raise TransportError(f"HTTP {response.status_code}")
-        return response.content
 
     def route_duration(self, route: tuple[AirportCode, AirportCode]) -> FlightDuration:
         origin, destination = route

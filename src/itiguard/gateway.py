@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import json
 import os
+from functools import partial
 from pathlib import Path
 from typing import Protocol
 
+from .durations import TransportError, http_fetch
 from .model import (
     FormatError,
     InvalidJsonError,
     Itinerary,
-    cause_text,
     load_json,
     parse_itinerary,
     read_file,
@@ -103,40 +104,28 @@ class HttpGenerationClient:
     """Minimal JSON-over-HTTP client: POST {"prompt": ...}, read {"text": ...}.
 
     The API key comes from the constructor or GENERATION_API_KEY. transport
-    is injectable for tests and must behave like requests.post; without
-    one, the client binds requests.post when it is built. requests is
-    imported here and in complete, not when the module loads, so only a
-    run that builds this client loads the HTTP stack. Transport and
-    HTTP-status failures raise ValueError, as an unexpected payload does.
+    is injectable for tests and has durations.http_fetch's shape, (url,
+    headers, body) -> bytes, raising durations.TransportError on failure;
+    without one, the client posts through http_fetch with a
+    REQUEST_TIMEOUT_SECONDS timeout. Transport and HTTP-status failures
+    raise ValueError, as an unexpected payload does.
     """
 
     def __init__(self, endpoint: str, api_key: str | None = None, *, transport=None):
         self._endpoint = endpoint
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        if transport is None:
-            import requests
-
-            transport = requests.post
-        self._post = transport
+        self._post = transport or partial(http_fetch, timeout=REQUEST_TIMEOUT_SECONDS)
 
     def complete(self, prompt: str) -> str:
-        import requests
-
         headers = {"Content-Type": "application/json"}
         if self._api_key:
             headers["Authorization"] = f"Bearer {self._api_key}"
         try:
-            response = self._post(
-                self._endpoint,
-                json={"prompt": prompt},
-                headers=headers,
-                timeout=REQUEST_TIMEOUT_SECONDS,
-            )
-            response.raise_for_status()
-        except requests.RequestException as err:
-            raise ValueError(f"generation endpoint request failed: {cause_text(err)}") from err
+            content = self._post(self._endpoint, headers, json.dumps({"prompt": prompt}).encode())
+        except TransportError as err:
+            raise ValueError(f"generation endpoint request failed: {err}") from err
         try:
-            body = load_json(response.content)
+            body = load_json(content)
         except InvalidJsonError as err:
             raise ValueError(f"generation endpoint returned {err}") from None
         if not isinstance(body, dict) or not isinstance(body.get("text"), str):

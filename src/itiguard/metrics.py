@@ -6,7 +6,7 @@ load_manifest is the one place that checks them. A validated file is an
 rows: the share of itineraries with at least one issue, the share of
 invalid segments, and the mean issue count. Segments whose route data could
 not be resolved are excluded from the segment percentage on both sides of
-the division.
+the division: an overlap on one counts toward the other two numbers only.
 
 "Invalid segments" counts transit-kind issues only (overlap, too short, too
 long). Stay violations sit on stops, not segments; pass include_stays=True
@@ -91,13 +91,16 @@ def _stats_for_group(
     unverifiable_total = 0
     for report in reports:
         issues = report.issues
+        unverifiable = report.unverifiable_segments
         if issues:
             invalid_itineraries += 1
             issue_total += len(issues)
             for issue in issues:
-                if issue.kind in countable:
+                if issue.kind in countable and not (
+                    issue.kind == IssueKind.OVERLAP and issue.subject in unverifiable
+                ):
                     segment_issue_total += 1
-        unverifiable_total += len(report.unverifiable_segments)
+        unverifiable_total += len(unverifiable)
     slots_per_itinerary = num_cities - 1
     if include_stays:
         slots_per_itinerary += num_cities

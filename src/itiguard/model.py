@@ -80,7 +80,7 @@ def cause_text(err: BaseException) -> str:
     """The shortened text of the innermost exception in err's chain of
     __cause__ and (unsuppressed) __context__, as a traceback would follow
     it: the reason that a library's wrapped errors give last, such as the
-    "[Errno 111] Connection refused" under requests' ConnectionError."""
+    "[Errno 111] Connection refused" under urllib's URLError."""
     seen = {id(err)}
     while True:
         inner = err.__cause__ or (None if err.__suppress_context__ else err.__context__)

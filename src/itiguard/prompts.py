@@ -180,8 +180,8 @@ class GenerationRequest(
     the pool. Each entry of either is a (name, code) pair whose name is a
     str and whose code is a valid IATA code; a code that is not yet an
     AirportCode is made one. num_destinations is an int (not a bool or a
-    float) and the window bounds are dates (not datetimes), so requests
-    that compare equal print the same prompt.
+    float) and the window bounds are dates (not datetimes), so two
+    GenerationRequests that compare equal print the same prompt.
     """
 
     __slots__ = ()

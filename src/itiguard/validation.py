@@ -7,11 +7,12 @@ Four rules, checked per stop and per leg:
   - minimum stay: every stop must last at least the policy minimum (48h).
 
 Violations are strict: exact equality with a bound passes, so an itinerary
-whose times sit exactly on t_min or the minimum stay is valid. Legs whose
-route duration cannot be resolved are listed as unverifiable and excluded
-from the verdict in non-strict mode; strict mode raises the provider's
-durations.RouteUnavailable instead. A leg between two identical airports
-is structurally broken and is reported as an issue as well.
+whose times sit exactly on t_min or the minimum stay is valid. A leg whose
+route duration cannot be resolved gets the NO_ROUTE_DATA window, so only
+the overlap rule checks it, and it is listed as unverifiable in non-strict
+mode; strict mode raises the provider's durations.RouteUnavailable
+instead. A leg between two identical airports gets the same window and is
+reported as a ROUTE_DATA_UNAVAILABLE issue as well, after its overlap.
 
 Each comparison lives in one place, stay_violation or segment_violation:
 they take int minutes and name the broken rule by its IssueKind, a plain
@@ -45,6 +46,10 @@ from .model import _MAX_MINUTES, _MIN_MINUTES, Itinerary, _new_tuple
 # The longest span the wire form can spell: no two timestamps it can write
 # lie further apart, so a longer minimum stay or buffer could never be met.
 _MAX_POLICY_MINUTES = _MAX_MINUTES - _MIN_MINUTES
+
+# The window of a leg with no route data: no travel time exceeds its t_max,
+# so it breaks only the overlap rule, with required 0.
+NO_ROUTE_DATA = (0, _MAX_POLICY_MINUTES)
 
 
 class IssueKind:
@@ -157,34 +162,34 @@ def segment_violation(travel_time: int, t_min: int, t_max: int) -> str | None:
 
 def resolve_segment_bounds(
     itin: Itinerary, provider: DurationProvider, policy: ValidationPolicy
-) -> list[tuple[int, int] | None]:
+) -> list[tuple[int, int]]:
     """Resolve each leg's transit bounds, one (t_min, t_max) entry per leg.
 
-    Entry i is None when leg i cannot be checked: its two airports are the
-    same, or the provider has no duration for its route. Which of the two
-    it was can be read off the itinerary. The provider's route_duration and
-    the policy's numbers are read once per call, and a leg's route goes to
-    the provider as the plain pair (origin, destination) right after the
-    test that its two codes differ. Strict mode re-raises the provider's
+    Entry i is NO_ROUTE_DATA itself when leg i has no route data: its two
+    airports are the same, or the provider has no duration for its route.
+    Which of the two it was can be read off the itinerary. The provider's
+    route_duration and the policy's numbers are read once per call, and a
+    leg's route goes to the provider as the plain pair (origin,
+    destination) right after the test that its two codes differ. Strict mode re-raises the provider's
     RouteUnavailable as it is, with its route, attempts and reason.
     """
     route_duration = provider.route_duration
     buffer = policy.buffer_minutes
     multiplier = policy.max_multiplier
     stops = itin.stops
-    bounds: list[tuple[int, int] | None] = []
+    bounds: list[tuple[int, int]] = []
     origin = stops[0].airport
     for stop in stops[1:]:
         dest = stop.airport
         if origin == dest:
-            bounds.append(None)
+            bounds.append(NO_ROUTE_DATA)
         else:
             try:
                 duration = route_duration((origin, dest))
             except RouteUnavailable:
                 if policy.strict:
                     raise
-                bounds.append(None)
+                bounds.append(NO_ROUTE_DATA)
             else:
                 t_min = duration.minutes + buffer
                 bounds.append((t_min, int(t_min * multiplier)))
@@ -206,17 +211,19 @@ def validate(
 
 
 def check_against_bounds(
-    itin: Itinerary, bounds: list[tuple[int, int] | None], policy: ValidationPolicy
+    itin: Itinerary, bounds: list[tuple[int, int]], policy: ValidationPolicy
 ) -> ValidationReport:
     """The rules of validate() against bounds already resolved for itin's legs.
 
     bounds is what resolve_segment_bounds returned for an itinerary with the
-    same airports in the same order; no provider is consulted. A None entry
-    makes its leg unverifiable, and a ROUTE_DATA_UNAVAILABLE issue when the
-    leg joins an airport to itself. Timestamps are int minutes, so they
-    subtract to the durations stay_violation / segment_violation compare;
-    an Issue is built only for a violation, and its required value is
-    t_max for TRANSIT_TOO_LONG and t_min for the other leg kinds.
+    same airports in the same order; no provider is consulted. Every leg is
+    checked against its window. A NO_ROUTE_DATA entry also makes its leg
+    unverifiable, and a ROUTE_DATA_UNAVAILABLE issue, after the leg's
+    overlap issue, when the leg joins an airport to itself. Timestamps are
+    int minutes, so they subtract to the durations stay_violation /
+    segment_violation compare; an Issue is built only for a violation, and
+    its required value is t_max for TRANSIT_TOO_LONG and t_min for the
+    other leg kinds.
     """
     stops = itin.stops
     min_stay = policy.min_stay_minutes
@@ -228,14 +235,13 @@ def check_against_bounds(
         if previous is not None:
             # Leg i - 1 ends here; its issue follows stop i - 1's stay issue.
             leg = bounds[i - 1]
-            if leg is not None:
-                t_min, t_max = leg
-                travel = arrival - departure
-                kind = segment_violation(travel, t_min, t_max)
-                if kind is not None:
-                    required = t_max if kind == IssueKind.TRANSIT_TOO_LONG else t_min
-                    issues.append(_new_tuple(Issue, (kind, i - 1, travel, required)))
-            else:
+            t_min, t_max = leg
+            travel = arrival - departure
+            kind = segment_violation(travel, t_min, t_max)
+            if kind is not None:
+                required = t_max if kind == IssueKind.TRANSIT_TOO_LONG else t_min
+                issues.append(_new_tuple(Issue, (kind, i - 1, travel, required)))
+            if leg is NO_ROUTE_DATA:
                 unverifiable.append(i - 1)
                 if previous.airport == stop.airport:
                     issues.append(_new_tuple(Issue, (IssueKind.ROUTE_DATA_UNAVAILABLE, i - 1, None, None)))

@@ -14,6 +14,7 @@ import os
 import random
 import re
 import string
+import urllib.error
 
 from itiguard import AirportCode, FixtureProvider, Itinerary, Stop, parse_timestamp
 from itiguard.model import (
@@ -26,33 +27,14 @@ from itiguard.model import (
 )
 from itiguard.validation import Issue, IssueKind, ValidationPolicy
 
-# What requests says when nothing listens on the port: far longer than an
-# error line should quote.
-REFUSED = (
-    "HTTPConnectionPool(host='127.0.0.1', port=9): Max retries exceeded with url: {path} "
-    "(Caused by NewConnectionError('<urllib3.connection.HTTPConnection object at "
-    "0x7f3a5c2b1d50>: Failed to establish a new connection: [Errno 111] Connection refused'))"
-)
-
-
-def raise_refused(path: str) -> None:
-    """Raise requests.ConnectionError(REFUSED) chained as requests chains a
-    refused connection: raised while handling urllib3's MaxRetryError, which
-    is raised from a NewConnectionError, which is raised from the
-    ConnectionRefusedError. LookupError and RuntimeError stand in for the
-    two urllib3 classes."""
-    import requests
-
+def refused_urlopen(request, timeout):
+    """urllib.request.urlopen when nothing listens on the port: a URLError
+    raised while handling the socket's ConnectionRefusedError, as urllib
+    raises it."""
     try:
-        try:
-            try:
-                raise ConnectionRefusedError(111, "Connection refused")
-            except OSError as err:
-                raise RuntimeError(f"Failed to establish a new connection: {err}") from err
-        except RuntimeError as err:
-            raise LookupError(f"Max retries exceeded with url: {path}") from err
-    except LookupError:
-        raise requests.ConnectionError(REFUSED.format(path=path))
+        raise ConnectionRefusedError(111, "Connection refused")
+    except OSError as err:
+        raise urllib.error.URLError(err)
 
 
 BASE = parse_timestamp("2025-06-01 00:00")
@@ -229,8 +211,9 @@ def brute_force_issues(
     """Independent rule check: explicit loops and formulas only.
 
     Mirrors the documented reporting order (stop i's stay, then segment i)
-    and the documented semantics: equality with a bound passes; a missing
-    route is silently unverifiable; a same-airport leg is an issue.
+    and the documented semantics: equality with a bound passes; a leg with
+    no route data (a missing route or a same-airport leg) is checked for
+    overlap alone, with required 0; a same-airport leg is then an issue.
     """
     issues: list[Issue] = []
     n = len(itin.stops)
@@ -244,15 +227,16 @@ def brute_force_issues(
         if i < n - 1:
             nxt = itin.stops[i + 1]
             a, b = str(stop.airport), str(nxt.airport)
-            if a == b:
-                issues.append(Issue(IssueKind.ROUTE_DATA_UNAVAILABLE, i))
-                continue
-            flight = table.get((min(a, b), max(a, b)))
+            gap = nxt.arrival - stop.departure
+            flight = None if a == b else table.get((min(a, b), max(a, b)))
             if flight is None:
+                if gap < 0:
+                    issues.append(Issue(IssueKind.OVERLAP, i, observed=gap, required=0))
+                if a == b:
+                    issues.append(Issue(IssueKind.ROUTE_DATA_UNAVAILABLE, i))
                 continue
             t_min = flight + policy.buffer_minutes
             t_max = int(t_min * policy.max_multiplier)
-            gap = nxt.arrival - stop.departure
             if gap < 0:
                 issues.append(Issue(IssueKind.OVERLAP, i, observed=gap, required=t_min))
             elif gap < t_min:

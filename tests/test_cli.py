@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import random
@@ -8,21 +9,20 @@ import signal
 import socket
 import subprocess
 import sys
+import urllib.request
 from datetime import date
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
-import requests
 
 from itiguard import cli, correction, durations, gateway
 from itiguard.cli import main
 from itiguard.durations import FixtureProvider
 from itiguard.metrics import ManifestEntry, aggregate
-from itiguard.model import parse_itinerary, render_itinerary
+from itiguard.model import format_timestamp, parse_itinerary, render_itinerary
 from itiguard.prompts import JSON_ERROR_FEEDBACK
 from itiguard.validation import ValidationPolicy, validate
-from support import CountingProvider, random_corpus
+from support import CountingProvider, random_corpus, refused_urlopen
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 DEMO_FLAGS = ["--provider", "fixture", "--fixture-file", str(FIXTURES / "demo_durations.txt")]
@@ -137,6 +137,14 @@ class TestValidate:
         kinds = [issue["kind"] for issue in payload[0]["issues"]]
         assert kinds == ["stay_too_short", "transit_too_short", "transit_too_long"]
 
+    def test_json_format_escapes_a_file_name_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / os.fsdecode(b"bad\xff.json")
+        path.write_bytes((FIXTURES / "sample_invalid.json").read_bytes())
+        assert main(["validate", str(path), "--format", "json", *DEMO_FLAGS]) == 1
+        out = capsys.readouterr().out
+        assert '"file": "' + str(tmp_path) + '/bad\\\\xff.json"' in out
+        assert json.loads(out)[0]["file"].encode("utf-8") == bytes(tmp_path) + b"/bad\\xff.json"
+
     def test_csv_format_rejected(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"format": "csv"}')
@@ -150,17 +158,32 @@ class TestValidate:
         # Both files fly the same three legs; the second file's lookups are memo hits.
         fetched = []
 
-        def fetch(client, url, headers):
+        def fetch(url, headers, *, timeout):
             fetched.append(url)
             return b'{"hours": 2, "minutes": 0}'
 
-        monkeypatch.setattr(durations.RemoteDurationClient, "_http_fetch", fetch)
+        monkeypatch.setattr(durations, "http_fetch", fetch)
         files = [str(FIXTURES / "sample_invalid.json"), str(FIXTURES / "sample_corrected.json")]
         code = main(["validate", *files, "--provider", "live", "--base-url", "http://durations.invalid"])
         assert code == 1
         base = "http://durations.invalid"
         assert fetched == [f"{base}/SYD/FRA", f"{base}/FRA/CAI", f"{base}/CAI/CMN"]
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_overlap_on_a_leg_without_route_data_exits_1(self, tmp_path, capsys):
+        # The demo table has no SYD-OSL route, and the overlap rule needs none.
+        path = write_itinerary(
+            tmp_path / "overlap.json",
+            [
+                ("Sydney", "SYD", "2025-06-01 08:00", "2025-06-04 08:00"),
+                ("Oslo", "OSL", "2025-06-02 08:00", "2025-06-06 08:00"),
+            ],
+        )
+        assert main(["validate", str(path), *DEMO_FLAGS]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"{path}: INVALID (1 issue(s)), 1 unverifiable segment(s)",
+            "  - overlap segment 0 (SYD->OSL): observed -48h 0m, required 0h 0m",
+        ]
 
     def test_default_provider_is_great_circle(self, capsys):
         # No provider flags: distances come from the built-in airport table.
@@ -183,13 +206,13 @@ class TestValidate:
         exit code, the files, the fetched URLs and the retry waits."""
         fetched, slept = [], []
 
-        def fetch(client, url, headers):
+        def fetch(url, headers, *, timeout):
             fetched.append(url)
             if url.endswith("/FRA/CAI"):
                 raise durations.TransportError("HTTP 503")
             return b'{"hours": 2, "minutes": 0}'
 
-        monkeypatch.setattr(durations.RemoteDurationClient, "_http_fetch", fetch)
+        monkeypatch.setattr(durations, "http_fetch", fetch)
         no_wait = dict(durations.RemoteDurationClient.__init__.__kwdefaults__, sleep=slept.append)
         monkeypatch.setattr(durations.RemoteDurationClient.__init__, "__kwdefaults__", no_wait)
         sample = (FIXTURES / "sample_invalid.json").read_bytes()
@@ -254,6 +277,23 @@ class TestCorrect:
         assert code == 0
         expected = (FIXTURES / "sample_corrected.json").read_text(encoding="utf-8")
         assert capsys.readouterr().out == expected
+
+    def test_stay_fix_makes_no_overlap_on_a_leg_without_route_data(self, tmp_path, capsys):
+        # The stay fix moves Sydney's departure to 06-03 08:00, past Oslo's
+        # arrival, on a leg the demo table has no duration for.
+        path = write_itinerary(
+            tmp_path / "stay.json",
+            [
+                ("Sydney", "SYD", "2025-06-01 08:00", "2025-06-02 08:00"),
+                ("Oslo", "OSL", "2025-06-02 20:00", "2025-06-06 08:00"),
+            ],
+        )
+        assert main(["correct", str(path), *DEMO_FLAGS]) == 0
+        fixed = parse_itinerary(capsys.readouterr().out, None)
+        sydney, oslo = fixed.stops
+        assert format_timestamp(sydney.departure) == format_timestamp(oslo.arrival) == "2025-06-03 08:00"
+        report = validate(fixed, FixtureProvider.from_file(FIXTURES / "demo_durations.txt"))
+        assert report.issues == () and report.unverifiable_segments == (0,)
 
     def test_strict_missing_route_exits_2(self, tmp_path, short_stay_file, capsys):
         empty = tmp_path / "empty_durations.txt"
@@ -495,14 +535,11 @@ class TestGenerate:
         assert "0 issues found" in capsys.readouterr().err
 
     def test_unreachable_endpoint_exits_2(self, monkeypatch, capsys):
-        def refuse(url, **kwargs):
-            raise requests.ConnectionError(f"connection to {url} refused")
-
-        monkeypatch.setattr(requests, "post", refuse)
+        monkeypatch.setattr(urllib.request, "urlopen", refused_urlopen)
         code = main(["generate", "--endpoint", "http://127.0.0.1:9/x", *DEMO_FLAGS])
         assert code == 2
         err = capsys.readouterr().err
-        assert "error: generation endpoint request failed" in err and "Traceback" not in err
+        assert err == "error: generation endpoint request failed: [Errno 111] Connection refused\n"
 
     def test_bad_city_spec_exits_2(self, capsys):
         code = main(["generate", "--cities", "Sydney", "--replay-dir", "x", *DEMO_FLAGS])
@@ -1204,12 +1241,12 @@ class TestLongValuesInErrors:
         elif source == "config":
             argv = ["validate", sample, "--config", str(path)]
         elif source == "endpoint":
-            response = SimpleNamespace(content=path.read_bytes(), raise_for_status=lambda: None)
-            monkeypatch.setattr(requests, "post", lambda url, **kwargs: response)
+            body = path.read_bytes()
+            monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: io.BytesIO(body))
             argv = ["generate", "--endpoint", "http://generation.test", *DEMO_FLAGS]
         else:
             body = path.read_bytes()
-            monkeypatch.setattr(durations.RemoteDurationClient, "_http_fetch", lambda *args: body)
+            monkeypatch.setattr(durations, "http_fetch", lambda url, headers, *, timeout: body)
             monkeypatch.setattr(durations, "RETRY_DELAY_SECONDS", 0)
             argv = ["validate", sample, "--provider", "live", "--base-url", "http://api.test",
                     "--strict"]
@@ -1514,7 +1551,7 @@ COLD_START_SCRIPT = """
 import contextlib, io, json, sys
 import itiguard, itiguard.cli
 def loaded():
-    return [name in sys.modules for name in ("requests", "dataclasses", "inspect", "logging")]
+    return [name in sys.modules for name in ("urllib.request", "http.client", "dataclasses", "inspect", "logging")]
 results = [[None, *loaded()]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -1526,10 +1563,11 @@ print(json.dumps(results))
 
 class TestColdStart:
     """Only --provider live and --endpoint load the HTTP stack: importing the
-    package and every offline command leave requests unimported, and
-    dataclasses and inspect with it. No command loads logging."""
+    package and every offline command leave urllib.request and http.client
+    unimported, and dataclasses and inspect with them. No command loads
+    logging."""
 
-    def test_offline_commands_leave_requests_unloaded(self):
+    def test_offline_commands_leave_the_http_stack_unloaded(self):
         sample = str(FIXTURES / "sample_invalid.json")
         corpus = FIXTURES / "corpus"
         great_circle = ["--provider", "great-circle"]
@@ -1551,6 +1589,6 @@ class TestColdStart:
             check=True,
         )
         results = json.loads(result.stdout)
-        assert results == [[None, False, False, False, False]] + [
-            [code, False, False, False, False] for _, code in commands
+        assert results == [[None, False, False, False, False, False]] + [
+            [code, False, False, False, False, False] for _, code in commands
         ]

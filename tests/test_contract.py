@@ -14,15 +14,15 @@ import io
 import itertools
 import json
 import shutil
+import urllib.request
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
-import requests
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from itiguard.cli import main
+from itiguard import durations
 from itiguard.durations import RemoteDurationClient, TransportError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -116,7 +116,7 @@ def workdir(tmp_path, monkeypatch) -> Path:
 def serve_payloads(monkeypatch, fetch) -> None:
     """Answer the live provider's fetches with fetch(), with no wait between
     retries (sleep is bound when __init__ is defined)."""
-    monkeypatch.setattr(RemoteDurationClient, "_http_fetch", fetch)
+    monkeypatch.setattr(durations, "http_fetch", fetch)
     no_wait = dict(RemoteDurationClient.__init__.__kwdefaults__, sleep=lambda s: None)
     monkeypatch.setattr(RemoteDurationClient.__init__, "__kwdefaults__", no_wait)
 
@@ -156,8 +156,7 @@ class TestFuzz:
     @fuzz
     @given(body=endpoint_bodies)
     def test_any_endpoint_body(self, workdir, monkeypatch, body):
-        response = SimpleNamespace(content=body, raise_for_status=lambda: None)
-        monkeypatch.setattr(requests, "post", lambda url, **kwargs: response)
+        monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: io.BytesIO(body))
         run(["generate", "--endpoint", "http://generation.invalid", *DEMO_FLAGS])
 
     @fuzz
@@ -167,7 +166,7 @@ class TestFuzz:
         unverifiable; they never end the run."""
         replies = itertools.cycle(outcomes)
 
-        def fetch(self, url, headers):
+        def fetch(url, headers, *, timeout):
             outcome = next(replies)
             if outcome is None:
                 raise TransportError("injected failure")
@@ -212,7 +211,7 @@ class TestHostileJson:
         assert "generation: 2 attempt(s)" in err
 
     def test_hostile_live_payload_leaves_legs_unverifiable(self, workdir, monkeypatch):
-        serve_payloads(monkeypatch, lambda self, url, headers: DEEP)
+        serve_payloads(monkeypatch, lambda url, headers, *, timeout: DEEP)
         code, out, _ = run(["validate", str(SAMPLE), "--format", "json", *LIVE_FLAGS])
         assert code == 1
         assert json.loads(out)[0]["unverifiable_segments"] == [0, 1, 2]

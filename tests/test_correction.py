@@ -9,7 +9,7 @@ from itiguard.correction import Adjustment, CorrectionTrace, NonConvergenceError
 from itiguard.durations import FixtureProvider, RouteUnavailable
 from itiguard.model import AirportCode, Itinerary, Stop, format_timestamp, parse_timestamp
 from itiguard.validation import IssueKind, ValidationPolicy, validate
-from support import CountingProvider, random_itinerary
+from support import CountingProvider, random_corpus, random_itinerary
 
 
 def make_stop(code: str, arrival: str, departure: str) -> Stop:
@@ -155,6 +155,20 @@ class TestUnresolvableRoutes:
         # The A->A issue is structural; correction cannot remove it.
         report = validate(fixed, FixtureProvider({}))
         assert [i.kind for i in report.issues] == [IssueKind.ROUTE_DATA_UNAVAILABLE]
+
+    def test_no_output_arrives_before_the_previous_departure(self):
+        # About 20% of the corpus's routes have no duration and about 15% of
+        # its legs join an airport to itself; the overlap rule holds there too.
+        itineraries, table = random_corpus(random.Random(7), 2000)
+        provider = FixtureProvider(table)
+        unchecked_overlaps = 0
+        for itin in itineraries:
+            fixed, trace = correct(itin, provider)
+            for here, there in zip(fixed.stops, fixed.stops[1:]):
+                assert there.arrival >= here.departure
+            stops = itin.stops
+            unchecked_overlaps += sum(stops[i + 1].arrival < stops[i].departure for i in trace.skipped_segments)
+        assert unchecked_overlaps == 851
 
     def test_strict_mode_raises(self):
         with pytest.raises(RouteUnavailable) as failure:

@@ -1,8 +1,9 @@
 """Pins what validate() and correct() produce on a large seeded corpus.
 
-The digest below was recorded before the check and repair paths moved to
-int minutes; any rewrite of those paths must reproduce the same reports,
-corrected documents and traces byte for byte. The corpus includes legs
+The digest below was recorded when the overlap rule came to check legs
+with no route data too; any rewrite of the check and repair paths must
+reproduce the same reports, corrected documents and traces byte for
+byte. The corpus includes legs
 between identical airports and routes missing from the provider table,
 and runs under the default policy and under one whose multiplier makes
 int(t_min * multiplier) truncate.
@@ -25,7 +26,7 @@ POLICIES = (
     ValidationPolicy(),
     ValidationPolicy(min_stay_minutes=20 * 60, buffer_minutes=95, max_multiplier=1.37),
 )
-EXPECTED_SHA256 = "cc088608e1d81fb26bb3e3a09b2155ef721704572dbcb9b787664a4117caa7fa"
+EXPECTED_SHA256 = "b69ba8cf5e9b91f8e92d41d4acc8f14caa9526568f9fb08d34ea7c7fcbea4e26"
 
 
 def corpus_digest() -> str:

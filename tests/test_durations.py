@@ -5,16 +5,16 @@ import json
 import math
 import os
 import shutil
+import socket
 import subprocess
 import sys
 import tempfile
 import textwrap
+import urllib.request
 from contextlib import contextmanager
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -33,12 +33,13 @@ from itiguard.durations import (
     TransportError,
     estimate_duration_great_circle,
     haversine_km,
+    http_fetch,
     load_cache,
     parse_duration_payload,
     save_cache,
 )
 from itiguard.model import QUOTE_LIMIT, AirportCode, shorten
-from support import REFUSED, open_fds, raise_refused
+from support import open_fds, refused_urlopen
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -405,64 +406,73 @@ class TestRemoteClient:
         client.route_duration(route("SYD", "FRA"))
         assert seen["headers"] == {"X-Api-Key": "env-key"}
 
-    def test_default_fetch_uses_requests_get(self, monkeypatch):
-        seen = {}
+    def test_default_fetch_is_http_fetch_with_a_30s_timeout(self, monkeypatch):
+        seen = []
 
-        def get(url, *, headers, timeout):
-            seen.update(url=url, headers=headers, timeout=timeout)
-            return SimpleNamespace(status_code=200, content=b'{"hours": 2}')
+        def fetch(url, headers, body=None, *, timeout):
+            seen.append((url, headers, body, timeout))
+            return b'{"hours": 2}'
 
-        monkeypatch.setattr(requests, "get", get)
+        monkeypatch.setattr(durations, "http_fetch", fetch)
         client = RemoteDurationClient("https://api.test", "key", sleep=lambda s: None)
         assert client.route_duration(route("SYD", "FRA")).minutes == 120
-        assert seen == {"url": "https://api.test/SYD/FRA", "headers": {"X-Api-Key": "key"}, "timeout": 30.0}
+        assert seen == [("https://api.test/SYD/FRA", {"X-Api-Key": "key"}, None, 30.0)]
 
-    @pytest.mark.parametrize("failure", ["status", "connection"])
-    def test_default_fetch_failure_is_a_transport_error(self, monkeypatch, failure):
-        def get(url, **kwargs):
-            if failure == "connection":
-                raise requests.ConnectionError("refused")
-            return SimpleNamespace(status_code=503, content=b"")
-
-        monkeypatch.setattr(requests, "get", get)
-        client = RemoteDurationClient("https://api.test", sleep=lambda s: None)
-        with pytest.raises(RouteUnavailable, match="HTTP 503" if failure == "status" else "refused"):
-            client.route_duration(route("SYD", "FRA"))
+    @pytest.mark.parametrize("status,ok", [(199, False), (200, True), (299, True), (300, False)])
+    def test_default_fetch_accepts_exactly_the_2xx_statuses(self, loopback, status, ok):
+        client = RemoteDurationClient(f"{loopback.url}/{status}", "secret", sleep=lambda s: None)
+        if ok:
+            assert client.route_duration(route("SYD", "FRA")).minutes == 120
+        else:
+            with pytest.raises(RouteUnavailable, match=f"HTTP {status}"):
+                client.route_duration(route("SYD", "FRA"))
+        method, path, headers, _ = loopback.seen[0]
+        assert (method, path, headers["x-api-key"]) == ("GET", f"/{status}/SYD/FRA", "secret")
 
     def test_default_fetch_quotes_a_long_transport_error_shortened(self, monkeypatch):
-        text = REFUSED.format(path="/SYD/FRA")
+        text = "x" * (QUOTE_LIMIT + 1)
 
-        def get(url, **kwargs):
-            raise requests.ConnectionError(text)
+        def refuse(request, timeout):
+            raise OSError(text)
 
-        monkeypatch.setattr(requests, "get", get)
+        monkeypatch.setattr(urllib.request, "urlopen", refuse)
         client = RemoteDurationClient("http://127.0.0.1:9", sleep=lambda s: None)
         with pytest.raises(RouteUnavailable) as exc:
             client.route_duration(route("SYD", "FRA"))
         assert exc.value.reason == f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"
 
     def test_default_fetch_quotes_the_innermost_cause_of_a_chained_error(self, monkeypatch):
-        def get(url, **kwargs):
-            raise_refused(url)
-
-        monkeypatch.setattr(requests, "get", get)
+        monkeypatch.setattr(urllib.request, "urlopen", refused_urlopen)
         client = RemoteDurationClient("http://127.0.0.1:9", sleep=lambda s: None)
         with pytest.raises(RouteUnavailable) as exc:
             client.route_duration(route("SYD", "FRA"))
         assert exc.value.reason == "[Errno 111] Connection refused"
         assert str(exc.value) == "no flight duration for SYD->FRA after 3 attempt(s): [Errno 111] Connection refused"
 
-    @pytest.mark.parametrize("status,ok", [(199, False), (200, True), (299, True), (300, False)])
-    def test_default_fetch_accepts_exactly_the_2xx_statuses(self, monkeypatch, status, ok):
-        monkeypatch.setattr(
-            requests, "get", lambda url, **kwargs: SimpleNamespace(status_code=status, content=b'{"hours": 2}')
-        )
-        client = RemoteDurationClient("https://api.test", sleep=lambda s: None)
-        if ok:
-            assert client.route_duration(route("SYD", "FRA")).minutes == 120
-        else:
-            with pytest.raises(RouteUnavailable, match=f"HTTP {status}"):
-                client.route_duration(route("SYD", "FRA"))
+
+class TestHttpFetch:
+    def test_get_post_status_and_refusal_over_loopback(self, loopback):
+        assert http_fetch(f"{loopback.url}/200/SYD/FRA", {"X-Api-Key": "k"}, timeout=10) == b'{"hours": 2}'
+        with pytest.raises(TransportError, match="^HTTP 503$") as exc:
+            http_fetch(f"{loopback.url}/503/SYD/FRA", {}, timeout=10)
+        # The HTTPError holds the answer's socket until it is closed.
+        assert exc.value.__cause__.closed
+        body = json.dumps({"prompt": "trip"}).encode()
+        answer = http_fetch(f"{loopback.url}/200/generate", {"Authorization": "Bearer k"}, body, timeout=10)
+        assert json.loads(answer) == {"text": body.decode()}
+        methods = [(method, path) for method, path, _, _ in loopback.seen]
+        assert methods == [("GET", "/200/SYD/FRA"), ("GET", "/503/SYD/FRA"), ("POST", "/200/generate")]
+        assert loopback.seen[0][2]["x-api-key"] == "k" and loopback.seen[2][3] == body
+        assert loopback.seen[2][2]["authorization"] == "Bearer k"
+        with socket.socket() as sock:  # a port that nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        with pytest.raises(TransportError, match=r"^\[Errno 111\] Connection refused$"):
+            http_fetch(f"http://127.0.0.1:{port}/", {}, timeout=10)
+
+    def test_a_url_it_cannot_open_is_a_transport_error(self):
+        with pytest.raises(TransportError, match="^unknown url type: 'foo/SYD/FRA'$"):
+            http_fetch("foo/SYD/FRA", {}, timeout=10)
 
 
 class CountingProvider:

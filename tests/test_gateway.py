@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import io
 import json
+import urllib.request
 from datetime import date, datetime, timedelta
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from itiguard.durations import TransportError
 from itiguard.gateway import (
     API_KEY_ENV,
     GenerationFailed,
@@ -38,7 +40,7 @@ from itiguard.prompts import (
     build_base_prompt,
     build_feedback,
 )
-from support import REFUSED, raise_refused
+from support import refused_urlopen
 
 POOL = (
     ("Sydney", "SYD"),
@@ -445,106 +447,116 @@ class TestReplayClient:
         assert parse_itinerary(client.complete("p"), expected_stops=4) == sample_invalid
 
 
-class FakeResponse:
-    def __init__(self, payload, status: int = 200, *, content: bytes | None = None):
-        self.content = json.dumps(payload).encode() if content is None else content
-        self.status_code = status
-
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            raise requests.HTTPError(f"status {self.status_code}")
-
-
 class RecordingTransport:
-    def __init__(self, response: FakeResponse):
-        self.response = response
+    """A transport of http_fetch's shape that answers every call with content."""
+
+    def __init__(self, content: bytes):
+        self.content = content
         self.calls: list[dict] = []
 
-    def __call__(self, url, *, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
-        return self.response
+    def __call__(self, url, headers, body):
+        self.calls.append({"url": url, "headers": headers, "body": body})
+        return self.content
+
+
+def answer(payload) -> bytes:
+    return json.dumps(payload).encode()
 
 
 class TestHttpGenerationClient:
     ENDPOINT = "https://example.test/generate"
 
     def test_round_trip(self):
-        transport = RecordingTransport(FakeResponse({"text": "hello"}))
+        transport = RecordingTransport(answer({"text": "hello"}))
         client = HttpGenerationClient(self.ENDPOINT, api_key="k", transport=transport)
         assert client.complete("make me a trip") == "hello"
         call = transport.calls[0]
         assert call["url"] == self.ENDPOINT
-        assert call["json"] == {"prompt": "make me a trip"}
-        assert call["headers"]["Authorization"] == "Bearer k"
-        assert call["timeout"] == 60.0
+        assert call["body"] == b'{"prompt": "make me a trip"}'
+        assert call["headers"] == {"Content-Type": "application/json", "Authorization": "Bearer k"}
+
+    def test_default_transport_posts_through_http_fetch_with_a_60s_timeout(self, monkeypatch):
+        seen = []
+
+        def urlopen(request, timeout):
+            seen.append((request.get_method(), request.full_url, request.data, request.headers, timeout))
+            return io.BytesIO(answer({"text": "x"}))
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        assert HttpGenerationClient(self.ENDPOINT, api_key="k").complete("p") == "x"
+        # urllib.request.Request capitalises each header name.
+        headers = {"Content-type": "application/json", "Authorization": "Bearer k"}
+        assert seen == [("POST", self.ENDPOINT, b'{"prompt": "p"}', headers, 60.0)]
+
+    def test_default_transport_posts_over_loopback(self, loopback):
+        client = HttpGenerationClient(f"{loopback.url}/200/generate", api_key="k")
+        assert client.complete("make me a trip") == '{"prompt": "make me a trip"}'
+        [(method, path, headers, body)] = loopback.seen
+        assert (method, path, body) == ("POST", "/200/generate", b'{"prompt": "make me a trip"}')
+        assert (headers["authorization"], headers["content-type"]) == ("Bearer k", "application/json")
 
     def test_key_from_environment(self, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "env-key")
-        transport = RecordingTransport(FakeResponse({"text": "x"}))
+        transport = RecordingTransport(answer({"text": "x"}))
         HttpGenerationClient(self.ENDPOINT, transport=transport).complete("p")
         assert transport.calls[0]["headers"]["Authorization"] == "Bearer env-key"
 
     def test_no_key_no_auth_header(self, monkeypatch):
         monkeypatch.delenv(API_KEY_ENV, raising=False)
-        transport = RecordingTransport(FakeResponse({"text": "x"}))
+        transport = RecordingTransport(answer({"text": "x"}))
         HttpGenerationClient(self.ENDPOINT, transport=transport).complete("p")
         assert "Authorization" not in transport.calls[0]["headers"]
 
     def test_http_error_propagates(self):
-        transport = RecordingTransport(FakeResponse({}, status=500))
-        client = HttpGenerationClient(self.ENDPOINT, transport=transport)
-        with pytest.raises(ValueError, match="status 500") as exc:
-            client.complete("p")
-        assert isinstance(exc.value.__cause__, requests.HTTPError)
+        def fail(url, headers, body):
+            raise TransportError("HTTP 500")
 
-    def test_http_status_error_keeps_its_text(self):
-        # requests' own raise_for_status raises with no chained cause, so the
-        # quoted text is the HTTPError's.
-        response = requests.Response()
-        response.status_code, response.reason, response.url = 503, "Service Unavailable", self.ENDPOINT
-        client = HttpGenerationClient(self.ENDPOINT, transport=lambda url, **kwargs: response)
+        client = HttpGenerationClient(self.ENDPOINT, transport=fail)
+        with pytest.raises(ValueError, match="^generation endpoint request failed: HTTP 500$") as exc:
+            client.complete("p")
+        assert isinstance(exc.value.__cause__, TransportError)
+
+    def test_http_status_error_keeps_its_text(self, loopback):
+        client = HttpGenerationClient(f"{loopback.url}/503/generate")
         with pytest.raises(ValueError) as exc:
             client.complete("p")
-        assert str(exc.value) == (
-            f"generation endpoint request failed: 503 Server Error: Service Unavailable for url: {self.ENDPOINT}"
-        )
+        assert str(exc.value) == "generation endpoint request failed: HTTP 503"
 
-    def test_long_transport_error_is_quoted_shortened(self):
-        text = REFUSED.format(path="/generate")
+    def test_long_transport_error_is_quoted_shortened(self, monkeypatch):
+        text = "x" * (QUOTE_LIMIT + 1)
 
-        def refuse(url, **kwargs):
-            raise requests.ConnectionError(text)
+        def refuse(request, timeout):
+            raise OSError(text)
 
-        client = HttpGenerationClient("http://127.0.0.1:9/generate", transport=refuse)
+        monkeypatch.setattr(urllib.request, "urlopen", refuse)
+        client = HttpGenerationClient("http://127.0.0.1:9/generate")
         with pytest.raises(ValueError) as exc:
             client.complete("p")
         assert str(exc.value) == (
             f"generation endpoint request failed: {text[:QUOTE_LIMIT]}... ({len(text)} characters)"
         )
-        assert isinstance(exc.value.__cause__, requests.ConnectionError)
+        assert isinstance(exc.value.__cause__, TransportError)
 
-    def test_chained_transport_error_quotes_its_innermost_cause(self):
-        def refuse(url, **kwargs):
-            raise_refused("/generate")
-
-        client = HttpGenerationClient("http://127.0.0.1:9/generate", transport=refuse)
+    def test_chained_transport_error_quotes_its_innermost_cause(self, monkeypatch):
+        monkeypatch.setattr(urllib.request, "urlopen", refused_urlopen)
+        client = HttpGenerationClient("http://127.0.0.1:9/generate")
         with pytest.raises(ValueError) as exc:
             client.complete("p")
         assert str(exc.value) == "generation endpoint request failed: [Errno 111] Connection refused"
-        assert isinstance(exc.value.__cause__, requests.ConnectionError)
+        assert isinstance(exc.value.__cause__, TransportError)
 
     @pytest.mark.parametrize(
         "content", [b"<html>", b"[" * 100_000, b"\xff{}"], ids=["not-json", "too-deep", "not-utf8"]
     )
     def test_undecodable_body(self, content):
-        transport = RecordingTransport(FakeResponse(None, content=content))
+        transport = RecordingTransport(content)
         client = HttpGenerationClient(self.ENDPOINT, transport=transport)
         with pytest.raises(ValueError, match="generation endpoint returned not valid JSON"):
             client.complete("p")
 
     @pytest.mark.parametrize("payload", [{"message": "x"}, {"text": 5}, ["text"], "text"])
     def test_unexpected_payload(self, payload):
-        transport = RecordingTransport(FakeResponse(payload))
+        transport = RecordingTransport(answer(payload))
         client = HttpGenerationClient(self.ENDPOINT, transport=transport)
         with pytest.raises(ValueError, match="unexpected payload"):
             client.complete("p")

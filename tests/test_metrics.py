@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from itiguard.durations import FixtureProvider
 from itiguard.metrics import (
     TABLE_HEADERS,
     ManifestEntry,
@@ -15,7 +16,9 @@ from itiguard.metrics import (
     load_manifest,
     render_stats,
 )
+from itiguard.model import AirportCode, Itinerary, Stop, parse_timestamp
 from itiguard.validation import Issue, IssueKind, ValidationReport, validate
+from support import random_corpus
 
 SEGMENT_KINDS = (IssueKind.OVERLAP, IssueKind.TRANSIT_TOO_SHORT, IssueKind.TRANSIT_TOO_LONG)
 
@@ -26,10 +29,12 @@ def report(
     unverifiable: int = 0,
     route_unavailable: int = 0,
 ) -> ValidationReport:
-    """Synthetic report with the requested issue counts; indexes are arbitrary."""
+    """Synthetic report with the requested issue counts. Indexes are
+    arbitrary, except that no segment issue is on a leg marked unverifiable."""
     issues = []
+    first_checked_leg = max(unverifiable, route_unavailable)
     for i in range(segment_issues):
-        issues.append(Issue(SEGMENT_KINDS[i % 3], i, observed=0, required=300))
+        issues.append(Issue(SEGMENT_KINDS[i % 3], first_checked_leg + i, observed=0, required=300))
     for i in range(stay_issues):
         issues.append(Issue(IssueKind.STAY_TOO_SHORT, i, observed=0, required=2880))
     marks = list(range(unverifiable))
@@ -129,6 +134,36 @@ class TestAggregate:
         assert row.segment_issue_count == 0
         # The slot leaves the denominator too: 3 - 1 = 2 verifiable slots.
         assert row.unverifiable_count == 1
+
+    def test_overlap_on_an_unverifiable_leg_stays_out_of_the_segment_share(self):
+        # SYD->FRA is too short; FRA->OSL has no route data and overlaps.
+        times = {"SYD": ("06-01 08:00", "06-04 08:00"), "FRA": ("06-04 10:00", "06-08 10:00"),
+                 "OSL": ("06-07 10:00", "06-10 10:00")}
+        itin = Itinerary(tuple(
+            Stop(code, AirportCode(code), parse_timestamp(f"2025-{arrival}"), parse_timestamp(f"2025-{departure}"))
+            for code, (arrival, departure) in times.items()
+        ))
+        result = validate(itin, FixtureProvider({("SYD", "FRA"): 1020}))
+        assert [(i.kind, i.subject) for i in result.issues] == [
+            (IssueKind.TRANSIT_TOO_SHORT, 0),
+            (IssueKind.OVERLAP, 1),
+        ]
+        assert result.unverifiable_segments == (1,)
+        (row,) = aggregate(records("m", 3, [result]))
+        # One verifiable leg, and one invalid segment on it.
+        assert (row.segment_issue_count, row.invalid_segments_pct) == (1, 100.0)
+        # The overlap still makes the itinerary invalid and counts as an issue.
+        assert (row.invalid_itineraries_pct, row.issue_count, row.avg_issues_per_itinerary) == (100.0, 2, 2.0)
+
+    def test_segment_share_never_exceeds_100_on_a_broken_corpus(self):
+        itineraries, table = random_corpus(random.Random(7), 2000)
+        provider = FixtureProvider(table)
+        recs = [
+            (ManifestEntry(f"{i}.json", "m", len(itin)), validate(itin, provider))
+            for i, itin in enumerate(itineraries)
+        ]
+        rows = aggregate(recs)
+        assert len(rows) == 7 and all(0 < row.invalid_segments_pct <= 100 for row in rows)
 
     def test_model_level_arithmetic(self):
         # Mirrors the bundled corpus shape in miniature: counts of
