@@ -27,8 +27,10 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
 from datetime import date
+from functools import partial
 from typing import NamedTuple
 
 from .airports import AIRPORT_COORDS
@@ -90,6 +92,11 @@ DEMO_CITY_POOL = (
     ("New York", "JFK"),
 )
 
+
+# bench's descriptor of the manifest's directory. O_PATH, where the system
+# has it, needs only search permission on the directory, as a path through
+# it does.
+_DIR_FLAGS = getattr(os, "O_PATH", os.O_RDONLY) | os.O_DIRECTORY
 
 # The --format values of each command that prints a report.
 FORMATS = {"validate": ("table", "json"), "bench": ("table", "csv", "json")}
@@ -319,20 +326,25 @@ def cmd_bench(args: argparse.Namespace, config: AppConfig,
     if args.breakdown and config.format != "table":
         raise ValueError(f"bench --breakdown needs --format table, not {shorten(repr(config.format))}")
     entries = load_manifest(args.manifest)
-    # "." for a manifest in the working directory, so an empty file name
-    # still names a directory, as Path(".") / "" does.
-    root = os.path.dirname(args.manifest) or "."
+    # Each file is opened relative to the manifest's directory, opened once:
+    # no path join and no walk from the working directory per file.
+    root = os.open(os.path.dirname(args.manifest) or ".", _DIR_FLAGS)
     records = []
-    for entry in entries:
-        try:
-            itinerary = parse_itinerary(read_file(os.path.join(root, entry.file)), entry.num_cities)
-            report = validate(itinerary, provider, policy)
-            records.append((entry, report))
-        except RouteUnavailable as err:
-            # Strict mode: a route without a duration ends the run, as in validate.
-            raise ValueError(f"{shorten(entry.file)}: {err}") from None
-        except Exception as err:
-            warn(f"skipping {shorten(entry.file)}: {shorten(error_text(err))}")
+    try:
+        for entry in entries:
+            try:
+                # "." keeps an empty name naming the directory, which warns
+                # "Is a directory".
+                itinerary = parse_itinerary(read_file(entry.file or ".", dir_fd=root), entry.num_cities)
+                report = validate(itinerary, provider, policy)
+                records.append((entry, report))
+            except RouteUnavailable as err:
+                # Strict mode: a route without a duration ends the run, as in validate.
+                raise ValueError(f"{shorten(entry.file)}: {err}") from None
+            except Exception as err:
+                warn(f"skipping {shorten(entry.file)}: {shorten(error_text(err))}")
+    finally:
+        os.close(root)
     stats = aggregate(records, include_stays=args.include_stays)
     if config.format == "json":
         print(json.dumps([row._asdict() for row in stats], indent=2))
@@ -347,6 +359,14 @@ def cmd_bench(args: argparse.Namespace, config: AppConfig,
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # argparse builds a HelpFormatter per add_argument, and each one asks
+        # for the terminal size: ask once per parser, for the width
+        # HelpFormatter would compute itself.
+        kwargs.setdefault("formatter_class", partial(
+            argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2))
+        super().__init__(*args, **kwargs)
+
     def print_help(self, file=None):
         # Unlike argparse's own print_help, this lets a closed stdout raise, at the write or the flush.
         print(self.format_help(), end="", file=file or sys.stdout, flush=True)

@@ -243,6 +243,17 @@ def http_fetch(url: str, headers: Mapping[str, str], body: bytes | None = None, 
         raise TransportError(cause_text(err)) from err
 
 
+def check_http_url(url: str, what: str) -> str:
+    """url, when its scheme is http or https in any case; anything else
+    raises ValueError naming what the URL is for. http_fetch would open a
+    file: or data: URL as well, and take one without a scheme for a failed
+    fetch to retry."""
+    scheme, sep, _ = url.partition(":")
+    if not sep or scheme.lower() not in ("http", "https"):
+        raise ValueError(f"{what} must use http or https, not {shorten(repr(url))}")
+    return url
+
+
 class RemoteDurationClient:
     """HTTP client for a flight-times service, with bounded retries.
 
@@ -252,6 +263,7 @@ class RemoteDurationClient:
     up to FETCH_ATTEMPTS attempts in all, then RouteUnavailable is raised.
     fetch and sleep stand in for the HTTP request and the wait, for tests;
     the default fetch is http_fetch with a FETCH_TIMEOUT_SECONDS timeout.
+    A base_url that is not http or https raises ValueError here.
     """
 
     def __init__(
@@ -262,7 +274,7 @@ class RemoteDurationClient:
         fetch: FetchFn | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        self._base_url = base_url.rstrip("/")
+        self._base_url = check_http_url(base_url, "duration service URL").rstrip("/")
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self._fetch = fetch or partial(http_fetch, timeout=FETCH_TIMEOUT_SECONDS)
         self._sleep = sleep

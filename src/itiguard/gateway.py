@@ -21,7 +21,7 @@ from functools import partial
 from pathlib import Path
 from typing import Protocol
 
-from .durations import TransportError, http_fetch
+from .durations import TransportError, check_http_url, http_fetch
 from .model import (
     FormatError,
     InvalidJsonError,
@@ -108,11 +108,12 @@ class HttpGenerationClient:
     headers, body) -> bytes, raising durations.TransportError on failure;
     without one, the client posts through http_fetch with a
     REQUEST_TIMEOUT_SECONDS timeout. Transport and HTTP-status failures
-    raise ValueError, as an unexpected payload does.
+    raise ValueError, as an unexpected payload does, and so does an
+    endpoint that is not http or https, here.
     """
 
     def __init__(self, endpoint: str, api_key: str | None = None, *, transport=None):
-        self._endpoint = endpoint
+        self._endpoint = check_http_url(endpoint, "generation endpoint")
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self._post = transport or partial(http_fetch, timeout=REQUEST_TIMEOUT_SECONDS)
 

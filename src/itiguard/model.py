@@ -271,9 +271,14 @@ class Itinerary(namedtuple("Itinerary", "stops")):
         return len(self.stops)
 
 
-def read_file(path: str | os.PathLike[str]) -> bytes:
+def read_file(path: str | os.PathLike[str], *, dir_fd: int | None = None) -> bytes:
     """The whole content of the file at path, through one raw descriptor:
     os.open, os.read until it returns b"", os.close in a finally.
+
+    dir_fd, when given, is an open directory that a relative path is
+    resolved against, as os.open's dir_fd is (openat): a caller that reads
+    many files from one directory spares the kernel the walk from the
+    working directory and itself the path join. An absolute path ignores it.
 
     Path.read_bytes goes through io.open, which builds a FileIO and a
     BufferedReader and makes four more system calls per file: an fstat and
@@ -282,7 +287,7 @@ def read_file(path: str | os.PathLike[str]) -> bytes:
     pathlib's: a directory opens fine and fails only at the read, whose
     EISDIR carries no filename of its own.
     """
-    fd = os.open(path, os.O_RDONLY)
+    fd = os.open(path, os.O_RDONLY, dir_fd=dir_fd)
     try:
         chunks = []
         while chunk := os.read(fd, _READ_CHUNK):
@@ -295,6 +300,11 @@ def read_file(path: str | os.PathLike[str]) -> bytes:
     return b"".join(chunks)
 
 
+# The decoder json.loads ends in, called directly: loads checks its keyword
+# arguments and builds a **kw dict on every call.
+_decode_json = json.JSONDecoder().decode
+
+
 def load_json(text: str | bytes) -> object:
     """json.loads for text from outside the program; bytes must be UTF-8.
     Whatever it cannot decode raises InvalidJsonError: bad syntax, a leading
@@ -302,7 +312,12 @@ def load_json(text: str | bytes) -> object:
     ValueError) and nesting deeper than the recursion limit (RecursionError)."""
     try:
         # json.loads would guess UTF-16 or UTF-32 from the first bytes.
-        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        # json.loads' BOM rule, word for word, ahead of the decoder it calls.
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _decode_json(text)
     except (ValueError, RecursionError) as err:
         raise InvalidJsonError(f"not valid JSON: {err}") from None
 

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import shutil
 import signal
 import socket
 import subprocess
@@ -866,6 +867,101 @@ class TestBench:
         ]
 
 
+class TestBenchNameResolution:
+    """bench reads each manifest entry relative to the manifest's directory,
+    whatever the working directory; an absolute name is used as it is."""
+
+    # tag -> the entry's file name, relative to the manifest's directory
+    # unless absolute (filled in by the manifest fixture).
+    NAMES = {"plain": "a.json", "nested": "sub/b.json", "parent": "../up.json", "absolute": None,
+             "empty": "", "directory": "sub", "missing": "missing.json"}
+    READ = {"plain": 1, "nested": 1, "parent": 1, "absolute": 1}
+    SKIPPED = (
+        "warning: skipping : Is a directory\n"
+        "warning: skipping sub: Is a directory\n"
+        "warning: skipping missing.json: No such file or directory\n"
+    )
+
+    @pytest.fixture
+    def manifest(self, tmp_path, monkeypatch) -> Path:
+        """tmp/corpus/manifest.json, run from tmp/work/deep, which holds
+        decoys under the same relative names that no run may read."""
+        corpus, work = tmp_path / "corpus", tmp_path / "work" / "deep"
+        for directory in (corpus / "sub", work / "sub", tmp_path / "elsewhere"):
+            directory.mkdir(parents=True)
+        absolute = tmp_path / "elsewhere" / "abs.json"
+        sample = (FIXTURES / "sample_invalid.json").read_bytes()
+        for path in (corpus / "a.json", corpus / "sub" / "b.json", tmp_path / "up.json", absolute):
+            path.write_bytes(sample)
+        for decoy in (work / "a.json", work / "sub" / "b.json", work.parent / "up.json"):
+            decoy.write_text("nope")
+        names = dict(self.NAMES, absolute=str(absolute))
+        manifest = corpus / "manifest.json"
+        manifest.write_text(json.dumps([{"file": file, "model_tag": tag, "num_cities": 4}
+                                        for tag, file in names.items()]))
+        monkeypatch.chdir(work)
+        return manifest
+
+    def bench(self, manifest: Path | str, capsys) -> tuple[dict[str, int], str]:
+        """Each model tag's file count and stderr of a json bench run that exits 0."""
+        assert main(["bench", str(manifest), "--format", "json", *DEMO_FLAGS]) == 0
+        captured = capsys.readouterr()
+        return {row["model_tag"]: row["total"] for row in json.loads(captured.out)}, captured.err
+
+    @pytest.mark.parametrize("relative", [True, False], ids=["relative", "absolute"])
+    def test_names_resolve_against_the_manifests_directory(self, manifest, relative, capsys):
+        assert self.bench(os.path.relpath(manifest) if relative else manifest, capsys) == (self.READ, self.SKIPPED)
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root is not held to a directory's mode")
+    def test_a_manifest_in_an_execute_only_directory_is_read(self, manifest, capsys):
+        manifest.parent.chmod(0o311)
+        try:
+            read, err = self.bench(manifest, capsys)
+        finally:
+            manifest.parent.chmod(0o755)
+        assert read == self.READ
+        # The empty name opens the directory itself, which needs read permission.
+        assert err == self.SKIPPED.replace(": Is a directory", ": Permission denied", 1)
+
+    def test_a_run_opens_the_manifests_directory_once_and_joins_no_path(self, monkeypatch, capsys):
+        opened, joined = [], []
+        real_open, real_join = os.open, os.path.join
+
+        def counted_open(path, flags, *args, **kwargs):
+            opened.append((path, flags, kwargs.get("dir_fd")))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", counted_open)
+        monkeypatch.setattr(os.path, "join", lambda *parts: joined.append(parts) or real_join(*parts))
+        corpus = FIXTURES / "corpus"
+        code = main(["bench", str(corpus / "manifest.json"), "--provider", "fixture",
+                     "--fixture-file", str(corpus / "durations.txt")])
+        monkeypatch.undo()
+        assert code == 0
+        assert [path for path, flags, _ in opened if flags & os.O_DIRECTORY] == [str(corpus)]
+        assert sum(dir_fd is not None for _, _, dir_fd in opened) == 200
+        assert joined == []
+
+    @pytest.mark.parametrize("run", ["clean", "skip", "strict"])
+    def test_no_descriptor_is_left_open(self, tmp_path, run, capsys):
+        corpus = FIXTURES / "corpus"
+        manifest, durations_file, flags, code = corpus / "manifest.json", corpus / "durations.txt", [], 0
+        if run == "skip":
+            manifest = tmp_path / "manifest.json"
+            manifest.write_text(json.dumps([{"file": "missing.json", "model_tag": "m", "num_cities": 4}]))
+        elif run == "strict":
+            # The first three routes of the table miss a route of the first file.
+            durations_file = tmp_path / "short.txt"
+            lines = (corpus / "durations.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+            durations_file.write_text("".join(lines[:3]), encoding="utf-8")
+            flags, code = ["--strict"], 2
+        before = sorted(os.listdir("/proc/self/fd"))
+        assert main(["bench", str(manifest), "--provider", "fixture", "--fixture-file", str(durations_file),
+                     *flags]) == code
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert len(capsys.readouterr().err.splitlines()) == (run != "clean")
+
+
 class TestConfigResolution:
     def test_config_file_applies(self, tmp_path, short_stay_file, pair_durations, capsys):
         config = tmp_path / "config.json"
@@ -1038,6 +1134,20 @@ class TestConfigResolution:
         assert captured.out == ""
         assert captured.err == "error: --base-url is required with --provider live\n"
 
+    @pytest.mark.parametrize("scheme", ["file", "data", "none"])
+    def test_a_url_that_is_not_http_exits_2_before_any_fetch(self, tmp_path, scheme, capsys):
+        # A file: base URL would read this payload from disk as the answer.
+        (tmp_path / "SYD").mkdir()
+        (tmp_path / "SYD" / "FRA").write_text('{"hours": 3}')
+        url = {"file": f"file://{tmp_path}", "data": "data:,x", "none": "foo"}[scheme]
+        sample = str(FIXTURES / "sample_invalid.json")
+        for argv, what in ((["validate", sample, "--provider", "live", "--base-url", url], "duration service URL"),
+                           (["generate", "--endpoint", url, *DEMO_FLAGS], "generation endpoint")):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {what} must use http or https, not {url!r}\n"
+
     def test_default_config_is_the_default_policy(self):
         assert cli.build_policy(cli.AppConfig()) == ValidationPolicy()
 
@@ -1099,6 +1209,30 @@ class TestParser:
         assert exc.value.code == 0
         golden = goldens_dir / f"help_{command or 'top'}.txt"
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    def test_columns_sets_the_wrap_width(self, monkeypatch, capsys):
+        helps = []
+        for columns in ("40", "120"):
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit):
+                main(["bench", "--help"])
+            # argparse's own parser, whose every formatter sizes itself.
+            plain = argparse.ArgumentParser(prog="itiguard bench")
+            cli._add_common_arguments(plain)
+            cli._add_bench_arguments(plain)
+            helps.append(capsys.readouterr().out)
+            assert helps[-1] == plain.format_help()
+        assert helps[0] != helps[1]
+
+    def test_a_parser_asks_for_the_terminal_size_once(self, monkeypatch):
+        calls = []
+        size = shutil.get_terminal_size
+        monkeypatch.setattr(shutil, "get_terminal_size", lambda *args: calls.append(args) or size(*args))
+        cli.parse_args(["bench", "m.json", *COMMON_FLAGS, "--format", "csv", "--include-stays", "--breakdown"])
+        assert len(calls) == 1
+        calls.clear()
+        cli.build_parser()
+        assert len(calls) == 1 + len(cli._COMMANDS)
 
     @pytest.mark.parametrize(
         "argv, expected",

@@ -337,7 +337,23 @@ class FlakyFetch:
         return self.payload
 
 
+NOT_HTTP = ["file:///srv/durations", "data:,x", "ftp://api.test", "foo", "api.test:80", ""]
+
+
 class TestRemoteClient:
+    @pytest.mark.parametrize("url", NOT_HTTP)
+    def test_a_url_that_is_not_http_is_refused_when_built(self, url):
+        fetch = FlakyFetch(0)
+        with pytest.raises(ValueError) as exc:
+            RemoteDurationClient(url, fetch=fetch)
+        assert str(exc.value) == f"duration service URL must use http or https, not {url!r}"
+        assert fetch.calls == 0
+
+    @pytest.mark.parametrize("url", ["HTTP://api.test", "Https://api.test"])
+    def test_the_scheme_is_matched_in_any_case(self, url):
+        client = RemoteDurationClient(url, fetch=FlakyFetch(0))
+        assert client.route_duration(route("SYD", "FRA")).minutes == 1020
+
     def test_success_first_try(self):
         fetch = FlakyFetch(0)
         client = RemoteDurationClient("https://api.test", "key", fetch=fetch, sleep=lambda s: None)

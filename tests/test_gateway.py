@@ -466,6 +466,18 @@ def answer(payload) -> bytes:
 class TestHttpGenerationClient:
     ENDPOINT = "https://example.test/generate"
 
+    @pytest.mark.parametrize("url", ["file:///srv/generate", "data:,x", "ftp://example.test", "foo", ""])
+    def test_an_endpoint_that_is_not_http_is_refused_when_built(self, url):
+        transport = RecordingTransport(answer({"text": "hello"}))
+        with pytest.raises(ValueError) as exc:
+            HttpGenerationClient(url, transport=transport)
+        assert str(exc.value) == f"generation endpoint must use http or https, not {url!r}"
+        assert transport.calls == []
+
+    def test_the_scheme_is_matched_in_any_case(self):
+        transport = RecordingTransport(answer({"text": "hello"}))
+        assert HttpGenerationClient("HTTPS://example.test/generate", transport=transport).complete("p") == "hello"
+
     def test_round_trip(self):
         transport = RecordingTransport(answer({"text": "hello"}))
         client = HttpGenerationClient(self.ENDPOINT, api_key="k", transport=transport)

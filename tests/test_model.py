@@ -515,6 +515,20 @@ class TestLoadJson:
             "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
         )
 
+    @pytest.mark.parametrize(
+        "text",
+        ["\ufeff[1]", b"\xef\xbb\xbf[1]", b'\xff["x"]', "[" * 100_000, "1" * 5000, '{"a": 1} x', "", b""],
+        ids=["bom-str", "bom-bytes", "not-utf8", "too-deep", "too-many-digits", "trailing-data", "empty-str",
+             "empty-bytes"],
+    )
+    def test_error_text_is_json_loads_own(self, text):
+        # The oracle is json.loads over the UTF-8 text, as load_json once was.
+        with pytest.raises((ValueError, RecursionError)) as expected:
+            json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+        with pytest.raises(InvalidJsonError) as got:
+            load_json(text)
+        assert str(got.value) == f"not valid JSON: {expected.value}"
+
 
 SYD = AirportCode("SYD")
 
@@ -680,6 +694,23 @@ class TestReadFile:
             assert type(info.value) is type(expected)
             assert str(info.value) == str(expected)
             assert info.value.filename == str(path)
+
+    def test_a_relative_path_is_resolved_against_dir_fd(self, tmp_path, monkeypatch):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "a.json").write_bytes(b"inner")
+        (tmp_path / "a.json").write_bytes(b"outer")
+        monkeypatch.chdir(tmp_path / "sub")
+        fd = os.open(tmp_path, os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            assert read_file("a.json", dir_fd=fd) == b"outer"
+            assert read_file("sub/a.json", dir_fd=fd) == b"inner"
+            assert read_file("sub/../a.json", dir_fd=fd) == b"outer"
+            assert read_file(tmp_path / "sub" / "a.json", dir_fd=fd) == b"inner"  # absolute: fd unused
+            with pytest.raises(IsADirectoryError) as info:
+                read_file(".", dir_fd=fd)
+            assert info.value.filename == "."
+        finally:
+            os.close(fd)
 
     def test_no_descriptor_is_left_open(self, tmp_path, monkeypatch):
         path = tmp_path / "trip.json"
