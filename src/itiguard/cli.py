@@ -321,6 +321,13 @@ def cmd_generate(args: argparse.Namespace, config: AppConfig,
     return EXIT_VALID
 
 
+def _file_label(name: str) -> str:
+    """A manifest file name for a one-line message: as it is when every
+    character prints, else its repr, so a newline or NUL in it can neither
+    split the line nor forge another."""
+    return shorten(name if name.isprintable() else repr(name))
+
+
 def cmd_bench(args: argparse.Namespace, config: AppConfig,
               provider: CachedProvider, policy: ValidationPolicy) -> int:
     if args.breakdown and config.format != "table":
@@ -340,9 +347,9 @@ def cmd_bench(args: argparse.Namespace, config: AppConfig,
                 records.append((entry, report))
             except RouteUnavailable as err:
                 # Strict mode: a route without a duration ends the run, as in validate.
-                raise ValueError(f"{shorten(entry.file)}: {err}") from None
+                raise ValueError(f"{_file_label(entry.file)}: {err}") from None
             except Exception as err:
-                warn(f"skipping {shorten(entry.file)}: {shorten(error_text(err))}")
+                warn(f"skipping {_file_label(entry.file)}: {shorten(error_text(err))}")
     finally:
         os.close(root)
     stats = aggregate(records, include_stays=args.include_stays)

@@ -19,8 +19,8 @@ correct() is the one repair entry point. It resolves the per-leg list of
 (t_min, t_max) pairs through resolve_segment_bounds, makes the pass, and
 checks the result once against those same bounds; any issue left over is
 reported as NonConvergenceError, a logic bug rather than bad input. A
-caller that validates first asks the provider for each route again, which
-the run's durations.CachedProvider answers from memory.
+caller that validates first with the same provider and policy finds each
+leg's window in resolve_segment_bounds' memo, without asking the provider.
 
 The first stop's arrival anchors the schedule and is never moved; city order
 is never changed. A leg with no route data has the NO_ROUTE_DATA window,

@@ -34,6 +34,7 @@ from collections import namedtuple
 from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Protocol
+from urllib.parse import urlsplit
 
 from .model import (
     AirportCode,
@@ -106,7 +107,10 @@ class FlightDuration(namedtuple("FlightDuration", "minutes")):
 class DurationProvider(Protocol):
     def route_duration(self, route: tuple[AirportCode, AirportCode]) -> FlightDuration:
         """Return the minimum flight duration of the (origin, destination)
-        pair, two different codes, or raise RouteUnavailable."""
+        pair, two different codes, or raise RouteUnavailable. A duration,
+        once returned for a route, must not change while the provider
+        lives: validation reuses the window it computed from it. A route
+        that raised may be asked for again."""
 
 
 class FixtureProvider:
@@ -244,13 +248,20 @@ def http_fetch(url: str, headers: Mapping[str, str], body: bytes | None = None, 
 
 
 def check_http_url(url: str, what: str) -> str:
-    """url, when its scheme is http or https in any case; anything else
-    raises ValueError naming what the URL is for. http_fetch would open a
-    file: or data: URL as well, and take one without a scheme for a failed
-    fetch to retry."""
+    """url, when its scheme is http or https in any case and it names a
+    host; anything else raises ValueError naming what the URL is for.
+    http_fetch would open a file: or data: URL as well, and take one without
+    a scheme or a host (http:foo, http://, http://[bad) for a failed fetch
+    to retry."""
     scheme, sep, _ = url.partition(":")
     if not sep or scheme.lower() not in ("http", "https"):
         raise ValueError(f"{what} must use http or https, not {shorten(repr(url))}")
+    try:
+        host = urlsplit(url).hostname
+    except ValueError:  # a bracketed host that is not an IPv6 address
+        host = None
+    if not host:
+        raise ValueError(f"{what} names no valid host: {shorten(repr(url))}")
     return url
 
 

@@ -29,14 +29,19 @@ Transit bounds: a leg's window is a plain (t_min, t_max) pair of int
 minutes. t_min = flight + buffer is the minimum feasible door-to-door time,
 the flight duration plus a fixed airport-logistics buffer (default 4h), and
 t_max = int(t_min * multiplier) is the maximum reasonable time (default
-twice t_min). resolve_segment_bounds is the one place this formula lives.
-Resolving each route once per run is the provider's job: the CLI wraps
-every provider in a durations.CachedProvider.
+twice t_min). resolve_segment_bounds is the one place this formula lives,
+and it remembers each route's window for the provider and policy it was
+last called with, so a repeated leg costs one dict lookup: validate,
+correct and every CLI command share that memo. It holds the provider
+weakly, compares provider and policy by identity, and keeps only resolved
+windows, so a route the provider could not resolve is asked for again on
+every call, as the provider would be asked without the memo.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -160,6 +165,13 @@ def segment_violation(travel_time: int, t_min: int, t_max: int) -> str | None:
     return None
 
 
+# The window memo of resolve_segment_bounds: (weak reference to the provider,
+# policy, {route: (t_min, t_max)}) of its last call. One slot is enough, since
+# a run builds one provider and one policy. Threads that race to replace it
+# lose at most a memo, and a window stored twice is the same window.
+_windows_slot: tuple[weakref.ref, ValidationPolicy, dict] | None = None
+
+
 def resolve_segment_bounds(
     itin: Itinerary, provider: DurationProvider, policy: ValidationPolicy
 ) -> list[tuple[int, int]]:
@@ -167,15 +179,24 @@ def resolve_segment_bounds(
 
     Entry i is NO_ROUTE_DATA itself when leg i has no route data: its two
     airports are the same, or the provider has no duration for its route.
-    Which of the two it was can be read off the itinerary. The provider's
-    route_duration and the policy's numbers are read once per call, and a
-    leg's route goes to the provider as the plain pair (origin,
-    destination) right after the test that its two codes differ. Strict mode re-raises the provider's
+    Which of the two it was can be read off the itinerary. A leg's route
+    goes to the provider as the plain pair (origin, destination), and only
+    when its two codes differ and the memo holds no window for it under
+    this provider and policy; a call with another provider or policy object
+    starts a new memo. A provider that cannot be weakly referenced gets a
+    memo for this one call. Strict mode re-raises the provider's
     RouteUnavailable as it is, with its route, attempts and reason.
     """
-    route_duration = provider.route_duration
-    buffer = policy.buffer_minutes
-    multiplier = policy.max_multiplier
+    global _windows_slot
+    slot = _windows_slot
+    if slot is not None and slot[0]() is provider and slot[1] is policy:
+        windows = slot[2]
+    else:
+        windows = {}
+        try:
+            _windows_slot = (weakref.ref(provider), policy, windows)
+        except TypeError:  # no weak reference: the memo serves this call only
+            pass
     stops = itin.stops
     bounds: list[tuple[int, int]] = []
     origin = stops[0].airport
@@ -184,15 +205,19 @@ def resolve_segment_bounds(
         if origin == dest:
             bounds.append(NO_ROUTE_DATA)
         else:
-            try:
-                duration = route_duration((origin, dest))
-            except RouteUnavailable:
-                if policy.strict:
-                    raise
-                bounds.append(NO_ROUTE_DATA)
-            else:
-                t_min = duration.minutes + buffer
-                bounds.append((t_min, int(t_min * multiplier)))
+            route = (origin, dest)
+            window = windows.get(route)
+            if window is None:
+                try:
+                    duration = provider.route_duration(route)
+                except RouteUnavailable:
+                    if policy.strict:
+                        raise
+                    window = NO_ROUTE_DATA
+                else:
+                    t_min = duration.minutes + policy.buffer_minutes
+                    window = windows[route] = (t_min, int(t_min * policy.max_multiplier))
+            bounds.append(window)
         origin = dest
     return bounds
 

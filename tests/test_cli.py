@@ -962,6 +962,32 @@ class TestBenchNameResolution:
         assert len(capsys.readouterr().err.splitlines()) == (run != "clean")
 
 
+    def test_a_name_that_does_not_print_is_quoted(self, tmp_path, capsys):
+        names = ["a\nwarning: forged.json", "b\x00c.json", "tab\t.json", "café.json", "x\n" * 60]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"file": name, "model_tag": "m", "num_cities": 4} for name in names]))
+        assert main(["bench", str(manifest), *DEMO_FLAGS]) == 0
+        assert capsys.readouterr().err == (
+            "warning: skipping 'a\\nwarning: forged.json': No such file or directory\n"
+            "warning: skipping 'b\\x00c.json': embedded null byte\n"
+            "warning: skipping 'tab\\t.json': No such file or directory\n"
+            "warning: skipping café.json: No such file or directory\n"
+            f"warning: skipping {repr(names[4])[:80]}... (182 characters): No such file or directory\n"
+        )
+
+    def test_a_strict_stop_quotes_a_name_that_does_not_print(self, tmp_path, capsys):
+        name = "a\nwarning: forged.json"
+        (tmp_path / name).write_bytes((FIXTURES / "sample_invalid.json").read_bytes())
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"file": name, "model_tag": "m", "num_cities": 4}]))
+        durations_file = tmp_path / "short.txt"
+        durations_file.write_text("SYD FRA 1020\n", encoding="utf-8")
+        assert main(["bench", str(manifest), "--provider", "fixture", "--fixture-file", str(durations_file),
+                     "--strict"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'a\\nwarning: forged.json': no flight duration for FRA->")
+        assert err.count("\n") == 1
+
 class TestConfigResolution:
     def test_config_file_applies(self, tmp_path, short_stay_file, pair_durations, capsys):
         config = tmp_path / "config.json"
@@ -1147,6 +1173,22 @@ class TestConfigResolution:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: {what} must use http or https, not {url!r}\n"
+
+    @pytest.mark.parametrize("url", ["http:foo", "http://"])
+    def test_a_url_without_a_host_exits_2_before_any_fetch(self, url, monkeypatch, capsys):
+        def no_fetch(*args, **kwargs):
+            raise AssertionError("fetched")
+
+        monkeypatch.setattr(durations, "http_fetch", no_fetch)
+        monkeypatch.setattr(gateway, "http_fetch", no_fetch)
+        sample = str(FIXTURES / "sample_invalid.json")
+        for argv, what in ((["validate", sample, "--provider", "live", "--base-url", url, "--strict"],
+                            "duration service URL"),
+                           (["generate", "--endpoint", url, *DEMO_FLAGS], "generation endpoint")):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {what} names no valid host: {url!r}\n"
 
     def test_default_config_is_the_default_policy(self):
         assert cli.build_policy(cli.AppConfig()) == ValidationPolicy()

@@ -6,7 +6,7 @@ import pytest
 
 from itiguard import correction
 from itiguard.correction import Adjustment, CorrectionTrace, NonConvergenceError, correct
-from itiguard.durations import FixtureProvider, RouteUnavailable
+from itiguard.durations import CachedProvider, FixtureProvider, RouteUnavailable
 from itiguard.model import AirportCode, Itinerary, Stop, format_timestamp, parse_timestamp
 from itiguard.validation import IssueKind, ValidationPolicy, validate
 from support import CountingProvider, random_corpus, random_itinerary
@@ -176,6 +176,47 @@ class TestUnresolvableRoutes:
         # The provider's error for the first leg, passed on unchanged.
         assert type(failure.value) is RouteUnavailable and failure.value.route == ("AAA", "BBB")
 
+
+
+class TestWindowMemo:
+    """correct() resolves its bounds through resolve_segment_bounds' memo,
+    which validate() fills for the same provider and policy."""
+
+    def itinerary(self) -> Itinerary:
+        return TestUnresolvableRoutes().itinerary()
+
+    def test_a_repair_after_validation_asks_for_no_route(self):
+        itin, policy = self.itinerary(), ValidationPolicy()
+        counting = CountingProvider(FixtureProvider({("AAA", "BBB"): 60, ("BBB", "CCC"): 90}))
+        validate(itin, counting, policy)
+        fixed, trace = correct(itin, counting, policy)
+        assert correct(itin, counting, policy) == (fixed, trace)
+        assert counting.routes == [("AAA", "BBB"), ("BBB", "CCC")]
+        assert trace.adjustments
+
+    def test_a_new_policy_object_asks_again(self):
+        itin = self.itinerary()
+        counting = CountingProvider(FixtureProvider({("AAA", "BBB"): 60, ("BBB", "CCC"): 90}))
+        correct(itin, counting, ValidationPolicy())
+        correct(itin, counting, ValidationPolicy())
+        assert counting.calls == 4
+
+    def test_a_dead_route_is_asked_for_on_every_call(self):
+        itin, policy = self.itinerary(), ValidationPolicy()
+        counting = CountingProvider(FixtureProvider({("BBB", "CCC"): 60}))
+        for _ in range(3):
+            assert correct(itin, counting, policy)[1].skipped_segments == (0,)
+        assert counting.routes == [("AAA", "BBB"), ("BBB", "CCC")] + [("AAA", "BBB")] * 2
+
+    def test_a_dead_route_raises_the_same_error_on_every_strict_call(self):
+        itin, strict = self.itinerary(), ValidationPolicy(strict=True)
+        counting = CountingProvider(CachedProvider(FixtureProvider({("BBB", "CCC"): 60})))
+        text = "no flight duration for AAA->BBB after 1 attempt(s): no fixture duration for route"
+        for _ in range(3):
+            with pytest.raises(RouteUnavailable) as failure:
+                correct(itin, counting, strict)
+            assert str(failure.value) == text
+        assert counting.routes == [("AAA", "BBB")] * 3
 
 def apply_trace(itin: Itinerary, trace: CorrectionTrace) -> Itinerary:
     """Re-apply a trace to its input in order, checking that each adjustment

@@ -338,6 +338,8 @@ class FlakyFetch:
 
 
 NOT_HTTP = ["file:///srv/durations", "data:,x", "ftp://api.test", "foo", "api.test:80", ""]
+NO_HOST = ["http:foo", "http://", "HTTPS://", "http:///flights", "http://:80/flights", "http://user@/x",
+           "http://[bad/flights"]
 
 
 class TestRemoteClient:
@@ -348,6 +350,20 @@ class TestRemoteClient:
             RemoteDurationClient(url, fetch=fetch)
         assert str(exc.value) == f"duration service URL must use http or https, not {url!r}"
         assert fetch.calls == 0
+
+    @pytest.mark.parametrize("url", NO_HOST)
+    def test_a_url_without_a_host_is_refused_when_built(self, url):
+        fetch = FlakyFetch(0)
+        with pytest.raises(ValueError) as exc:
+            RemoteDurationClient(url, fetch=fetch)
+        assert str(exc.value) == f"duration service URL names no valid host: {url!r}"
+        assert fetch.calls == 0
+
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:9/flights", "https://[::1]/flights", "http://api.test/"])
+    def test_a_url_with_a_host_is_kept(self, url):
+        fetch = FlakyFetch(0)
+        assert RemoteDurationClient(url, fetch=fetch).route_duration(route("SYD", "FRA")).minutes == 1020
+        assert fetch.calls == 1
 
     @pytest.mark.parametrize("url", ["HTTP://api.test", "Https://api.test"])
     def test_the_scheme_is_matched_in_any_case(self, url):

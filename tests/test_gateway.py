@@ -474,6 +474,15 @@ class TestHttpGenerationClient:
         assert str(exc.value) == f"generation endpoint must use http or https, not {url!r}"
         assert transport.calls == []
 
+    @pytest.mark.parametrize("url", ["http:generate", "https://", "http:///generate", "http://:8080/generate",
+                                     "https://[bad/generate"])
+    def test_an_endpoint_without_a_host_is_refused_when_built(self, url):
+        transport = RecordingTransport(answer({"text": "hello"}))
+        with pytest.raises(ValueError) as exc:
+            HttpGenerationClient(url, transport=transport)
+        assert str(exc.value) == f"generation endpoint names no valid host: {url!r}"
+        assert transport.calls == []
+
     def test_the_scheme_is_matched_in_any_case(self):
         transport = RecordingTransport(answer({"text": "hello"}))
         assert HttpGenerationClient("HTTPS://example.test/generate", transport=transport).complete("p") == "hello"

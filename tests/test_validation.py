@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from itiguard.correction import correct
 from itiguard.durations import CachedProvider, FixtureProvider, FlightDuration, RouteUnavailable
 from itiguard.model import AirportCode, Itinerary, Stop, parse_timestamp
 from itiguard.validation import (
+    NO_ROUTE_DATA,
     SEGMENT_ISSUE_KINDS,
     Issue,
     IssueKind,
@@ -22,7 +24,7 @@ from itiguard.validation import (
     stay_violation,
     validate,
 )
-from support import CountingProvider, brute_force_issues, random_corpus, random_itinerary
+from support import CountingProvider, brute_force_issues, open_fds, random_corpus, random_itinerary
 
 
 def make_stop(code: str, arrival: str, departure: str) -> Stop:
@@ -428,6 +430,155 @@ class TestKnownRoutes:
             CachedProvider(counting, path=path).route_duration(("FRA", "CAI"))
         assert counting.calls == 1
 
+
+class SlottedProvider:
+    """A provider that cannot be weakly referenced: __slots__ without
+    __weakref__. Counts its lookups."""
+
+    __slots__ = ("table", "calls")
+
+    def __init__(self, table: dict[tuple[str, str], int]):
+        self.table = table
+        self.calls = 0
+
+    def route_duration(self, route):
+        self.calls += 1
+        return FlightDuration(self.table[route])
+
+
+def outcome(call, *args):
+    """What call(*args) returned, or the type and text of the
+    RouteUnavailable it raised."""
+    try:
+        return call(*args)
+    except RouteUnavailable as err:
+        return type(err), str(err)
+
+
+class TestWindowMemo:
+    """resolve_segment_bounds remembers each route's window for the provider
+    and policy objects it was last called with."""
+
+    itinerary = staticmethod(TestKnownRoutes.sydney_frankfurt_cairo)
+    TABLE = {("SYD", "FRA"): 400, ("FRA", "CAI"): 240}
+
+    def test_a_second_call_with_the_same_provider_and_policy_asks_for_no_route(self):
+        itin, policy = self.itinerary(), ValidationPolicy()
+        counting = CountingProvider(FixtureProvider(self.TABLE))
+        first = validate(itin, counting, policy)
+        assert counting.routes == [("SYD", "FRA"), ("FRA", "CAI")]
+        assert validate(itin, counting, policy) == first
+        assert resolve_segment_bounds(itin, counting, policy) == [(640, 1280), (480, 960)]
+        assert correct(itin, counting, policy) == correct(itin, FixtureProvider(self.TABLE), policy)
+        assert counting.calls == 2
+
+    def test_a_new_policy_object_asks_again(self):
+        itin = self.itinerary()
+        counting = CountingProvider(FixtureProvider(self.TABLE))
+        validate(itin, counting, ValidationPolicy())
+        # An equal policy is still another object.
+        validate(itin, counting, ValidationPolicy())
+        assert counting.calls == 4
+        longer = ValidationPolicy(buffer_minutes=300)
+        assert resolve_segment_bounds(itin, counting, longer) == [(700, 1400), (540, 1080)]
+        assert counting.calls == 6
+
+    def test_a_new_provider_object_asks_again(self):
+        itin, policy = self.itinerary(), ValidationPolicy()
+        first = CountingProvider(FixtureProvider(self.TABLE))
+        second = CountingProvider(FixtureProvider({("SYD", "FRA"): 500, ("FRA", "CAI"): 240}))
+        validate(itin, first, policy)
+        assert resolve_segment_bounds(itin, second, policy) == [(740, 1480), (480, 960)]
+        # One slot: going back to the first provider asks it again.
+        assert resolve_segment_bounds(itin, first, policy) == [(640, 1280), (480, 960)]
+        assert (first.calls, second.calls) == (4, 2)
+
+    def test_a_dead_route_is_asked_for_on_every_call(self):
+        itin, policy = self.itinerary(), ValidationPolicy()
+        counting = CountingProvider(FixtureProvider({("SYD", "FRA"): 400}))
+        for _ in range(3):
+            assert validate(itin, counting, policy).unverifiable_segments == (1,)
+        assert counting.routes == [("SYD", "FRA")] + [("FRA", "CAI")] * 3
+
+    def test_a_dead_route_raises_the_same_error_on_every_strict_call(self):
+        itin, strict = self.itinerary(), ValidationPolicy(strict=True)
+        inner = CountingProvider(FixtureProvider({("SYD", "FRA"): 400}))
+        cached = CountingProvider(CachedProvider(inner))
+        texts = []
+        for _ in range(3):
+            with pytest.raises(RouteUnavailable) as failure:
+                validate(itin, cached, strict)
+            texts.append(str(failure.value))
+        assert texts == ["no flight duration for FRA->CAI after 1 attempt(s): no fixture duration for route"] * 3
+        assert cached.routes == [("SYD", "FRA")] + [("FRA", "CAI")] * 3
+        assert inner.routes == [("SYD", "FRA"), ("FRA", "CAI")]
+
+    def test_a_same_airport_leg_is_never_asked_for(self):
+        itin = Itinerary(
+            (
+                make_stop("SYD", "2025-06-01 10:00", "2025-06-03 10:00"),
+                make_stop("SYD", "2025-06-03 20:00", "2025-06-05 20:00"),
+                make_stop("FRA", "2025-06-06 08:00", "2025-06-08 08:00"),
+            )
+        )
+        policy = ValidationPolicy()
+        counting = CountingProvider(FixtureProvider(self.TABLE))
+        for _ in range(2):
+            assert resolve_segment_bounds(itin, counting, policy) == [NO_ROUTE_DATA, (640, 1280)]
+        assert counting.routes == [("SYD", "FRA")]
+
+    def test_a_dropped_provider_closes_its_cache_file(self, tmp_path):
+        before = open_fds()
+        provider = CachedProvider(FixtureProvider(self.TABLE), path=tmp_path / "cache.txt")
+        validate(self.itinerary(), provider, ValidationPolicy())
+        assert (tmp_path / "cache.txt").read_text(encoding="utf-8") == "SYD FRA 400\nFRA CAI 240\n"
+        assert open_fds() == before + 1
+        del provider
+        assert open_fds() == before
+
+    def test_a_provider_without_weak_references_gets_a_memo_per_call(self):
+        # SYD-FRA twice: the call's own memo answers the second leg.
+        itin = Itinerary(
+            (
+                make_stop("SYD", "2025-06-01 10:00", "2025-06-03 10:00"),
+                make_stop("FRA", "2025-06-03 20:00", "2025-06-05 20:00"),
+                make_stop("SYD", "2025-06-06 08:00", "2025-06-08 08:00"),
+                make_stop("FRA", "2025-06-08 20:00", "2025-06-10 20:00"),
+            )
+        )
+        table = {("SYD", "FRA"): 400, ("FRA", "SYD"): 420}
+        slotted, policy = SlottedProvider(table), ValidationPolicy()
+        with pytest.raises(TypeError):
+            weakref.ref(slotted)
+        expected = validate(itin, DirectedProvider(table), policy)
+        assert expected.issues
+        for calls in (2, 4):
+            assert validate(itin, slotted, policy) == expected
+            assert slotted.calls == calls
+
+    def test_alternating_providers_and_policies_match_fresh_providers(self):
+        rng = random.Random(1618)
+        itineraries, table = random_corpus(rng, 300)
+        # A second table with other durations and other dead routes.
+        other = {route: minutes + 37 for route, minutes in table.items() if rng.random() < 0.8}
+        tables = (table, other)
+        providers = (CachedProvider(FixtureProvider(table)), FixtureProvider(other))
+        policies = (ValidationPolicy(buffer_minutes=90, max_multiplier=1.5), ValidationPolicy(strict=True))
+        combos = [(rng.randrange(2), rng.randrange(2)) for _ in itineraries]
+        # A fresh provider and a fresh copy of the policy for each call, so
+        # that no call finds another's windows.
+        expected = [
+            (outcome(validate, itin, FixtureProvider(tables[p]), ValidationPolicy(*policies[q])),
+             outcome(correct, itin, FixtureProvider(tables[p]), ValidationPolicy(*policies[q])))
+            for itin, (p, q) in zip(itineraries, combos)
+        ]
+        got = [
+            (outcome(validate, itin, providers[p], policies[q]), outcome(correct, itin, providers[p], policies[q]))
+            for itin, (p, q) in zip(itineraries, combos)
+        ]
+        assert got == expected
+        raised = sum(report[0] is RouteUnavailable for report, _ in expected)
+        assert 0 < raised < len(itineraries)
 
 def test_issue_kinds_are_the_wire_strings():
     # A kind is the str the JSON report prints, so a dict keyed by wire
